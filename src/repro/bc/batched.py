@@ -28,11 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..gpusim.charge import FrontierProfile, charge
 from ..observability.registry import NULL_REGISTRY
 from .brandes import normalize_bc
 from .preprocess import FoldResult, fold_degree_one, per_root_correction
 
-__all__ = ["batched_betweenness_centrality", "batched_dependencies"]
+__all__ = ["batched_betweenness_centrality", "batched_dependencies",
+           "run_batch"]
 
 
 def _adjacency(g: CSRGraph):
@@ -62,7 +64,7 @@ def batched_dependencies(g: CSRGraph, roots: np.ndarray,
         Optional callback ``on_level(depth, frontier_pairs,
         edge_pairs)`` fired once per forward step with the number of
         active (root, vertex) pairs and their summed degrees — the
-        device charges its batched kernel costs from these.
+        frontier profile :func:`run_batch` charges.
 
     Raises ``FloatingPointError`` if path counts overflow float64 (use
     the per-root engine for very deep graphs; the public wrapper does
@@ -132,6 +134,37 @@ def batched_dependencies(g: CSRGraph, roots: np.ndarray,
     if not np.isfinite(delta).all():
         raise FloatingPointError("sigma overflow in batched sweep")
     return delta
+
+
+def run_batch(g: CSRGraph, batch: np.ndarray, bc: np.ndarray, policy,
+              costs, chunk: int, device_chunk: int, A=None, metrics=None,
+              source_weights: np.ndarray | None = None,
+              target_weights: np.ndarray | None = None):
+    """:func:`repro.bc.engine.run_root` for a whole batch: its values,
+    folded into ``bc`` (row-weighted by ``source_weights``), plus one
+    charge of its (pair, edge-pair) profile under ``policy``; the trace
+    is keyed by the first root.  Path-count overflow raises
+    ``FloatingPointError`` before anything is charged or accumulated."""
+    if metrics is None:
+        metrics = NULL_REGISTRY
+    sizes: list = []
+    edges: list = []
+
+    def on_level(depth, pairs, epairs):
+        sizes.append(pairs)
+        edges.append(epairs)
+
+    delta = batched_dependencies(g, batch, A=A, target_weights=target_weights,
+                                 on_level=on_level)
+    trace = charge(FrontierProfile(root=int(batch[0]), sizes=sizes,
+                                   edges=edges),
+                   policy, costs, chunk, device_chunk=device_chunk,
+                   metrics=metrics)
+    metrics.inc("engine.roots", batch.size)
+    if source_weights is not None:
+        delta *= np.asarray(source_weights)[batch][:, None]
+    bc += delta.sum(axis=0)
+    return trace
 
 
 def _engine_retry(g: CSRGraph, batch: np.ndarray, metrics,

@@ -1,11 +1,11 @@
-"""Per-root execution engine: values + cost charging + tracing.
+"""Per-root execution engine: values plus one charge call.
 
 One call to :func:`run_root` performs the full Brandes computation for
 one source (shortest-path stage then dependency accumulation),
 accumulates the dependencies into a shared ``bc`` array, and returns a
-:class:`~repro.gpusim.trace.RootTrace` whose per-level cycle charges
-come from the cost model under the strategy the policy selected for
-each iteration.
+:class:`~repro.gpusim.trace.RootTrace` charged by
+:func:`repro.gpusim.charge.charge` from the sweep's frontier profile
+under the strategy the policy selected for each iteration.
 
 Every strategy computes identical values — the strategies differ only
 in the thread-to-work assignment being costed — so correctness is
@@ -18,20 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import StrategyError
 from ..graph.csr import CSRGraph
+from ..gpusim.charge import FrontierProfile, charge
 from ..gpusim.cost import CostModel
-from ..gpusim.trace import LevelTrace, RootTrace
+from ..gpusim.trace import RootTrace
 from ..observability.registry import NULL_REGISTRY
 from .accumulation import accumulate_level
 from .frontier import forward_sweep
-from .policies import (
-    EDGE_PARALLEL,
-    GPU_FAN,
-    VERTEX_PARALLEL,
-    WORK_EFFICIENT,
-    Policy,
-)
+from .policies import Policy
 
 __all__ = ["run_root"]
 
@@ -72,7 +66,7 @@ def run_root(
     observer:
         Optional hook with ``after_forward(fwd)`` and
         ``after_accumulation(fwd, delta)`` methods, called after the
-        forward sweep and after dependency accumulation (before the
+        forward sweep has been charged and after dependency accumulation (before the
         dependencies are folded into ``bc``).  Used by the SDC
         verification layer to inject faults into, and run ABFT checks
         over, this root's intermediate state.
@@ -86,100 +80,24 @@ def run_root(
     """
     if metrics is None:
         metrics = NULL_REGISTRY
-    n = g.num_vertices
-    m_dir = g.num_directed_edges
-    deg = g.degrees
-    trace = RootTrace(root=int(source))
-    strategy_by_depth: dict[int, str] = {}
-
-    def _forward_cost(strategy: str, frontier: np.ndarray, ef: int) -> float:
-        fdeg = deg[frontier]
-        if strategy == WORK_EFFICIENT:
-            return costs.we_forward(fdeg, chunk)
-        if strategy == EDGE_PARALLEL:
-            return costs.ep_forward(m_dir, ef, chunk)
-        if strategy == VERTEX_PARALLEL:
-            masked = np.zeros(n, dtype=np.int64)
-            masked[frontier] = fdeg
-            return costs.vp_forward(n, masked, chunk)
-        if strategy == GPU_FAN:
-            if device_chunk is None:
-                raise StrategyError("gpu-fan strategy requires device_chunk")
-            return costs.gpu_fan_forward(m_dir, ef, device_chunk)
-        raise StrategyError(f"unknown strategy {strategy!r}")
-
-    def _backward_cost(strategy: str, level: np.ndarray, ef: int) -> float:
-        ldeg = deg[level]
-        if strategy == WORK_EFFICIENT:
-            return costs.we_backward(ldeg, chunk)
-        if strategy == EDGE_PARALLEL:
-            return costs.ep_backward(m_dir, ef, chunk)
-        if strategy == VERTEX_PARALLEL:
-            masked = np.zeros(n, dtype=np.int64)
-            masked[level] = ldeg
-            return costs.vp_backward(n, masked, chunk)
-        if strategy == GPU_FAN:
-            return costs.gpu_fan_backward(m_dir, ef, device_chunk)
-        raise StrategyError(f"unknown strategy {strategy!r}")
-
-    initial = policy.initial_decision()
-    state = {"strategy": initial.strategy}
-    metrics.record("decision.initial", root=int(source),
-                   applies_to_depth=0, strategy=initial.strategy,
-                   policy=initial.policy, rule=initial.rule,
-                   **initial.inputs)
-
-    def on_forward_level(depth: int, frontier: np.ndarray, q_next_len: int) -> None:
-        strategy = state["strategy"]
-        ef = int(deg[frontier].sum())
-        cycles = _forward_cost(strategy, frontier, ef)
-        trace.add(LevelTrace(depth=depth, stage="forward", strategy=strategy,
-                             frontier_size=int(frontier.size),
-                             edge_frontier=ef, cycles=cycles))
-        metrics.inc("engine.levels", stage="forward", strategy=strategy)
-        metrics.inc("engine.frontier_vertices", frontier.size, stage="forward")
-        metrics.inc("engine.frontier_edges", ef, stage="forward")
-        metrics.inc("engine.cycles", cycles, stage="forward", strategy=strategy)
-        metrics.observe("engine.frontier_size", frontier.size, stage="forward")
-        strategy_by_depth[depth] = strategy
-        decision = policy.decide(strategy, int(frontier.size), int(q_next_len))
-        if q_next_len > 0:
-            # The decision taken after level `depth` governs level
-            # `depth + 1`; an empty next frontier ends the sweep, so
-            # that final (never-applied) evaluation is not recorded.
-            metrics.record("decision.step", root=int(source), depth=int(depth),
-                           applies_to_depth=int(depth) + 1,
-                           previous=strategy, strategy=decision.strategy,
-                           policy=decision.policy, rule=decision.rule,
-                           **decision.inputs)
-        state["strategy"] = decision.strategy
-
-    fwd = forward_sweep(g, source, on_level=on_forward_level)
+    fwd = forward_sweep(g, source)
+    # Charging before the observer keeps every decision record ahead of
+    # any corruption the observer raises for this root.
+    trace = charge(FrontierProfile.of_sweep(g, fwd), policy, costs, chunk,
+                   device_chunk=device_chunk, metrics=metrics)
     if observer is not None:
         observer.after_forward(fwd)
 
-    # Stage 2 — dependency accumulation, deepest-but-one level first,
-    # each level charged under the strategy that produced it.
-    delta = np.zeros(n, dtype=np.float64)
+    # Stage 2 — dependency accumulation, deepest-but-one level first.
+    delta = np.zeros(g.num_vertices, dtype=np.float64)
     scales = fwd.level_scales
     for depth in range(len(fwd.levels) - 2, 0, -1):
-        level = fwd.levels[depth]
         ratio_scale = 1.0
         if scales is not None and depth + 1 < scales.size:
             ratio_scale = 1.0 / scales[depth + 1]
-        accumulate_level(g, level, fwd.distances, fwd.sigma, delta,
-                         sigma_ratio_scale=ratio_scale,
+        accumulate_level(g, fwd.levels[depth], fwd.distances, fwd.sigma,
+                         delta, sigma_ratio_scale=ratio_scale,
                          target_weights=target_weights)
-        strategy = strategy_by_depth[depth]
-        ef = int(deg[level].sum())
-        cycles = _backward_cost(strategy, level, ef)
-        trace.add(LevelTrace(depth=depth, stage="backward", strategy=strategy,
-                             frontier_size=int(level.size),
-                             edge_frontier=ef, cycles=cycles))
-        metrics.inc("engine.levels", stage="backward", strategy=strategy)
-        metrics.inc("engine.frontier_vertices", level.size, stage="backward")
-        metrics.inc("engine.frontier_edges", ef, stage="backward")
-        metrics.inc("engine.cycles", cycles, stage="backward", strategy=strategy)
     if source_weight != 1.0:
         delta *= source_weight
     if observer is not None:

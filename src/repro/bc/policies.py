@@ -2,10 +2,10 @@
 
 A policy decides, for every BFS iteration of every root, whether the
 level is processed with the work-efficient, edge-parallel or
-vertex-parallel thread assignment.  The engine asks for an initial
-strategy, then calls :meth:`next_strategy` after each completed level
-with the current and next frontier sizes — exactly the information
-Algorithm 4 uses.
+vertex-parallel thread assignment.  :func:`repro.gpusim.charge.charge`
+asks for an initial strategy, then calls :meth:`decide` after each
+completed level with the current and next frontier sizes — exactly the
+information Algorithm 4 uses.
 
 Every decision is also available as an auditable record: :meth:`decide`
 returns a :class:`Decision` carrying the chosen strategy *plus* the
@@ -26,17 +26,20 @@ __all__ = [
     "EDGE_PARALLEL",
     "VERTEX_PARALLEL",
     "GPU_FAN",
+    "BATCHED",
     "Decision",
     "Policy",
     "FixedPolicy",
     "HybridPolicy",
     "FrontierGuardPolicy",
+    "BatchedPolicy",
 ]
 
 WORK_EFFICIENT = "work-efficient"
 EDGE_PARALLEL = "edge-parallel"
 VERTEX_PARALLEL = "vertex-parallel"
 GPU_FAN = "gpu-fan"
+BATCHED = "batched"
 
 _KNOWN = {WORK_EFFICIENT, EDGE_PARALLEL, VERTEX_PARALLEL, GPU_FAN}
 
@@ -51,7 +54,7 @@ class Decision:
     """
 
     strategy: str
-    policy: str                      # "fixed" | "hybrid" | "frontier-guard"
+    policy: str  # "fixed" | "hybrid" | "frontier-guard" | "batched"
     rule: str
     inputs: dict = field(default_factory=dict)
 
@@ -203,3 +206,34 @@ class FrontierGuardPolicy(Policy):
             rule=f"q_next={q_next} < min_frontier="
                  f"{self.min_frontier}: work-efficient",
         )
+
+
+class BatchedPolicy(Policy):
+    """One frontier-matrix batch of the ``batched`` device strategy: it
+    never switches, but lets a batch be charged and audited like a root,
+    with the depth classification that routed it as initial inputs."""
+
+    kind = "batched"
+
+    def __init__(self, batch_roots: int, median_depth, depth_cutoff):
+        self.batch_roots = int(batch_roots)
+        self.median_depth = median_depth
+        self.depth_cutoff = depth_cutoff
+
+    def initial(self) -> str:
+        return BATCHED
+
+    def initial_decision(self) -> Decision:
+        return Decision(
+            strategy=BATCHED, policy=self.kind,
+            rule=f"sampled median depth {self.median_depth} <= cutoff — "
+                 f"{self.batch_roots} roots per frontier-matrix step",
+            inputs={"batch_roots": self.batch_roots,
+                    "median_depth": self.median_depth,
+                    "depth_cutoff": self.depth_cutoff},
+        )
+
+    def decide(self, current: str, q_curr_len: int, q_next_len: int) -> Decision:
+        return Decision(strategy=BATCHED, policy=self.kind,
+                        rule="batch advances one frontier-matrix step",
+                        inputs={"batch_roots": self.batch_roots})

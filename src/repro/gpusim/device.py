@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bc.policies import (
+    BATCHED,
     EDGE_PARALLEL,
     GPU_FAN,
     VERTEX_PARALLEL,
     WORK_EFFICIENT,
+    BatchedPolicy,
     FixedPolicy,
     FrontierGuardPolicy,
     HybridPolicy,
@@ -50,7 +52,7 @@ from ..verify import RootChecker, VerificationPolicy
 from .cost import DEFAULT_COSTS, CostModel
 from .memory import DeviceMemoryModel, strategy_footprint
 from .spec import GTX_TITAN, GPUSpec
-from .trace import LevelTrace, RootTrace, RunTrace
+from .trace import RunTrace
 
 __all__ = ["Device", "DeviceRun", "STRATEGIES"]
 
@@ -61,7 +63,7 @@ STRATEGIES = (
     VERTEX_PARALLEL,
     "hybrid",
     "sampling",
-    "batched",
+    BATCHED,
     GPU_FAN,
 )
 
@@ -80,6 +82,8 @@ class DeviceRun:
     num_edges: int
     roots: np.ndarray
     memory_report: dict = field(default_factory=dict)
+    #: Algorithm 5's choice; for ``batched``, whether the remaining
+    #: roots were routed through batch traversals.
     sampling_chose_edge_parallel: bool | None = None
     #: Cycles that do NOT scale with the root count when extrapolating
     #: (the sampling method's fixed classification phase).
@@ -87,7 +91,8 @@ class DeviceRun:
     #: How many of ``roots`` were consumed by that fixed phase.
     fixed_roots: int = 0
     #: Roots each steady-state trace entry covers: 1 everywhere except
-    #: the ``batched`` strategy, whose trace entries are whole batches.
+    #: a ``batched`` run whose batch traversals actually ran, whose
+    #: trace entries are whole batches.
     roots_per_trace: int = 1
     #: Degree-1 fold applied to this run (None when folding was off or
     #: the fold was the identity) — carries the digest the service
@@ -130,10 +135,12 @@ class DeviceRun:
         mean = float(np.mean(steady))
         remaining = max(0, total - self.fixed_roots)
         # GPU-FAN dedicates the whole device to each root, so roots do
-        # not overlap across SMs, and a batched trace entry is a whole
-        # device-cooperative batch; every other layout processes
+        # not overlap across SMs, and a routed batched trace entry is a
+        # whole device-cooperative batch; every other layout — batched
+        # runs that fell back to per-root traversal included — processes
         # num_sms roots concurrently.
-        if self.strategy in ("gpu-fan", "batched"):
+        if self.strategy == GPU_FAN or (self.strategy == BATCHED
+                                        and self.sampling_chose_edge_parallel):
             concurrency = max(1, int(self.roots_per_trace))
         else:
             concurrency = self.spec.num_sms
@@ -151,15 +158,6 @@ class DeviceRun:
     def extrapolated_mteps(self, total_roots: int | None = None) -> float:
         """:meth:`extrapolated_teps` in millions (Table III units)."""
         return self.extrapolated_teps(total_roots) / 1e6
-
-
-def _run_root(*args, **kwargs):
-    """Deferred import of the per-root engine (breaks the bc <-> gpusim
-    import cycle: the engine needs the cost model's types, the device
-    needs the engine's entry point)."""
-    from ..bc.engine import run_root
-
-    return run_root(*args, **kwargs)
 
 
 class _RunObserver:
@@ -241,6 +239,25 @@ class _RunObserver:
             if violations:
                 self.metrics.inc("verify.corruption_detected", layer="device")
                 raise SilentCorruptionError(violations)
+
+
+@dataclass
+class _Run:
+    """One run's shared state: what the per-root loop needs, the trace
+    being built, and the strategy's result fields."""
+
+    g: CSRGraph
+    bc: np.ndarray
+    chunk: int
+    metrics: object
+    observer: _RunObserver | None
+    source_weights: np.ndarray | None
+    target_weights: np.ndarray | None
+    trace: RunTrace = field(default_factory=RunTrace)
+    chose: bool | None = None
+    fixed_cycles: float = 0.0
+    fixed_roots: int = 0
+    roots_per_trace: int = 1
 
 
 def _list_schedule(costs_per_root, num_workers: int):
@@ -440,9 +457,6 @@ class Device:
                 mem.alloc(nbytes, what)
             memory_report = mem.report()
 
-        bc = np.zeros(run_g.num_vertices, dtype=np.float64)
-        chunk = self.spec.concurrent_threads_per_sm
-
         verify_policy = VerificationPolicy.coerce(verify)
         observer = None
         if verify_policy.enabled or self._sdc_pending():
@@ -473,46 +487,20 @@ class Device:
                           core_traversals=int(run_roots.size))
         metrics.record("run.params", **params)
 
-        fixed_cycles = 0.0
-        fixed_roots = 0
-        roots_per_trace = 1
+        run = _Run(g=run_g, bc=np.zeros(run_g.num_vertices, dtype=np.float64),
+                   chunk=self.spec.concurrent_threads_per_sm, metrics=metrics,
+                   observer=observer, source_weights=source_weights,
+                   target_weights=target_weights)
         with metrics.span("device.run_bc", strategy=strategy,
                           device=self.spec.name):
-            if strategy == GPU_FAN:
-                run = self._run_gpu_fan(run_g, run_roots, bc, chunk, metrics,
-                                        observer=observer,
-                                        target_weights=target_weights,
-                                        source_weights=source_weights)
-            elif strategy == "sampling":
-                run = self._run_sampling(run_g, run_roots, bc, chunk, n_samps,
-                                         gamma, min_frontier, metrics,
-                                         observer=observer,
-                                         target_weights=target_weights,
-                                         source_weights=source_weights)
-                fixed_cycles = run[3]
-                fixed_roots = run[4]
-                run = run[:3]
-            elif strategy == "batched":
-                run = self._run_batched(run_g, run_roots, bc, chunk, n_samps,
-                                        gamma, batch_size, metrics,
-                                        observer=observer,
-                                        target_weights=target_weights,
-                                        source_weights=source_weights)
-                fixed_cycles = run[3]
-                fixed_roots = run[4]
-                run = run[:3]
-                roots_per_trace = int(batch_size)
-            else:
-                policy_factory = self._policy_factory(strategy, alpha, beta)
-                run = self._run_coarse(run_g, run_roots, bc, chunk,
-                                       policy_factory, metrics,
-                                       observer=observer,
-                                       target_weights=target_weights,
-                                       source_weights=source_weights)
+            self._execute(run, strategy, run_roots, alpha=alpha, beta=beta,
+                          n_samps=n_samps, gamma=gamma,
+                          min_frontier=min_frontier, batch_size=batch_size)
             if observer is not None:
-                observer.finish(bc)
+                observer.finish(run.bc)
 
-        trace, makespan, extra = run
+        trace, bc = run.trace, run.bc
+        makespan, fixed_cycles = trace.makespan_cycles, run.fixed_cycles
         if folded:
             bc = fold_result.expand(bc) + post_extra
         slow = float(self.straggler_factor)
@@ -543,10 +531,10 @@ class Device:
             num_edges=g.num_edges,
             roots=roots,
             memory_report=memory_report,
-            sampling_chose_edge_parallel=extra,
+            sampling_chose_edge_parallel=run.chose,
             fixed_cycles=fixed_cycles,
-            fixed_roots=fixed_roots,
-            roots_per_trace=roots_per_trace,
+            fixed_roots=run.fixed_roots,
+            roots_per_trace=run.roots_per_trace,
             fold=fold_result if folded else None,
         )
 
@@ -559,267 +547,125 @@ class Device:
         return strategy
 
     @staticmethod
-    def _source_weight(source_weights, s) -> float:
-        return (1.0 if source_weights is None
-                else float(source_weights[int(s)]))
-
-    @staticmethod
-    def _policy_factory(strategy: str, alpha, beta):
-        if strategy == WORK_EFFICIENT:
-            return lambda: FixedPolicy(WORK_EFFICIENT)
-        if strategy == EDGE_PARALLEL:
-            return lambda: FixedPolicy(EDGE_PARALLEL)
-        if strategy == VERTEX_PARALLEL:
-            return lambda: FixedPolicy(VERTEX_PARALLEL)
+    def _policy(strategy: str, alpha, beta):
         if strategy == "hybrid":
-            kw = {}
-            if alpha is not None:
-                kw["alpha"] = alpha
-            if beta is not None:
-                kw["beta"] = beta
-            return lambda: HybridPolicy(**kw)
-        raise StrategyError(f"no policy for {strategy!r}")
+            kw = {k: v for k, v in (("alpha", alpha), ("beta", beta))
+                  if v is not None}
+            return HybridPolicy(**kw)
+        return FixedPolicy(strategy)
 
-    def _run_coarse(self, g, roots, bc, chunk, policy_factory,
-                    metrics=NULL_REGISTRY, observer=None,
-                    target_weights=None, source_weights=None):
-        """Jia-style layout: blocks pull roots; makespan scheduling."""
-        trace = RunTrace()
+    def _roots(self, run: "_Run", roots, policy,
+               device_chunk: int | None = None) -> list:
+        """The per-root loop: run each root under ``policy``, append its
+        trace, return the per-root cycles."""
+        from ..bc import engine  # deferred: the engine imports gpusim
+
+        cycles = []
         for s in roots:
-            trace.roots.append(
-                _run_root(g, int(s), bc, policy_factory(), self.costs, chunk,
-                          metrics=metrics, observer=observer,
-                          source_weight=self._source_weight(source_weights, s),
-                          target_weights=target_weights)
-            )
-        makespan, per_sm = _list_schedule(
-            [rt.cycles for rt in trace.roots], self.spec.num_sms
-        )
-        trace.makespan_cycles = makespan
-        trace.sm_cycles = per_sm
-        return trace, makespan, None
+            rt = engine.run_root(
+                run.g, int(s), run.bc, policy, self.costs, run.chunk,
+                device_chunk=device_chunk, metrics=run.metrics,
+                observer=run.observer,
+                source_weight=(1.0 if run.source_weights is None
+                               else float(run.source_weights[int(s)])),
+                target_weights=run.target_weights)
+            run.trace.roots.append(rt)
+            cycles.append(rt.cycles)
+        return cycles
 
-    def _run_gpu_fan(self, g, roots, bc, chunk, metrics=NULL_REGISTRY,
-                     observer=None, target_weights=None, source_weights=None):
-        """GPU-FAN layout: whole device per root, roots sequential."""
-        trace = RunTrace()
-        device_chunk = self.spec.total_threads
-        policy = FixedPolicy(GPU_FAN)
-        for s in roots:
-            trace.roots.append(
-                _run_root(g, int(s), bc, policy, self.costs, chunk,
-                         device_chunk=device_chunk, metrics=metrics,
-                         observer=observer,
-                         source_weight=self._source_weight(source_weights, s),
-                         target_weights=target_weights)
-            )
-        makespan = trace.total_root_cycles
-        trace.makespan_cycles = makespan
-        trace.sm_cycles = np.full(self.spec.num_sms, makespan)
-        return trace, makespan, None
+    def _schedule(self, cycles, serial: bool = False):
+        """(makespan, per-SM cycles): greedy list scheduling of roots
+        onto SMs, or a device-serial sum when each entry owns the
+        whole device."""
+        if serial:
+            total = float(sum(cycles))
+            return total, np.full(self.spec.num_sms, total)
+        return _list_schedule(cycles, self.spec.num_sms)
 
-    def _run_sampling(self, g, roots, bc, chunk, n_samps, gamma, min_frontier,
-                      metrics=NULL_REGISTRY, observer=None,
-                      target_weights=None, source_weights=None):
-        """Algorithm 5: classify with the first ``n_samps`` roots, then
-        finish with the selected method."""
-        trace = RunTrace()
+    def _classify(self, run: "_Run", roots, n_samps, gamma):
+        """Algorithm 5's classification phase, shared by sampling and
+        batched: the first ``n_samps`` roots run work-efficient (a fixed
+        cost when extrapolating) and their median BFS depth decides.
+        Returns the remaining roots and the classification record."""
         k = min(int(n_samps), roots.size)
-        phase1 = roots[:k]
-        phase2 = roots[k:]
-        we = FixedPolicy(WORK_EFFICIENT)
-        for s in phase1:
-            trace.roots.append(_run_root(
-                g, int(s), bc, we, self.costs, chunk,
-                metrics=metrics, observer=observer,
-                source_weight=self._source_weight(source_weights, s),
-                target_weights=target_weights))
-        makespan1, _ = _list_schedule(
-            [rt.cycles for rt in trace.roots], self.spec.num_sms
-        )
-        depths = [rt.max_depth for rt in trace.roots]
-        classification = classification_record(depths, g.num_vertices,
-                                               gamma=gamma)
-        use_ep = classification["chose_edge_parallel"]
-        metrics.inc("device.sampling_classifications",
-                    chose="edge-parallel" if use_ep else "work-efficient")
-        metrics.record("decision.sampling", min_frontier=int(min_frontier),
-                       **classification)
-        phase2_start = len(trace.roots)
-        for s in phase2:
-            policy = (FrontierGuardPolicy(min_frontier) if use_ep
-                      else FixedPolicy(WORK_EFFICIENT))
-            trace.roots.append(_run_root(
-                g, int(s), bc, policy, self.costs, chunk,
-                metrics=metrics, observer=observer,
-                source_weight=self._source_weight(source_weights, s),
-                target_weights=target_weights))
-        makespan2, per_sm = _list_schedule(
-            [rt.cycles for rt in trace.roots[phase2_start:]], self.spec.num_sms
-        )
-        makespan = makespan1 + makespan2
-        trace.makespan_cycles = makespan
-        trace.sm_cycles = per_sm
-        return trace, makespan, use_ep, makespan1, int(phase1.size)
+        run.fixed_cycles, _ = self._schedule(
+            self._roots(run, roots[:k], FixedPolicy(WORK_EFFICIENT)))
+        run.fixed_roots = k
+        depths = [rt.max_depth for rt in run.trace.roots]
+        return roots[k:], classification_record(depths, run.g.num_vertices,
+                                                gamma=gamma)
 
-    def _run_batched(self, g, roots, bc, chunk, n_samps, gamma, batch_size,
-                     metrics=NULL_REGISTRY, observer=None,
-                     target_weights=None, source_weights=None):
-        """Sarıyüce-style multi-source strategy (reference [33]).
-
-        Classification mirrors Algorithm 5: the first ``n_samps`` roots
-        run work-efficient and their median BFS depth decides.  A
-        *small* sampled diameter (the same γ-cutoff that would pick the
-        edge-parallel kernel) means dense frontiers and few steps —
-        ideal for routing the remaining roots through whole-device
-        frontier-matrix traversals, ``batch_size`` roots per step.
-        Deep graphs, and runs carrying an SDC/verification observer
-        (whose ABFT suite is per-root by construction), finish
-        per-root work-efficient instead; both the classification and
-        that fallback are recorded in the ``repro.trace/v1`` stream.
-        """
-        trace = RunTrace()
-        k = min(int(n_samps), roots.size)
-        phase1 = roots[:k]
-        phase2 = roots[k:]
-        we = FixedPolicy(WORK_EFFICIENT)
-        for s in phase1:
-            trace.roots.append(_run_root(
-                g, int(s), bc, we, self.costs, chunk,
-                metrics=metrics, observer=observer,
-                source_weight=self._source_weight(source_weights, s),
-                target_weights=target_weights))
-        makespan1, _ = _list_schedule(
-            [rt.cycles for rt in trace.roots], self.spec.num_sms
-        )
-        depths = [rt.max_depth for rt in trace.roots]
-        classification = classification_record(depths, g.num_vertices,
-                                               gamma=gamma)
-        use_batched = bool(classification["chose_edge_parallel"])
-        per_root_fallback = observer is not None
-        metrics.inc("device.batched_classifications",
-                    chose="batched" if use_batched and not per_root_fallback
-                    else "work-efficient")
-        metrics.record("decision.batched", batch_size=int(batch_size),
-                       verified_per_root=bool(per_root_fallback),
-                       **classification)
-        phase2_start = len(trace.roots)
-        device_chunk = self.spec.total_threads
-        makespan2 = 0.0
-        if use_batched and not per_root_fallback and phase2.size:
-            from ..bc.batched import _adjacency, batched_dependencies
-
-            A = _adjacency(g)
-            serial_cycles = 0.0
-            fallback_cycles: list = []
-            for lo in range(0, phase2.size, int(batch_size)):
-                batch = phase2[lo:lo + int(batch_size)]
-                rep = int(batch[0])
-                rt = RootTrace(root=rep)
-
-                def on_level(depth, pairs, epairs, rt=rt):
-                    cycles = self.costs.batched_forward(epairs, device_chunk)
-                    rt.add(LevelTrace(depth=depth, stage="forward",
-                                      strategy="batched",
-                                      frontier_size=int(pairs),
-                                      edge_frontier=int(epairs),
-                                      cycles=cycles))
-                    metrics.inc("engine.levels", stage="forward",
-                                strategy="batched")
-                    metrics.inc("engine.frontier_vertices", pairs,
-                                stage="forward")
-                    metrics.inc("engine.frontier_edges", epairs,
-                                stage="forward")
-                    metrics.inc("engine.cycles", cycles, stage="forward",
-                                strategy="batched")
-                    metrics.observe("engine.frontier_size", pairs,
-                                    stage="forward")
-
-                try:
-                    delta = batched_dependencies(
-                        g, batch, A=A, target_weights=target_weights,
-                        on_level=on_level)
-                except FloatingPointError:
-                    # Deep traversal overflowed the dense path counts;
-                    # the per-root engine rescales sigma per level.
-                    metrics.inc("batched.overflow_retries")
-                    for s in batch:
-                        sub = _run_root(
-                            g, int(s), bc, FixedPolicy(WORK_EFFICIENT),
-                            self.costs, chunk, metrics=metrics,
-                            observer=observer,
-                            source_weight=self._source_weight(
-                                source_weights, s),
-                            target_weights=target_weights)
-                        trace.roots.append(sub)
-                        fallback_cycles.append(sub.cycles)
-                    continue
-                # Decision audit: one record per executed forward level
-                # (the batch's representative root carries the trace).
-                metrics.record("decision.initial", root=rep,
-                               applies_to_depth=0, strategy="batched",
-                               policy="batched",
-                               rule=f"sampled median depth "
-                                    f"{classification['median_depth']} <= "
-                                    f"cutoff — {int(batch.size)} roots per "
-                                    f"frontier-matrix step",
-                               batch_roots=int(batch.size),
-                               median_depth=classification["median_depth"],
-                               depth_cutoff=classification["depth_cutoff"])
-                fls = rt.forward_levels()
-                for lv in fls:
-                    if lv.depth >= 1:
-                        metrics.record("decision.step", root=rep,
-                                       depth=int(lv.depth) - 1,
-                                       applies_to_depth=int(lv.depth),
-                                       previous="batched",
-                                       strategy="batched", policy="batched",
-                                       rule="batch advances one "
-                                            "frontier-matrix step",
-                                       batch_roots=int(batch.size))
-                # Backward levels mirror the forward ones (each level
-                # scans its own rows' edges, transposed product).
-                by_depth = {lv.depth: lv for lv in fls}
-                for depth in range(max(by_depth) - 1, 0, -1):
-                    lv = by_depth[depth]
-                    cycles = self.costs.batched_backward(lv.edge_frontier,
-                                                         device_chunk)
-                    rt.add(LevelTrace(depth=depth, stage="backward",
-                                      strategy="batched",
-                                      frontier_size=lv.frontier_size,
-                                      edge_frontier=lv.edge_frontier,
-                                      cycles=cycles))
-                    metrics.inc("engine.levels", stage="backward",
-                                strategy="batched")
-                    metrics.inc("engine.cycles", cycles, stage="backward",
-                                strategy="batched")
-                trace.roots.append(rt)
-                serial_cycles += rt.cycles
-                metrics.inc("engine.roots", batch.size)
-                if source_weights is None:
-                    bc += delta.sum(axis=0)
-                else:
-                    bc += (np.asarray(source_weights)[batch][:, None]
-                           * delta).sum(axis=0)
-            # Batches own the whole device sequentially; any overflow
-            # retries run per-SM alongside.
-            retry_makespan, _ = _list_schedule(fallback_cycles,
-                                               self.spec.num_sms)
-            makespan2 = serial_cycles + retry_makespan
-            per_sm = np.full(self.spec.num_sms, makespan2)
+    def _execute(self, run: "_Run", strategy: str, roots, *, alpha, beta,
+                 n_samps, gamma, min_frontier, batch_size) -> None:
+        """Run ``strategy``'s phases, filling ``run``'s trace and result
+        fields.  Fixed, hybrid and GPU-FAN runs are one phase; sampling
+        and batched classify first and route the remaining roots."""
+        metrics = run.metrics
+        if strategy not in ("sampling", "batched"):
+            serial = strategy == GPU_FAN
+            cycles = self._roots(run, roots, self._policy(strategy, alpha, beta),
+                                 self.spec.total_threads if serial else None)
+            makespan, per_sm = self._schedule(cycles, serial)
         else:
-            for s in phase2:
-                trace.roots.append(_run_root(
-                    g, int(s), bc, FixedPolicy(WORK_EFFICIENT), self.costs,
-                    chunk, metrics=metrics, observer=observer,
-                    source_weight=self._source_weight(source_weights, s),
-                    target_weights=target_weights))
-            makespan2, per_sm = _list_schedule(
-                [rt.cycles for rt in trace.roots[phase2_start:]],
-                self.spec.num_sms
-            )
-        makespan = makespan1 + makespan2
-        trace.makespan_cycles = makespan
-        trace.sm_cycles = per_sm
-        chose = use_batched and not per_root_fallback
-        return trace, makespan, chose, makespan1, int(phase1.size)
+            rest, classification = self._classify(run, roots, n_samps, gamma)
+            chose = bool(classification["chose_edge_parallel"])
+            if strategy == "sampling":
+                metrics.inc("device.sampling_classifications",
+                            chose=EDGE_PARALLEL if chose else WORK_EFFICIENT)
+                metrics.record("decision.sampling",
+                               min_frontier=int(min_frontier), **classification)
+                policy = (FrontierGuardPolicy(min_frontier) if chose
+                          else FixedPolicy(WORK_EFFICIENT))
+            else:
+                # The ABFT suite of a verification observer is per-root
+                # by construction, so verified runs never batch.
+                verified = run.observer is not None
+                chose = chose and not verified
+                metrics.inc("device.batched_classifications",
+                            chose=BATCHED if chose else WORK_EFFICIENT)
+                metrics.record("decision.batched", batch_size=int(batch_size),
+                               verified_per_root=verified, **classification)
+                policy = FixedPolicy(WORK_EFFICIENT)
+            if strategy == "batched" and chose and rest.size:
+                makespan, per_sm = self._batches(run, rest, int(batch_size),
+                                                 classification)
+            else:
+                makespan, per_sm = self._schedule(self._roots(run, rest, policy))
+            run.chose = chose
+            makespan = run.fixed_cycles + makespan
+        run.trace.makespan_cycles = makespan
+        run.trace.sm_cycles = per_sm
+
+    def _batches(self, run: "_Run", roots, batch_size: int, classification):
+        """Sarıyüce-style multi-source phase (reference [33]): the roots
+        advance ``batch_size`` at a time through whole-device
+        frontier-matrix steps, one after another; a batch whose path
+        counts overflow float64 falls back to the per-root loop (the
+        engine rescales sigma per level), its roots running per-SM."""
+        from ..bc import batched  # deferred: bc.batched imports gpusim
+
+        A = batched._adjacency(run.g)
+        batch_cycles: list = []
+        retry_cycles: list = []
+        for lo in range(0, roots.size, batch_size):
+            batch = roots[lo:lo + batch_size]
+            policy = BatchedPolicy(batch.size, classification["median_depth"],
+                                   classification["depth_cutoff"])
+            try:
+                rt = batched.run_batch(
+                    run.g, batch, run.bc, policy, self.costs, run.chunk,
+                    self.spec.total_threads, A=A, metrics=run.metrics,
+                    source_weights=run.source_weights,
+                    target_weights=run.target_weights)
+            except FloatingPointError:
+                run.metrics.inc("batched.overflow_retries")
+                retry_cycles += self._roots(run, batch,
+                                            FixedPolicy(WORK_EFFICIENT))
+                continue
+            run.trace.roots.append(rt)
+            batch_cycles.append(rt.cycles)
+        if batch_cycles:
+            run.roots_per_trace = batch_size
+        makespan = (self._schedule(batch_cycles, serial=True)[0]
+                    + self._schedule(retry_cycles)[0])
+        return makespan, np.full(self.spec.num_sms, makespan)

@@ -258,13 +258,15 @@ def explain_lines(doc: dict, root: int | None = None) -> list:
             f"roots={run.get('num_roots', '?')}"
         )
 
-    # Graph-level sampling classification (Algorithm 5), if taken.
+    # Graph-level depth classification (Algorithm 5) of the sampling and
+    # batched strategies, if taken.
     for ev in doc["decisions"]:
-        if ev["event"] != "decision.sampling":
+        if ev["event"] not in ("decision.sampling", "decision.batched"):
             continue
+        kind = ev["event"].split(".")[1]
         lines.append("")
         lines.append(
-            f"sampling classification over {ev['n_samps']} sampled "
+            f"{kind} classification over {ev['n_samps']} sampled "
             f"root(s): {ev['rule']}"
         )
         depths = ev.get("depths") or []
@@ -274,7 +276,17 @@ def explain_lines(doc: dict, root: int | None = None) -> list:
                 f"median={ev.get('median_depth')} max={max(depths)}"
             )
         guard = ev.get("min_frontier")
-        if ev.get("chose_edge_parallel") and guard is not None:
+        if kind == "batched":
+            if ev.get("verified_per_root"):
+                routing = ("per-root work-efficient: verification checks "
+                           "every root on its own")
+            elif ev.get("chose_edge_parallel"):
+                routing = (f"in frontier-matrix batches of "
+                           f"{ev['batch_size']} roots")
+            else:
+                routing = "per-root work-efficient"
+            lines.append(f"  remaining roots run {routing}")
+        elif ev.get("chose_edge_parallel") and guard is not None:
             lines.append(
                 f"  remaining roots run edge-parallel, guarded per "
                 f"iteration by frontier >= {guard}"

@@ -169,6 +169,32 @@ class TestExtrapolation:
         expect = GTX_TITAN.seconds(per_root * 9)
         assert run.extrapolated_seconds() == pytest.approx(expect, rel=0.3)
 
+    @pytest.mark.parametrize("verify", ["off", "sampled"])
+    def test_batched_fallback_extrapolates_like_sampling(self, dev,
+                                                         small_road, verify):
+        """Regression: a batched run that falls back to per-root
+        traversal (deep graph, or a verify observer) used to divide its
+        per-root steady state by batch_size instead of num_sms."""
+        kw = dict(roots=np.arange(40), n_samps=8, verify=verify)
+        batched = dev.run_bc(small_road, strategy="batched", **kw)
+        sampling = dev.run_bc(small_road, strategy="sampling", **kw)
+        assert batched.sampling_chose_edge_parallel is False
+        assert batched.roots_per_trace == 1
+        assert batched.cycles == sampling.cycles
+        assert (batched.extrapolated_seconds()
+                == sampling.extrapolated_seconds())
+
+    def test_batched_extrapolates_per_batch(self, dev, small_sw):
+        run = dev.run_bc(small_sw, strategy="batched", roots=np.arange(40),
+                         n_samps=8, batch_size=16)
+        assert run.sampling_chose_edge_parallel is True
+        assert run.roots_per_trace == 16
+        steady = run.trace.roots[run.fixed_roots:]
+        mean = np.mean([rt.cycles for rt in steady])
+        expect = run.fixed_cycles + (150 - 8) * mean / 16
+        assert run.extrapolated_seconds() == pytest.approx(
+            GTX_TITAN.seconds(expect))
+
     def test_teps_positive(self, dev, fig1):
         run = dev.run_bc(fig1, strategy="work-efficient")
         assert run.teps() > 0

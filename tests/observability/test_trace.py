@@ -147,6 +147,23 @@ class TestExplain:
         if doc["run"]["sampling_chose_edge_parallel"]:
             assert "guarded per iteration by frontier >= 512" in text
 
+    @pytest.mark.parametrize("graph,verify,routing", [
+        ("small_sw", "off", "frontier-matrix batches of 4 roots"),
+        ("small_sw", "sampled", "verification checks every root"),
+        ("small_road", "off", "remaining roots run per-root work-efficient"),
+    ])
+    def test_batched_explain_shows_classification(self, request, graph,
+                                                  verify, routing):
+        g = request.getfixturevalue(graph)
+        doc, run = _traced_run(g, "batched", roots=20, n_samps=4,
+                               batch_size=4, verify=verify)
+        text = "\n".join(explain_lines(doc))
+        assert "batched classification over 4 sampled root(s)" in text
+        assert "gamma*log2(n)=4*log2(" in text
+        assert "sampled BFS depths: min=" in text
+        assert routing in text
+        assert "audit: every executed level matches" in text
+
     def test_identical_roots_are_grouped(self, star_burst):
         doc, _ = _traced_run(star_burst, "hybrid", roots=4, fold=False)
         text = "\n".join(explain_lines(doc, root=None))
