@@ -211,7 +211,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
         prog="repro-bc trace",
         description="Replay a repro.trace/v1 decision trace as a "
                     "human-readable audit, or reconstruct one service "
-                    "job's lifecycle from the repro.events/v1 stream.",
+                    "job's lifecycle from the service journal.",
     )
     sub = parser.add_subparsers(dest="trace_command", required=True)
     exp_p = sub.add_parser(
@@ -224,13 +224,11 @@ def build_trace_parser() -> argparse.ArgumentParser:
     tl_p = sub.add_parser(
         "timeline", help="span tree of one job's full lifecycle "
                          "(client -> admission -> attempts -> terminal) "
-                         "from the service event stream")
+                         "from the service journal")
     tl_p.add_argument("id", help="job id or trace id ('tr…')")
     tl_p.add_argument("--root", default=".repro-service", metavar="DIR",
-                      help="service directory holding events.jsonl "
+                      help="service directory holding journal.jsonl "
                            "(default .repro-service)")
-    tl_p.add_argument("--events", default=None, metavar="PATH",
-                      help="event stream file (overrides --root)")
     tl_p.add_argument("--out", default=None, metavar="PATH",
                       help="write the repro.timeline/v1 document here")
     tl_p.add_argument("--chrome-trace", default=None, metavar="PATH",
@@ -326,8 +324,8 @@ def build_service_parser() -> argparse.ArgumentParser:
                            help="offline SLO snapshot: per-tenant/"
                                 "per-strategy latency percentiles, "
                                 "phase decomposition, shed/degrade/"
-                                "error-budget rates from the event "
-                                "stream")
+                                "error-budget rates from the journal's "
+                                "event stream")
     top_p.add_argument("--out", default=None, metavar="PATH",
                        help="write the repro.slo/v1 report here")
     top_p.add_argument("--chrome-trace", default=None, metavar="PATH",
@@ -677,18 +675,16 @@ def _service_main(argv) -> int:
                 write_chrome_trace,
             )
 
-            events_path = os.path.join(root, "events.jsonl")
-            if not os.path.exists(events_path):
+            if not os.path.exists(journal_path):
                 raise _InputError(
-                    f"error: no event stream at {events_path!r}. The "
-                    f"daemon writes it next to the journal; run some "
-                    f"jobs first.")
-            events, torn = read_events(events_path)
+                    f"error: no journal at {journal_path!r}. The "
+                    f"daemon writes it; run some jobs first.")
+            events, torn = read_events(journal_path)
             report = aggregate_slo(events)
             print("\n".join(render_top(report)))
             if torn:
-                print("note: torn tail dropped (crash mid-append; the "
-                      "next daemon open reconciles it)")
+                print("note: torn journal tail dropped (crash "
+                      "mid-append; the next daemon open truncates it)")
             if args.out:
                 _write_report(args.out, report)
             if args.chrome_trace:
@@ -720,25 +716,22 @@ def _service_main(argv) -> int:
                     return 1
                 print(json.dumps(job.status_dict(), indent=2,
                                  sort_keys=True))
-                # Per-attempt timing from the event stream (when the
-                # daemon has one): queued/backoff/compute per attempt,
-                # which the journal alone cannot decompose.
-                events_path = os.path.join(root, "events.jsonl")
-                if os.path.exists(events_path):
-                    from .telemetry import attempt_rows, read_events
+                # Per-attempt timing (queued/backoff/compute per
+                # attempt) from the event stream derived from the same
+                # records.
+                from .telemetry import attempt_rows, derive_events
 
-                    events, _ = read_events(events_path)
-                    rows = attempt_rows(events, args.job_id)
-                    if rows:
-                        print("attempts (from event stream):")
-                    for r in rows:
-                        tail = (f", backoff {r['backoff_after']:.6f}s"
-                                if r["backoff_after"] is not None else "")
-                        tail += (f", compute {r['compute']:.6f}s"
-                                 if r["compute"] is not None else "")
-                        print(f"  a{r['attempt']} on {r['device']}: "
-                              f"queued {r['queue_wait']:.6f}s -> "
-                              f"{r['outcome']}{tail}")
+                rows = attempt_rows(derive_events(records), args.job_id)
+                if rows:
+                    print("attempts (from event stream):")
+                for r in rows:
+                    tail = (f", backoff {r['backoff_after']:.6f}s"
+                            if r["backoff_after"] is not None else "")
+                    tail += (f", compute {r['compute']:.6f}s"
+                             if r["compute"] is not None else "")
+                    print(f"  a{r['attempt']} on {r['device']}: "
+                          f"queued {r['queue_wait']:.6f}s -> "
+                          f"{r['outcome']}{tail}")
                 return 0
             ordered = sorted(state.jobs.values(),
                              key=lambda j: j.submit_seq)
@@ -823,6 +816,7 @@ def _trace_main(argv) -> int:
 def _trace_timeline(args) -> int:
     import os
 
+    from .errors import JournalCorruptionError
     from .telemetry import (
         build_timeline,
         chrome_trace,
@@ -831,12 +825,16 @@ def _trace_timeline(args) -> int:
         write_chrome_trace,
     )
 
-    path = args.events or os.path.join(args.root, "events.jsonl")
+    path = os.path.join(args.root, "journal.jsonl")
     if not os.path.exists(path):
-        print(f"error: no event stream at {path!r}. The service daemon "
-              f"writes events.jsonl next to its journal.", file=sys.stderr)
+        print(f"error: no journal at {path!r}. The service daemon "
+              f"writes journal.jsonl in its --root.", file=sys.stderr)
         return 3
-    events, _torn = read_events(path)
+    try:
+        events, _torn = read_events(path)
+    except JournalCorruptionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # Trace ids are 'tr' + 16 hex chars; everything else is a job id.
     selector = ({"trace_id": args.id}
                 if args.id.startswith("tr") and len(args.id) == 18

@@ -8,6 +8,12 @@ directory::
     <root>/results/        content-addressed result cache (repro.result/v1)
     <root>/spool/          cross-process submission/cancel drop box
 
+The journal is the only durable log.  Besides the state records replay
+folds, the daemon journals two kinds of narration: each scheduler
+decision (``sched``) and each resubmission folded into an existing job
+(``dedupe``).  The ``repro.events/v1`` telemetry stream is derived from
+the whole journal when it is read (:func:`repro.telemetry.read_events`).
+
 **Durability contract.**  Every externally visible state change is
 journalled (fsynced) *before* it is acknowledged, and results are
 materialised into the cache *before* their ``done`` record is written.
@@ -47,7 +53,6 @@ from ..errors import (
 )
 from ..graph.generators import make_dataset
 from ..observability.registry import MetricsRegistry
-from ..telemetry import TelemetryLog, trace_id_for
 from .admission import AdmissionController, AdmissionPolicy
 from .cache import ResultCache, result_key
 from .jobs import (
@@ -99,10 +104,14 @@ class BCService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.storage = (storage if storage is not None
                         else ServiceStorage(metrics=self.metrics))
+        self.scheduler = (scheduler if scheduler is not None
+                          else Scheduler(metrics=self.metrics))
+        # Records are stamped on the scheduler's simulated clock.
         self.journal = JobJournal(os.path.join(self.root, "journal.jsonl"),
                                   metrics=self.metrics, storage=self.storage,
                                   max_segment_bytes=journal_max_segment_bytes,
-                                  keep_terminal=journal_keep_terminal)
+                                  keep_terminal=journal_keep_terminal,
+                                  clock=self.scheduler.clock)
         self.cache = ResultCache(os.path.join(self.root, "results"),
                                  metrics=self.metrics, storage=self.storage,
                                  max_bytes=cache_max_bytes)
@@ -112,9 +121,16 @@ class BCService:
             want_free=max(4096, self.cache.total_bytes // 2))
         self.spool_dir = os.path.join(self.root, "spool")
         os.makedirs(self.spool_dir, exist_ok=True)
+        # A ticket whose writer died before its rename was never
+        # acknowledged; its tmp is crash debris, cleaned at open like
+        # the journal's.
+        for name in os.listdir(self.spool_dir):
+            if name.endswith(".tmp"):
+                try:
+                    os.remove(os.path.join(self.spool_dir, name))
+                except OSError:
+                    pass
         self.admission = AdmissionController(policy, metrics=self.metrics)
-        self.scheduler = (scheduler if scheduler is not None
-                          else Scheduler(metrics=self.metrics))
         # Quarantine decisions survive restarts via `breaker` records.
         self.scheduler.breaker.on_transition = self._journal_breaker
         self._stop = False
@@ -148,29 +164,17 @@ class BCService:
             self._by_content[job.spec.content_key()] = job.job_id
         #: Storage-full requeues per job (bounded; then the job fails).
         self._storage_requeues: dict = {}
-
-        # Lifecycle event stream (repro.events/v1) next to the journal.
-        # Constructed *after* replay so reconcile can back-fill events
-        # for everything journalled before the hook existed — this
-        # open's `open` record, recovery requeues, and any record whose
-        # event died with the previous process.
-        self.telemetry = TelemetryLog(
-            os.path.join(self.root, "events.jsonl"),
-            storage=self.storage, clock=self.scheduler.clock,
-            metrics=self.metrics)
-        self.telemetry.reconcile(self.journal.records)
-        self.journal.on_append = self.telemetry.on_journal_record
-        self.scheduler.on_decision = self._on_decision
+        self.scheduler.on_decision = lambda d: self._narrate("sched", **d)
 
     # -- infrastructure ------------------------------------------------
-    def _on_decision(self, decision: dict) -> None:
-        """Mirror one scheduler decision as a ``sched.*`` event."""
-        fields = {k: v for k, v in decision.items() if k != "decision"}
-        job_id = fields.get("job_id")
-        trace = self.telemetry.trace_for(job_id) if job_id else None
-        if trace:
-            fields["trace_id"] = trace
-        self.telemetry.emit(f"sched.{decision['decision']}", **fields)
+    def _narrate(self, kind: str, **fields) -> None:
+        """Journal one ``sched``/``dedupe`` record.  Narration never
+        fails the service: if the disk stays full through the journal's
+        reclaim and retry, the record is dropped and counted."""
+        try:
+            self.journal.append(kind, **fields)
+        except StorageFullError:
+            self.metrics.inc("telemetry.dropped", kind=kind)
 
     def _journal_breaker(self, key, state, failures) -> None:
         graph_key, strategy = key
@@ -237,9 +241,8 @@ class BCService:
                 raise JobSpecError(f"duplicate job id {spec.job_id!r}")
             if existing.state in self._DEDUPE_STATES:
                 self.metrics.inc("service.deduped", by="job-id")
-                self.telemetry.emit("dedupe", trace_id=trace_id_for(spec),
-                                    job_id=existing.job_id, by="job-id",
-                                    state=existing.state)
+                self._narrate("dedupe", job_id=existing.job_id, by="job-id",
+                              state=existing.state)
                 return existing
             # Identical content whose prior run ended in a terminal
             # failure (failed/cancelled/shed): resubmission is the
@@ -251,9 +254,8 @@ class BCService:
             prior = self.jobs.get(prior_id)
             if prior is not None and prior.state in self._DEDUPE_STATES:
                 self.metrics.inc("service.deduped", by="content")
-                self.telemetry.emit("dedupe", trace_id=trace_id_for(spec),
-                                    job_id=prior.job_id, by="content",
-                                    state=prior.state)
+                self._narrate("dedupe", job_id=prior.job_id, by="content",
+                              state=prior.state)
                 return prior
         if not spec.job_id:
             spec = spec.with_id(f"j{self._next_id:06d}")
@@ -564,9 +566,9 @@ class BCService:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     ticket = json.load(fh)
-            except (OSError, json.JSONDecodeError):
-                # Torn or foreign file: leave it one poll (the writer may
-                # still be renaming), then drop it.
+            except (OSError, ValueError):
+                # Torn, rotted or foreign file (bad JSON or bad UTF-8):
+                # drop it; the client's unanswered poll resubmits.
                 self.metrics.inc("service.spool.unreadable")
                 try:
                     os.remove(path)
@@ -619,7 +621,6 @@ class BCService:
             "journal": self.journal.total_bytes(),
             "cache": self.cache.total_bytes,
             "spool": self.spool_bytes(),
-            "events": self.telemetry.total_bytes(),
         }
 
     # -- lifecycle -----------------------------------------------------

@@ -4,12 +4,14 @@ Format (``repro.job/v1``) — one record per line::
 
     <crc32 hex, 8 chars> <canonical single-line JSON body>\\n
 
-The body always carries ``kind`` (record type) and ``seq`` (strictly
-increasing **across every file** of the journal).  Appends are flushed
-and fsynced before the caller proceeds, so a record returned from
-:meth:`JobJournal.append` survives ``kill -9`` of the daemon and the
-journal is the single source of truth for job state: ``status`` reads
-it, recovery replays it, and the CI smoke job uploads it as an
+The body always carries ``kind`` (record type), ``seq`` (strictly
+increasing **across every file** of the journal) and ``t`` (simulated
+seconds on the scheduler clock, never wall time, so seeded runs write
+identical bytes).  Appends are flushed and fsynced before the caller
+proceeds, so a record returned from :meth:`JobJournal.append` survives
+``kill -9`` of the daemon and the journal is the single source of truth
+for job state: ``status`` reads it, recovery replays it, the telemetry
+views are derived from it, and the CI smoke job uploads it as an
 artifact.
 
 Disk layout (all next to each other; ``journal.jsonl`` is the path the
@@ -34,9 +36,9 @@ daemon is given)::
   after compaction is replay of a sub-history:
 
   - terminal jobs wholly inside the sealed range are slimmed to a
-    minimal legal chain (``submit`` + last ``start`` + terminal record)
-    and, beyond the ``keep_terminal`` most recent, garbage-collected
-    entirely;
+    minimal legal chain (``submit`` + last ``start`` + terminal record,
+    without their ``sched``/``dedupe`` narration) and, beyond the
+    ``keep_terminal`` most recent, garbage-collected entirely;
   - jobs that are live — or have *any* record newer than the sealed
     range — keep every sealed record, so no replay transition is ever
     made illegal by compaction;
@@ -79,6 +81,7 @@ import re
 import zlib
 
 from ..errors import JournalCorruptionError, StorageFullError
+from ..observability.clock import SpanClock
 from ..observability.registry import NULL_REGISTRY
 from .jobs import (
     CANCELLED,
@@ -95,6 +98,7 @@ from .storage import ServiceStorage
 
 __all__ = [
     "JOURNAL_SCHEMA",
+    "NARRATION_KINDS",
     "RECORD_KINDS",
     "TERMINAL_STATES",
     "JobJournal",
@@ -110,11 +114,18 @@ __all__ = [
 
 JOURNAL_SCHEMA = "repro.job/v1"
 
+#: Record kinds that narrate rather than decide: ``sched`` is one
+#: scheduler decision (``decision`` plus its fields), ``dedupe`` one
+#: resubmission folded into an existing job.  Replay ignores them; the
+#: ``repro.events/v1`` view (:func:`repro.telemetry.read_events`) is
+#: derived from them and the state records alike.
+NARRATION_KINDS = ("sched", "dedupe")
+
 #: Record kinds the replayer understands.  ``open`` marks (re)openings
 #: of the journal, ``breaker`` persists circuit-breaker transitions so a
 #: quarantined (graph, strategy) pair stays quarantined across restarts.
 RECORD_KINDS = ("open", "submit", "start", "requeue", "done", "fail",
-                "cancel", "shed", "breaker")
+                "cancel", "shed", "breaker") + NARRATION_KINDS
 
 #: Job states compaction may garbage-collect (nothing further can
 #: happen to these jobs).
@@ -156,6 +167,46 @@ def decode_line(line: str) -> dict:
     return record
 
 
+def _scan(path):
+    """Decode one journal file: ``(records, bad)``, where ``bad`` is
+    ``None`` or ``(line_no, message, is_last_line)`` for the first line
+    that does not decode.  A missing file reads as empty."""
+    if not os.path.exists(path):
+        return [], None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    records = []
+    for i, line in enumerate(lines):
+        try:
+            records.append(decode_line(line))
+        except ValueError as exc:
+            return records, (i + 1, str(exc), i == len(lines) - 1)
+    return records, None
+
+
+def _read_files(files) -> list:
+    """Read ``(role, path)`` files in order; returns ``[(role, path,
+    records, torn_tail)]``.
+
+    The one rule for damage: a corrupt **last** line of the **active**
+    segment is a torn write (dropped, flagged); anything else raises
+    :class:`JournalCorruptionError`.
+    """
+    out = []
+    for role, path in files:
+        records, bad = _scan(path)
+        if bad is not None:
+            line, message, last = bad
+            if not last:
+                raise JournalCorruptionError(path, line, message)
+            if role != "active":
+                raise JournalCorruptionError(
+                    path, line, f"torn tail in sealed {role} file (only "
+                                f"the active segment may be torn)")
+        out.append((role, path, records, bad is not None))
+    return out
+
+
 def read_journal(path):
     """Read every intact record of **one** journal file; returns
     ``(records, torn_tail)``.
@@ -165,19 +216,8 @@ def read_journal(path):
     file reads as empty.  For the full multi-segment history use
     :func:`read_journal_chain`.
     """
-    if not os.path.exists(path):
-        return [], False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
-    records = []
-    for i, line in enumerate(lines):
-        try:
-            records.append(decode_line(line))
-        except ValueError as exc:
-            if i == len(lines) - 1:
-                return records, True
-            raise JournalCorruptionError(path, i + 1, str(exc)) from exc
-    return records, False
+    [(_role, _path, records, torn)] = _read_files([("active", str(path))])
+    return records, torn
 
 
 # ----------------------------------------------------------------------
@@ -253,15 +293,9 @@ def read_journal_chain(path):
     torn tail is only tolerated on the active segment; any damage to a
     sealed or compact file raises :class:`JournalCorruptionError`.
     """
-    inv = journal_inventory(path)
     records, torn = [], False
-    for role, fpath in _chain_files(inv):
-        recs, file_torn = read_journal(fpath)
-        if file_torn and role != "active":
-            raise JournalCorruptionError(
-                fpath, len(recs) + 1,
-                f"torn tail in sealed {role} file (only the active "
-                f"segment may be torn)")
+    for _role, _path, recs, file_torn in _read_files(
+            _chain_files(journal_inventory(path))):
         records += recs
         torn = torn or file_torn
     return records, torn
@@ -294,26 +328,8 @@ def verify_journal(path) -> dict:
                 report["files"].append(entry)
             continue
         entry["bytes"] = os.path.getsize(fpath)
-        with open(fpath, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-        for i, line in enumerate(lines):
-            try:
-                record = decode_line(line)
-            except ValueError as exc:
-                if i == len(lines) - 1 and role == "active":
-                    entry["status"] = "torn-tail"
-                    entry["error"] = (f"line {i + 1}: {exc} — crash "
-                                      f"debris; truncated at next open")
-                    report["notes"].append(
-                        f"{fpath}: torn tail at line {i + 1} (safe)")
-                else:
-                    entry["status"] = "corrupt"
-                    entry["error"] = (f"line {i + 1}: {exc} — at-rest "
-                                      f"corruption; recovery will not "
-                                      f"guess, restore this file")
-                    report["problems"].append(
-                        f"{fpath}:{i + 1}: {exc}")
-                break
+        records, bad = _scan(fpath)
+        for i, record in enumerate(records):
             seq = int(record.get("seq", 0))
             if entry["first_seq"] is None:
                 entry["first_seq"] = seq
@@ -324,10 +340,25 @@ def verify_journal(path) -> dict:
                                   f"rewound history")
                 report["problems"].append(
                     f"{fpath}:{i + 1}: non-monotonic seq {seq}")
+                bad = None
                 break
             last_seq = seq
             entry["last_seq"] = seq
             entry["records"] += 1
+        if bad is not None:
+            line, message, last = bad
+            if last and role == "active":
+                entry["status"] = "torn-tail"
+                entry["error"] = (f"line {line}: {message} — crash "
+                                  f"debris; truncated at next open")
+                report["notes"].append(
+                    f"{fpath}: torn tail at line {line} (safe)")
+            else:
+                entry["status"] = "corrupt"
+                entry["error"] = (f"line {line}: {message} — at-rest "
+                                  f"corruption; recovery will not "
+                                  f"guess, restore this file")
+                report["problems"].append(f"{fpath}:{line}: {message}")
         report["total_records"] += entry["records"]
         report["files"].append(entry)
     for p in inv["superseded"]:
@@ -357,7 +388,8 @@ class JobJournal:
 
     def __init__(self, path, metrics=None, storage=None,
                  max_segment_bytes: int | None = None,
-                 keep_terminal: int = 8, on_reclaim=None):
+                 keep_terminal: int = 8, on_reclaim=None,
+                 clock: SpanClock | None = None):
         self.path = str(path)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.storage = storage if storage is not None else ServiceStorage()
@@ -367,12 +399,9 @@ class JobJournal:
         #: Called during :meth:`reclaim` so the owner can free space
         #: outside the journal (the daemon hooks cache eviction here).
         self.on_reclaim = on_reclaim
-        #: Called with each record *after* it is durably appended (the
-        #: telemetry event stream mirrors the journal through this
-        #: single chokepoint).  Records appended before the hook is set
-        #: — the ``open`` record, recovery requeues — are back-filled
-        #: by :meth:`repro.telemetry.TelemetryLog.reconcile`.
-        self.on_append = None
+        #: Stamps every record's ``t``; only its deterministic
+        #: ``sim_seconds`` is read (the daemon passes the scheduler's).
+        self.clock = clock if clock is not None else SpanClock()
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -389,13 +418,7 @@ class JobJournal:
         self.records = []
         self._active_records = 0
         self.torn_tail_truncated = False
-        for role, fpath in _chain_files(inv):
-            recs, torn = read_journal(fpath)
-            if torn and role != "active":
-                raise JournalCorruptionError(
-                    fpath, len(recs) + 1,
-                    f"torn tail in sealed {role} file (only the active "
-                    f"segment may be torn)")
+        for role, fpath, recs, torn in _read_files(_chain_files(inv)):
             self.records += recs
             if role == "active":
                 self._active_records = len(recs)
@@ -439,7 +462,8 @@ class JobJournal:
             raise ValueError(f"unknown journal record kind {kind!r}")
         if self._closed:
             raise ValueError("journal is closed")
-        record = {"kind": kind, "seq": self._seq + 1, **fields}
+        record = {"kind": kind, "seq": self._seq + 1,
+                  "t": round(float(self.clock.sim_seconds), 9), **fields}
         line = encode_record(record)
         try:
             self.storage.append_line(self.path, line, "journal")
@@ -461,8 +485,6 @@ class JobJournal:
         if self._active_first_seq is None:
             self._active_first_seq = record["seq"]
         self.metrics.inc("service.journal.records", kind=kind)
-        if self.on_append is not None:
-            self.on_append(record)
         if (self.max_segment_bytes is not None
                 and os.path.getsize(self.path) >= self.max_segment_bytes):
             # Opportunistic: the record above is already durable, so a
@@ -513,16 +535,10 @@ class JobJournal:
             return {"retained": 0, "dropped": 0, "gc_jobs": 0, "through": 0}
         sealed_max = inv["through"]
         sealed_records = []
-        if inv["compacts"]:
-            recs, _ = read_journal(inv["compacts"][-1][1])
+        # The chain minus its last entry, the active segment.
+        for role, _p, recs, _torn in _read_files(_chain_files(inv)[:-1]):
             sealed_records += recs
-        for _first, p in plain:
-            recs, torn = read_journal(p)
-            if torn:
-                raise JournalCorruptionError(
-                    p, len(recs) + 1, "torn tail in sealed segment")
-            sealed_records += recs
-            if recs:
+            if role == "segment" and recs:
                 sealed_max = max(sealed_max, recs[-1].get("seq", 0))
         retained, gc_jobs = self._retain(sealed_records, sealed_max, keep)
         new_path = os.path.join(
@@ -573,11 +589,16 @@ class JobJournal:
             for jid, recs in per_job.items()}
         collectable = sorted(
             (max(r.get("seq", 0) for r in per_job[jid]), jid)
-            for jid, job in ((j, state.jobs[j]) for j in per_job)
-            if job.state in TERMINAL_STATES and fully_sealed[jid])
+            for jid, job in ((j, state.jobs.get(j)) for j in per_job)
+            if job is not None and job.state in TERMINAL_STATES
+            and fully_sealed[jid])
         drop = {jid for _seq, jid in
                 collectable[:max(0, len(collectable) - keep_terminal)]}
         slim = {jid for _seq, jid in collectable} - drop
+        gc = len(drop)
+        # Narration of a job an earlier compaction already collected (a
+        # dedupe the live process journalled afterwards) goes too.
+        drop |= {jid for jid in per_job if jid not in state.jobs}
 
         # Minimal legal chain for each slimmed job, identified by seq
         # (the disk copies in sealed_records are distinct dict objects
@@ -595,11 +616,14 @@ class JobJournal:
                 starts = [r for r in recs if r["kind"] == "start"]
                 if starts:
                     chain.append(starts[-1])
-            chain.append(recs[-1])
+            # The chain ends on the last *state* record; narration
+            # (sched/dedupe) of a slimmed job is dropped.
+            chain.append([r for r in recs
+                          if r["kind"] not in NARRATION_KINDS][-1])
             keep_seqs.update(r["seq"] for r in chain)
         breaker_seqs = {r.get("seq") for r in breaker_last.values()}
 
-        retained, gc = [], len(drop)
+        retained = []
         for r in sealed_records:
             kind = r.get("kind")
             if kind in ("open", None):
@@ -677,7 +701,7 @@ def replay_state(records, path: str = "<journal>") -> ReplayedState:
     state = ReplayedState()
     for record in records:
         kind = record.get("kind")
-        if kind in ("open", None):
+        if kind in ("open", None) or kind in NARRATION_KINDS:
             continue
         if kind == "breaker":
             key = (record.get("graph_key", ""), record.get("strategy", ""))

@@ -247,8 +247,8 @@ class Scheduler:
         #: Deterministic decision log (simulated values only): two runs
         #: with the same seed and fault plans serialise byte-identically.
         self.decisions: list = []
-        #: Called with each decision dict as it is made (the telemetry
-        #: event stream mirrors scheduler decisions through this hook).
+        #: Called with each decision dict as it is made (the daemon
+        #: journals each one as a ``sched`` record through this hook).
         self.on_decision = None
 
     # ------------------------------------------------------------------

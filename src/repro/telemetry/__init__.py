@@ -1,17 +1,15 @@
 """End-to-end job telemetry for the BC service.
 
-Three layers over one durable artifact:
+Four views over one durable artifact, the service journal:
 
 * :mod:`~repro.telemetry.events` — the ``repro.events/v1`` lifecycle
-  event stream (:class:`TelemetryLog`): every journal record the
-  service writes is mirrored as one enriched, crc-framed event next to
-  the journal, written through the same
-  :class:`~repro.service.storage.ServiceStorage` chokepoint, timestamped
-  on the scheduler's *simulated* clock only — so two identical seeded
-  runs produce byte-identical streams, and the stream survives
-  ``kill -9`` with the same exactly-once discipline as the journal
-  (:meth:`TelemetryLog.reconcile` back-fills any event whose journal
-  record landed but whose emit did not).
+  event stream (:func:`read_events`): every journal record, including
+  the scheduler's ``sched`` decisions and ``dedupe`` folds the daemon
+  journals as narration, maps to one enriched event when the journal
+  is read.  Records are timestamped on the scheduler's *simulated*
+  clock only, so two identical seeded runs produce byte-identical
+  journals and streams, and the stream is exactly-once by
+  construction: there is no second log to fall behind.
 * :mod:`~repro.telemetry.timeline` — per-job/per-trace span
   reconstruction (``repro trace timeline``) and the per-attempt timing
   rows ``repro service status`` surfaces.
@@ -31,11 +29,9 @@ from .chrome import chrome_trace, validate_chrome_trace, write_chrome_trace
 from .events import (
     EVENTS_SCHEMA,
     TelemetryLog,
-    decode_event_line,
-    encode_event,
+    derive_events,
     read_events,
     trace_id_for,
-    verify_events,
 )
 from .slo import LATENCY_BUCKETS, SLO_SCHEMA, aggregate_slo, render_top
 from .timeline import (
@@ -55,13 +51,11 @@ __all__ = [
     "attempt_rows",
     "build_timeline",
     "chrome_trace",
-    "decode_event_line",
-    "encode_event",
+    "derive_events",
     "read_events",
     "render_timeline",
     "render_top",
     "trace_id_for",
     "validate_chrome_trace",
-    "verify_events",
     "write_chrome_trace",
 ]

@@ -11,11 +11,11 @@
 * a latency histogram per group whose buckets carry **exemplar job
   ids** — the slowest job landing in each bucket — so a bad p99 is one
   ``repro trace timeline <job-id>`` away from its full lifecycle;
-* service-wide totals plus stream health (events, sheds, reconciles).
+* service-wide totals plus stream health (events, by kind).
 
 :func:`render_top` draws the offline snapshot dashboard ``repro
 service top`` prints.  Like every consumer here it needs only the
-stream file: daemon live, dead, or mid-crash.
+journal the stream is derived from: daemon live, dead, or mid-crash.
 """
 
 from __future__ import annotations

@@ -286,6 +286,19 @@ def test_spool_submit_and_cancel(tmp_path):
         assert os.listdir(svc.spool_dir) == []
 
 
+def test_spool_crash_debris_is_cleaned(tmp_path):
+    root = tmp_path / "svc"
+    BCService(root).close()
+    spool = root / "spool"
+    # A writer killed before its rename, and a ticket rotted to bad UTF-8.
+    (spool / "t1.json.tmp").write_text('{"op": "sub')
+    (spool / "t2.json").write_bytes(b'{"op": "submit", "job": "\xe2"}')
+    with BCService(root) as svc:
+        assert os.listdir(spool) == ["t2.json"]
+        assert svc.poll_spool() == 0
+        assert os.listdir(spool) == [] and svc.spool_bytes() == 0
+
+
 def test_journal_is_single_source_of_truth_for_status(tmp_path):
     root = tmp_path / "svc"
     with BCService(root) as svc:

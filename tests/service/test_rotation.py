@@ -120,6 +120,47 @@ def test_compaction_slims_to_minimal_legal_chain(tmp_path):
     assert not state.illegal_transitions
 
 
+def test_deduped_job_compacts_to_its_terminal_record(tmp_path):
+    # Narration after `done` must not become the slimmed chain's end:
+    # dropping `done` for the `dedupe` would replay the job as RUNNING.
+    p = str(tmp_path / "journal.jsonl")
+    j = JobJournal(p, max_segment_bytes=None, keep_terminal=1)
+    j.append("submit", job=spec_dict(1))
+    j.append("sched", decision="dispatch", job_id="j000001", attempt=1,
+             device="dev0")
+    j.append("start", job_id="j000001", attempt=1, device="dev0")
+    j.append("done", job_id="j000001", result_key="k" * 64, exact=True)
+    j.append("dedupe", job_id="j000001", by="content", state=DONE)
+    j.rotate()
+    j.compact(keep_terminal=1)
+    j.close()
+    records, _ = read_journal_chain(p)
+    kinds = [r["kind"] for r in records if r.get("kind") != "open"]
+    assert kinds == ["submit", "start", "done"]
+    state = replay_state(records, p)
+    assert state.jobs["j000001"].state == DONE
+    assert not state.illegal_transitions
+
+
+def test_dedupe_of_collected_job_is_dropped_by_next_compaction(tmp_path):
+    # A live process may dedupe onto a job an earlier compaction already
+    # collected from disk; the next process sees that narration with no
+    # submit, and its compaction drops it.
+    p = str(tmp_path / "journal.jsonl")
+    j = JobJournal(p, max_segment_bytes=None, keep_terminal=0)
+    finish(j, 1)
+    j.rotate()
+    j.compact(keep_terminal=0)
+    j.append("dedupe", job_id="j000001", by="content", state=DONE)
+    j.close()
+    j2 = JobJournal(p, max_segment_bytes=None, keep_terminal=0)
+    j2.rotate()
+    j2.compact(keep_terminal=0)
+    j2.close()
+    records, _ = read_journal_chain(p)
+    assert [r["kind"] for r in records if r["kind"] != "open"] == []
+
+
 def test_resubmitted_shed_job_compacts_to_latest_admission(tmp_path):
     p = str(tmp_path / "journal.jsonl")
     j = JobJournal(p, max_segment_bytes=None, keep_terminal=100)

@@ -25,7 +25,7 @@ def run_events(tmp_path):
                 strategy="sampling", roots=4, seed=i, tenant=tenant,
                 faults="fail:0@compute+1" if i == 2 else ""))
         svc.run_pending()
-    return read_events(str(tmp_path / "svc" / "events.jsonl"))[0]
+    return read_events(tmp_path / "svc")[0]
 
 
 def test_whole_run_export(tmp_path):

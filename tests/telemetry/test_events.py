@@ -1,4 +1,5 @@
-"""The repro.events/v1 stream: framing, durability, exactly-once."""
+"""The repro.events/v1 stream, derived from the journal: one event per
+record, deterministic, exactly-once by construction."""
 
 from __future__ import annotations
 
@@ -6,18 +7,12 @@ import os
 
 import pytest
 
+from repro.client import BCClient, InProcessTransport
 from repro.observability import MetricsRegistry
 from repro.resilience.faults import ActiveFaults, FaultPlan
-from repro.service import DONE, BCService, JobSpec
+from repro.service import DONE, BCService, JobJournal, JobSpec
 from repro.service.storage import ServiceStorage
-from repro.telemetry import (
-    TelemetryLog,
-    decode_event_line,
-    encode_event,
-    read_events,
-    trace_id_for,
-    verify_events,
-)
+from repro.telemetry import read_events, trace_id_for
 
 pytestmark = pytest.mark.telemetry
 
@@ -32,36 +27,9 @@ def spec(i=1, **kw):
     return JobSpec(**kw)
 
 
-# -- framing ------------------------------------------------------------
-def test_encode_decode_roundtrip():
-    ev = {"event": "submit", "seq": 3, "t": 0.25, "job_id": "j1"}
-    assert decode_event_line(encode_event(ev)) == ev
-
-
-def test_decode_rejects_bad_checksum_and_framing():
-    line = encode_event({"event": "done", "seq": 1, "t": 0.0})
-    with pytest.raises(ValueError):
-        decode_event_line(line[:-1])            # no newline: torn
-    with pytest.raises(ValueError):
-        decode_event_line("0" * 8 + " {}\n")    # body without 'event'
-    corrupt = line.replace("done", "fail")      # crc no longer matches
-    with pytest.raises(ValueError):
-        decode_event_line(corrupt)
-
-
-def test_read_events_drops_torn_tail_keeps_interior(tmp_path):
-    path = tmp_path / "events.jsonl"
-    lines = [encode_event({"event": "a", "seq": i, "t": 0.0})
-             for i in (1, 2, 3)]
-    path.write_text("".join(lines) + lines[0][: len(lines[0]) // 2])
-    events, torn = read_events(str(path))
-    assert torn and [e["seq"] for e in events] == [1, 2, 3]
-
-
 def test_missing_file_is_empty_stream(tmp_path):
-    events, torn = read_events(str(tmp_path / "none.jsonl"))
-    assert events == [] and torn is False
-    assert verify_events(str(tmp_path / "none.jsonl"))["ok"]
+    assert read_events(tmp_path / "none") == ([], False)
+    assert read_events(tmp_path / "none.jsonl") == ([], False)
 
 
 # -- trace ids ----------------------------------------------------------
@@ -74,83 +42,7 @@ def test_trace_id_pure_function_of_content():
     assert trace_id_for(spec(2)) != trace_id_for(a)
 
 
-# -- emission / reopen --------------------------------------------------
-def test_emit_seq_monotone_across_reopen(tmp_path):
-    path = str(tmp_path / "events.jsonl")
-    log = TelemetryLog(path)
-    log.emit("a")
-    log.emit("b", jseq=1)
-    log2 = TelemetryLog(path)
-    ev = log2.emit("c")
-    assert ev["seq"] == 3
-    assert verify_events(path)["ok"]
-
-
-def test_torn_tail_truncated_on_reopen(tmp_path):
-    path = tmp_path / "events.jsonl"
-    log = TelemetryLog(str(path))
-    log.emit("a")
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("deadbeef {\"event\"")          # torn mid-write
-    log2 = TelemetryLog(str(path))
-    assert [e["event"] for e in log2.events] == ["a"]
-    events, torn = read_events(str(path))       # file itself repaired
-    assert not torn and len(events) == 1
-
-
-def test_enospc_drops_event_and_counts(tmp_path):
-    path = str(tmp_path / "events.jsonl")
-    storage = ServiceStorage(
-        faults=ActiveFaults(FaultPlan.parse("enospc:0@journal")))
-    metrics = MetricsRegistry()
-    log = TelemetryLog(path, storage=storage, metrics=metrics)
-    assert log.emit("a") is None
-    assert log.dropped == 1
-    ok = log.emit("b")                          # fault consumed; next lands
-    assert ok is not None and ok["seq"] == 1    # dropped seq not consumed
-    assert [e["event"] for e in read_events(path)[0]] == ["b"]
-
-
-def test_reconcile_backfills_missing_and_never_duplicates(tmp_path):
-    path = str(tmp_path / "events.jsonl")
-    records = [
-        {"kind": "open", "seq": 1},
-        {"kind": "submit", "seq": 2, "job": spec(1).to_dict(),
-         "mode": "admit"},
-        {"kind": "start", "seq": 3, "job_id": "j000001", "attempt": 1,
-         "device": "dev0"},
-        {"kind": "done", "seq": 4, "job_id": "j000001", "exact": True,
-         "degraded_reason": None, "sim_seconds": 0.5, "device": "dev0"},
-    ]
-    log = TelemetryLog(path)
-    log.on_journal_record(records[0])
-    log.on_journal_record(records[1])           # seq 3, 4 never mirrored
-
-    log2 = TelemetryLog(path)
-    assert log2.reconcile(records) == 2
-    res = verify_events(path, journal_records=records)
-    assert res["ok"], res["problems"]
-    # The back-filled done event knows its trace id via the submit
-    # record even though that submit was already event-covered.
-    done = [e for e in read_events(path)[0] if e["event"] == "done"][0]
-    assert done["trace_id"] == trace_id_for(spec(1))
-    # A second reconcile is a no-op: exactly-once, not at-least-once.
-    log3 = TelemetryLog(path)
-    assert log3.reconcile(records) == 0
-
-
-def test_verify_catches_duplicate_jseq_and_nonmonotone_seq(tmp_path):
-    path = tmp_path / "events.jsonl"
-    path.write_text(
-        encode_event({"event": "a", "seq": 1, "t": 0.0, "jseq": 1})
-        + encode_event({"event": "b", "seq": 1, "t": 0.0, "jseq": 1}))
-    res = verify_events(str(path))
-    assert not res["ok"]
-    assert any("jseq" in p for p in res["problems"])
-    assert any("seq not increasing" in p for p in res["problems"])
-
-
-# -- service integration ------------------------------------------------
+# -- derivation ---------------------------------------------------------
 def run_service(root):
     with BCService(root) as svc:
         svc.submit(spec(1))
@@ -162,44 +54,158 @@ def run_service(root):
 
 def test_stream_covers_every_journal_record(tmp_path):
     records = run_service(tmp_path / "svc")
-    res = verify_events(str(tmp_path / "svc" / "events.jsonl"),
-                        journal_records=records)
-    assert res["ok"], res["problems"]
+    events, torn = read_events(tmp_path / "svc")
+    assert not torn
+    assert [e["jseq"] for e in events] == [r["seq"] for r in records]
+    assert [e["t"] for e in events] == [r["t"] for r in records]
+    kinds = [e["event"] for e in events]
+    assert kinds[0] == "service-open"
+    assert {"submit", "sched.dispatch", "attempt-start", "backoff",
+            "done"} <= set(kinds)
+    for ev in events:
+        if ev["event"] == "done":
+            p = ev["phases"]
+            assert ev["e2e"] == round(p["queued"] + p["backoff"]
+                                      + p["compute"], 9)
+    # The retried job's backoff is charged to it, once.
+    done2 = next(e for e in events
+                 if e["event"] == "done" and e["job_id"] == "j000002")
+    backoff = next(e for e in events if e["event"] == "backoff")
+    assert done2["phases"]["backoff"] == backoff["delay"] > 0
+
+
+def test_emit_seq_monotone_across_reopen(tmp_path):
+    root = tmp_path / "svc"
+    run_service(root)
+    with BCService(root) as svc:
+        svc.submit(spec(3))
+        svc.run_pending()
+    events, _ = read_events(root)
+    assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
+    jseqs = [e["jseq"] for e in events]
+    assert jseqs == sorted(set(jseqs))
+    assert [e["event"] for e in events].count("service-open") == 2
+
+
+def test_read_events_drops_torn_tail_keeps_interior(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    with JobJournal(str(path)) as j:
+        j.append("submit", job=spec(1).to_dict(), mode="admit")
+        j.append("cancel", job_id="j000001", reason="client cancel")
+    line = path.read_text().splitlines(keepends=True)[-1]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line[: len(line) // 2])           # torn mid-write
+    events, torn = read_events(path)
+    assert torn
+    assert [e["event"] for e in events] == ["service-open", "submit",
+                                            "cancel"]
+
+
+def test_torn_tail_truncated_on_reopen(tmp_path):
+    root = tmp_path / "svc"
+    run_service(root)
+    before, _ = read_events(root)
+    with open(root / "journal.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("deadbeef {\"kind\"")              # torn mid-write
+    assert read_events(root) == (before, True)
+    BCService(root).close()                         # reopen truncates
+    after, torn = read_events(root)
+    assert not torn
+    assert after[:len(before)] == before
+    assert [e["event"] for e in after[len(before):]] == ["service-open"]
+
+
+#: Journal writes of a fresh one-job run: 0 `open`, 1 `submit`, 2 the
+#: `sched` dispatch decision.  x3 strikes that append, its reclaim's
+#: compaction and its retry, so it fails for good; nothing else is hit.
+SCHED_STRIKE = "enospc:2@journalx3"
+
+
+def test_enospc_drops_event_and_counts(tmp_path):
+    metrics = MetricsRegistry()
+    plan = FaultPlan.parse(SCHED_STRIKE)
+    root = tmp_path / "svc"
+    with BCService(root, metrics=metrics, storage=ServiceStorage(
+            faults=ActiveFaults(plan))) as svc:
+        svc.submit(spec(1))
+        svc.run_pending()
+    dropped = [c for c in metrics.counters() if c.name == "telemetry.dropped"]
+    assert [(c.labels, c.value) for c in dropped] == \
+        [({"kind": "sched"}, 1.0)]
+    kinds = [e["event"] for e in read_events(root)[0]]
+    assert "sched.dispatch" not in kinds            # the dropped one
+    assert "sched.done" in kinds                    # the next one landed
+    assert {"submit", "attempt-start", "done"} <= set(kinds)
+
+
+def test_telemetry_never_fails_the_service(tmp_path):
+    # A full disk strikes a scheduler-decision append (through the
+    # journal's reclaim and retry); the job must still run to DONE.
+    plan = FaultPlan.parse(SCHED_STRIKE)
+    svc = BCService(tmp_path / "svc",
+                    storage=ServiceStorage(faults=ActiveFaults(plan)))
+    svc.submit(spec(1))
+    svc.run_pending()
+    assert svc.jobs["j000001"].state == DONE
+    svc.close()
+    with BCService(tmp_path / "svc") as svc2:
+        assert svc2.jobs["j000001"].state == DONE
+        events, _ = read_events(tmp_path / "svc")
+        assert len(events) == len(svc2.journal.records)
 
 
 def test_two_identical_runs_are_byte_identical(tmp_path):
     run_service(tmp_path / "a")
     run_service(tmp_path / "b")
-    a = (tmp_path / "a" / "events.jsonl").read_bytes()
-    b = (tmp_path / "b" / "events.jsonl").read_bytes()
-    assert a == b and a  # simulated clock only: deterministic streams
+    a = (tmp_path / "a" / "journal.jsonl").read_bytes()
+    b = (tmp_path / "b" / "journal.jsonl").read_bytes()
+    assert a == b and a  # simulated clock only: deterministic journals
+    assert read_events(tmp_path / "a") == read_events(tmp_path / "b")
 
 
-def test_restart_reconciles_and_stays_exactly_once(tmp_path):
+def test_restart_derives_every_record_exactly_once(tmp_path):
     root = tmp_path / "svc"
     run_service(root)
-    # Model the worst crash: the whole event stream lost, journal intact.
-    os.remove(root / "events.jsonl")
+    before, _ = read_events(root)
     with BCService(root) as svc:
-        res = verify_events(str(root / "events.jsonl"),
-                            journal_records=svc.journal.records)
-        assert res["ok"], res["problems"]
+        events, _ = read_events(root)
+        assert [e["jseq"] for e in events] == \
+            [r["seq"] for r in svc.journal.records]
+    # The first run's events are an unchanged prefix: nothing re-emitted.
+    assert events[:len(before)] == before
 
 
-def test_telemetry_never_fails_the_service(tmp_path):
-    # Every telemetry append hits ENOSPC; jobs must still run to DONE.
-    # The journal shares the 'journal' fault target, so the full disk
-    # is wired onto the telemetry log's storage alone.
-    svc = BCService(tmp_path / "svc")
-    svc.telemetry.storage = ServiceStorage(
-        faults=ActiveFaults(FaultPlan.parse("enospc:0@journalx1000")))
-    svc.submit(spec(1))
+class _Counting(ServiceStorage):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def append_line(self, path, text, target="any"):
+        self.writes.append(os.path.basename(path))
+        return super().append_line(path, text, target)
+
+    def replace_atomic(self, path, text, target="any"):
+        self.writes.append("cache")
+        return super().replace_atomic(path, text, target)
+
+
+def test_one_durable_log(tmp_path):
+    storage = _Counting()
+    svc = BCService(tmp_path / "svc", storage=storage)
+    client = BCClient(InProcessTransport(svc))
+    client.submit(spec(1))
     svc.run_pending()
-    assert svc.jobs["j000001"].state == DONE
-    assert svc.telemetry.dropped > 0
+    n = len(storage.writes)
+    job_id = client.submit(spec(2))
+    svc.run_pending()
+    client.result(job_id)
+    fresh = storage.writes[n:]
+    n = len(storage.writes)
+    client.result(client.submit(spec(2)))
+    repeat = storage.writes[n:]
     svc.close()
-    # And the next open heals every hole the full disk tore.
-    with BCService(tmp_path / "svc") as svc2:
-        res = verify_events(str(tmp_path / "svc" / "events.jsonl"),
-                            journal_records=svc2.journal.records)
-        assert res["ok"], res["problems"]
+    # submit, sched.dispatch, start, sched.done, cache put, done.
+    assert len(fresh) <= 6 and fresh.count("cache") == 1
+    assert repeat == ["journal.jsonl"]              # the dedupe record
+    assert sorted(os.listdir(tmp_path / "svc")) == ["journal.jsonl",
+                                                    "results", "spool"]

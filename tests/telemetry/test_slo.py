@@ -117,7 +117,7 @@ def test_slo_over_real_service_run(tmp_path):
             except Exception:
                 pass
             svc.run_pending()
-        events, _ = read_events(str(tmp_path / "svc" / "events.jsonl"))
+        events, _ = read_events(tmp_path / "svc")
     report = aggregate_slo(events)
     assert report["totals"]["offered"] == 3
     assert report["totals"]["done"] >= 1

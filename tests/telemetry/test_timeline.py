@@ -5,7 +5,7 @@ against an overloaded service, with one chaos fault on its first
 attempt.  One trace id must thread shed -> client retry -> admit ->
 attempt 1 fault -> backoff -> attempt 2 -> done, the timeline must
 render it, the Chrome export must validate, and a SIGKILL/restart must
-neither drop nor duplicate a lifecycle event."""
+neither drop nor duplicate a lifecycle event of the derived stream."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from repro.telemetry import (
     render_timeline,
     trace_id_for,
     validate_chrome_trace,
-    verify_events,
 )
 
 pytestmark = pytest.mark.telemetry
@@ -64,7 +63,7 @@ def lifecycle_root(tmp_path):
 
 def test_acceptance_single_trace_full_lifecycle(lifecycle_root):
     root, job_id, trace = lifecycle_root
-    events, torn = read_events(str(root / "events.jsonl"))
+    events, torn = read_events(root)
     assert not torn
     mine = [e for e in events if e.get("trace_id") == trace]
     kinds = [e["event"] for e in mine]
@@ -88,7 +87,7 @@ def test_acceptance_single_trace_full_lifecycle(lifecycle_root):
 
 def test_acceptance_timeline_renders(lifecycle_root):
     root, job_id, trace = lifecycle_root
-    events, _ = read_events(str(root / "events.jsonl"))
+    events, _ = read_events(root)
     doc = build_timeline(events, job_id=job_id)
     assert doc["trace_id"] == trace
     assert doc["state"] == "done" and doc["sheds"] == 1
@@ -106,7 +105,7 @@ def test_acceptance_timeline_renders(lifecycle_root):
 
 def test_acceptance_chrome_export_validates(lifecycle_root):
     root, job_id, trace = lifecycle_root
-    events, _ = read_events(str(root / "events.jsonl"))
+    events, _ = read_events(root)
     doc = chrome_trace(events, job_id=job_id)
     assert validate_chrome_trace(doc) == []
     names = [e["name"] for e in doc["traceEvents"]]
@@ -122,7 +121,7 @@ def test_acceptance_chrome_export_validates(lifecycle_root):
 
 def test_acceptance_survives_kill_and_restart(lifecycle_root, tmp_path):
     root, job_id, trace = lifecycle_root
-    before = [e for e in read_events(str(root / "events.jsonl"))[0]
+    before = [e for e in read_events(root)[0]
               if e.get("trace_id") == trace]
     # SIGKILL model: reopen under a crashing storage, then heal.
     crashed = False
@@ -138,11 +137,11 @@ def test_acceptance_survives_kill_and_restart(lifecycle_root, tmp_path):
             svc.abandon()
     assert crashed
     with BCService(root) as svc2:
-        res = verify_events(str(root / "events.jsonl"),
-                            journal_records=svc2.journal.records)
-        assert res["ok"], res["problems"]
-        after = [e for e in read_events(str(root / "events.jsonl"))[0]
-                 if e.get("trace_id") == trace]
+        events, torn = read_events(root)
+        assert not torn
+        assert [e["jseq"] for e in events] == \
+            [r["seq"] for r in svc2.journal.records]
+        after = [e for e in events if e.get("trace_id") == trace]
         # The finished trace's lifecycle: no events lost, none doubled.
         assert [(e["event"], e.get("jseq")) for e in after] == \
             [(e["event"], e.get("jseq")) for e in before]
@@ -150,7 +149,7 @@ def test_acceptance_survives_kill_and_restart(lifecycle_root, tmp_path):
 
 def test_attempt_rows_and_unknown_job(lifecycle_root):
     root, job_id, _ = lifecycle_root
-    events, _ = read_events(str(root / "events.jsonl"))
+    events, _ = read_events(root)
     rows = attempt_rows(events, job_id)
     assert [r["attempt"] for r in rows] == [1, 2]
     assert rows[0]["backoff_after"] > 0 and rows[1]["compute"] > 0
@@ -168,7 +167,7 @@ def test_dedupe_joins_existing_trace(tmp_path):
         svc.submit(sp)
         svc.submit(spec(1, job_id="", tenant="acme"))  # same content
         svc.run_pending()
-        events, _ = read_events(str(tmp_path / "svc" / "events.jsonl"))
+        events, _ = read_events(tmp_path / "svc")
     doc = build_timeline(events, job_id=sp.job_id)
     kinds = [e["event"] for e in doc["events"]]
     assert "dedupe" in kinds
