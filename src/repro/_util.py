@@ -2,8 +2,8 @@
 
 These are the NumPy idioms that replace the inner loops a CUDA kernel
 would run: gathering the concatenated adjacency lists of a vertex
-frontier, and computing per-chunk maxima used by the load-imbalance
-(warp/block serialisation) cost model.
+frontier, deduplicating the next frontier, and computing per-chunk
+maxima used by the load-imbalance (warp/block serialisation) cost model.
 """
 
 from __future__ import annotations
@@ -11,12 +11,30 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "sorted_unique",
     "concat_ranges",
     "chunk_max_sum",
     "chunk_sum_of_max",
     "as_index_array",
     "check_nonnegative_int",
 ]
+
+
+def sorted_unique(a) -> np.ndarray:
+    """Sorted distinct values of ``a`` (flattened): ``np.unique`` by sort.
+
+    For integer arrays the result is byte-identical to ``np.unique(a)``.
+    NumPy >= 2.3 answers ``np.unique`` on integers with a hash table,
+    which on the frontier and edge-key arrays here is tens of times
+    slower than sorting and dropping adjacent repeats.
+    """
+    a = np.sort(np.asarray(a).ravel())
+    if a.size < 2:
+        return a
+    keep = np.empty(a.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._util import sorted_unique
 from ..graph.csr import CSRGraph
 
 __all__ = ["edge_parallel_root", "bc_edge_parallel"]
@@ -49,7 +50,7 @@ def edge_parallel_root(g: CSRGraph, s: int):
             targets = edst[active]
             fresh = targets[d[targets] == UNREACHED]
             if fresh.size:
-                d[np.unique(fresh)] = depth + 1
+                d[sorted_unique(fresh)] = depth + 1
             useful = active & (d[edst] == depth + 1)
             if np.any(useful):
                 np.add.at(sigma, edst[useful], sigma[esrc[useful]])

@@ -4,7 +4,7 @@ This is Stage 1 of the paper (Algorithm 2) expressed as NumPy array
 operations.  One call to :func:`forward_sweep` performs what the CUDA
 kernel does across its while-loop: per level, gather the concatenated
 adjacency lists of the frontier, discover unvisited vertices (the
-atomicCAS of line 5 collapses to a mask + unique), and accumulate
+atomicCAS of line 5 collapses to a mask + sorted unique), and accumulate
 shortest-path counts into successors (the atomicAdd of line 9 collapses
 to ``np.add.at``).
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import concat_ranges
+from .._util import concat_ranges, sorted_unique
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 
@@ -116,7 +116,7 @@ def forward_sweep(g: CSRGraph, source: int,
         srcs = np.repeat(frontier, counts)
         # Discovery: first touch sets the depth (atomicCAS, line 5).
         fresh = nbrs[d[nbrs] == UNREACHED]
-        q_next = np.unique(fresh) if fresh.size else fresh
+        q_next = sorted_unique(fresh)
         if q_next.size:
             d[q_next] = depth + 1
         # Path counting: every tree/cross edge into depth+1 contributes

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .._util import sorted_unique
 from ..errors import GraphStructureError
 from .csr import CSRGraph
 
@@ -27,14 +29,32 @@ def symmetrize_edges(edges: np.ndarray) -> np.ndarray:
     return np.concatenate([edges, edges[:, ::-1]], axis=0)
 
 
+#: Largest vertex count whose edge keys ``src * n + dst`` fit in int64.
+_MAX_KEYED_VERTICES = math.isqrt(2**63 - 1)
+
+
 def dedupe_edges(edges: np.ndarray, drop_self_loops: bool = True) -> np.ndarray:
-    """Remove duplicate directed edges (and, by default, self loops)."""
+    """Remove duplicate directed edges (and, by default, self loops).
+
+    The result is sorted by (source, target): each edge is encoded as
+    the int64 key ``src * n + dst`` (``n`` = max endpoint + 1), the keys
+    are deduplicated by sorting and decoded back.
+    """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if drop_self_loops and edges.size:
-        edges = edges[edges[:, 0] != edges[:, 1]]
     if edges.size == 0:
         return edges.reshape(0, 2)
-    return np.unique(edges, axis=0)
+    if edges.min() < 0:
+        raise GraphStructureError("edge endpoints must be non-negative")
+    n = int(edges.max()) + 1
+    if n > _MAX_KEYED_VERTICES:
+        raise GraphStructureError(
+            f"{n} vertices is too many for int64 edge keys "
+            f"(max {_MAX_KEYED_VERTICES})")
+    if drop_self_loops:
+        edges = edges[edges[:, 0] != edges[:, 1]]
+    keys = sorted_unique(edges[:, 0] * n + edges[:, 1])
+    src, dst = np.divmod(keys, n)
+    return np.column_stack([src, dst])
 
 
 def from_edges(
@@ -75,11 +95,12 @@ def from_edges(
         )
     if undirected and not already_symmetric:
         edges = symmetrize_edges(edges)
+    # CSR build: sort by source, then slice.  Deduped edges come out
+    # sorted by (source, target) already.
     if dedupe:
         edges = dedupe_edges(edges)
-    # CSR build: sort by source, then slice.
-    order = np.lexsort((edges[:, 1], edges[:, 0])) if edges.size else np.empty(0, int)
-    edges = edges[order]
+    elif edges.size:
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     counts = np.bincount(edges[:, 0], minlength=n).astype(np.int64)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     return CSRGraph(indptr, edges[:, 1].copy(), undirected=undirected, name=name)
@@ -142,7 +163,7 @@ def largest_connected_component(g: CSRGraph) -> CSRGraph:
 
 def induced_subgraph(g: CSRGraph, vertices: Sequence[int]) -> CSRGraph:
     """Induced subgraph on ``vertices`` (relabelled to 0..k-1, sorted order)."""
-    keep = np.unique(np.asarray(vertices, dtype=np.int64))
+    keep = sorted_unique(np.asarray(vertices, dtype=np.int64))
     if keep.size and (keep[0] < 0 or keep[-1] >= g.num_vertices):
         raise IndexError("vertices out of range")
     remap = np.full(g.num_vertices, -1, dtype=np.int64)

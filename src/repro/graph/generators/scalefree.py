@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..._util import sorted_unique
 from ..build import from_edges
 from ..csr import CSRGraph
 
@@ -50,7 +51,7 @@ def barabasi_albert(n: int, m: int = 3, seed: int = 0, name: str = "") -> CSRGra
         e += 1
     for v in range(m + 1, n):
         picks = targets[rng.integers(0, pool_len, size=m)]
-        picks = np.unique(picks)
+        picks = sorted_unique(picks)
         for t in picks:
             src_list[e] = v
             dst_list[e] = t

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import concat_ranges
+from .._util import concat_ranges, sorted_unique
 from .csr import CSRGraph
 
 __all__ = [
@@ -88,7 +88,7 @@ def bfs(g: CSRGraph, source: int) -> BFSResult:
         fresh = nbrs[dist[nbrs] == UNREACHED]
         if fresh.size == 0:
             break
-        frontier = np.unique(fresh)
+        frontier = sorted_unique(fresh)
         depth += 1
         dist[frontier] = depth
         levels.append(frontier)
@@ -109,7 +109,7 @@ def multi_source_bfs(g: CSRGraph, sources) -> np.ndarray:
     eccentricity pruning).  Returns -1 for unreachable vertices.
     """
     n = g.num_vertices
-    src = np.unique(np.asarray(sources, dtype=np.int64).ravel())
+    src = sorted_unique(np.asarray(sources, dtype=np.int64))
     if src.size and (src[0] < 0 or src[-1] >= n):
         raise IndexError(f"sources out of range [0, {n})")
     dist = np.full(n, UNREACHED, dtype=np.int64)
@@ -126,7 +126,7 @@ def multi_source_bfs(g: CSRGraph, sources) -> np.ndarray:
         fresh = nbrs[dist[nbrs] == UNREACHED]
         if fresh.size == 0:
             break
-        frontier = np.unique(fresh)
+        frontier = sorted_unique(fresh)
         depth += 1
         dist[frontier] = depth
     return dist

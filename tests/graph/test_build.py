@@ -67,6 +67,24 @@ class TestEdgeHelpers:
     def test_dedupe_empty(self):
         assert dedupe_edges(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
 
+    def test_dedupe_sorted_by_source_then_target(self):
+        out = dedupe_edges(np.array([(2, 0), (0, 3), (2, 0), (0, 1), (1, 1)]))
+        assert out.tolist() == [[0, 1], [0, 3], [2, 0]]
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (-3, 2)], [(-1, -1)]])
+    def test_dedupe_rejects_negative_endpoint(self, edges):
+        with pytest.raises(GraphStructureError, match="non-negative"):
+            dedupe_edges(np.array(edges))
+
+    def test_dedupe_rejects_vertex_count_beyond_int64_keys(self):
+        with pytest.raises(GraphStructureError, match="int64 edge keys"):
+            dedupe_edges(np.array([(0, 2**32)]))
+
+    def test_dedupe_accepts_largest_keyable_vertex_count(self):
+        big = 3_037_000_498  # n = big + 1 is the largest with n*n < 2**63
+        out = dedupe_edges(np.array([(big, 0), (0, big), (big, 0)]))
+        assert out.tolist() == [[0, big], [big, 0]]
+
 
 class TestNetworkX:
     def test_roundtrip(self, fig1):

@@ -1,9 +1,10 @@
 """Property-based tests for CSR construction and transforms."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro._util import sorted_unique
 from repro.graph.build import from_edges, relabel, symmetrize_edges
 from repro.graph.csr import CSRGraph
 
@@ -76,3 +77,55 @@ def test_symmetrize_idempotent_on_build(case):
     g2 = from_edges(sym, num_vertices=n, already_symmetric=True)
     assert np.array_equal(g1.adj, g2.adj)
     assert np.array_equal(g1.indptr, g2.indptr)
+
+
+@given(st.sampled_from([np.int32, np.int64]),
+       st.lists(st.integers(-2**31, 2**31 - 1), max_size=80),
+       st.integers(0, 3))
+@example(np.int64, [], 0)
+@example(np.int32, [7], 0)
+@example(np.int64, [5, 5, 5, 5], 0)
+@example(np.int32, [-4, 3, -4, 0, 3, -2**31], 0)
+@settings(max_examples=80, deadline=None)
+def test_sorted_unique_matches_np_unique(dtype, values, repeat):
+    # ``repeat`` tiles the list so duplicates are common, not rare.
+    a = np.tile(np.asarray(values, dtype=dtype), repeat + 1)
+    got, want = sorted_unique(a), np.unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _reference_from_edges(edges, n, undirected, dedupe, already_symmetric):
+    """The CSR builder as it was before sort-based dedupe: row-unique
+    edges (``np.unique(axis=0)``), then a (source, target) lexsort."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if undirected and not already_symmetric:
+        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
+    if dedupe:
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        if edges.size:
+            edges = np.unique(edges, axis=0)
+    if edges.size:
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    counts = np.bincount(edges[:, 0], minlength=n).astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return indptr, edges[:, 1]
+
+
+@given(edge_lists(max_n=30, max_m=90), st.booleans(), st.booleans(),
+       st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_from_edges_matches_reference_builder(case, undirected, dedupe,
+                                              already_symmetric, rnd):
+    n, edges = case
+    # Duplicates, self-loops and unsorted rows, whatever hypothesis drew.
+    edges = edges + edges[: len(edges) // 3] + [(v, v) for v in range(0, n, 7)]
+    if undirected and already_symmetric:
+        edges = edges + [(b, a) for a, b in edges]
+    rnd.shuffle(edges)
+    g = from_edges(edges, num_vertices=n, undirected=undirected,
+                   dedupe=dedupe, already_symmetric=already_symmetric)
+    indptr, adj = _reference_from_edges(edges, n, undirected, dedupe,
+                                        already_symmetric)
+    assert g.indptr.tobytes() == indptr.astype(g.indptr.dtype).tobytes()
+    assert g.adj.tobytes() == adj.astype(g.adj.dtype).tobytes()
