@@ -13,8 +13,8 @@ import numpy as np
 __all__ = [
     "sorted_unique",
     "concat_ranges",
+    "chunk_max_sums",
     "chunk_max_sum",
-    "chunk_sum_of_max",
     "as_index_array",
     "check_nonnegative_int",
 ]
@@ -40,15 +40,17 @@ def sorted_unique(a) -> np.ndarray:
 def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Return ``concatenate([arange(s, s+c) for s, c in zip(starts, counts)])``.
 
-    This is the standard cumulative-sum trick for expanding CSR row slices
-    without a Python-level loop; it is the workhorse of the frontier
+    Each output element is its range's start plus its offset within the
+    range: repeat ``start - (range's first output index)`` per element
+    and add the output index.  This is the workhorse of the frontier
     expansion step (gathering all neighbours of all frontier vertices at
     once).
 
     Parameters
     ----------
     starts, counts:
-        Equal-length integer arrays. ``counts`` entries may be zero.
+        Equal-shape integer arrays. ``counts`` entries may be zero;
+        negative entries raise ``ValueError``.
 
     Returns
     -------
@@ -58,49 +60,51 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if starts.shape != counts.shape:
         raise ValueError("starts and counts must have the same shape")
-    if counts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
-    nz = counts > 0
-    if not np.any(nz):
-        return np.empty(0, dtype=np.int64)
-    starts = starts[nz]
-    counts = counts[nz]
-    total = int(counts.sum())
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    cum = np.cumsum(counts)
-    # At each range boundary, jump from the end of the previous range to
-    # the start of the next one.
-    out[cum[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
+    starts, counts = starts.ravel(), counts.ravel()
+    ends = np.add.accumulate(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return (starts - (ends - counts)).repeat(counts) + np.arange(total)
+
+
+def chunk_max_sums(weights: np.ndarray, segment: np.ndarray, key: np.ndarray,
+                   num_segments: int) -> np.ndarray:
+    """Per segment, the sum of its chunks' maxima, as float64.
+
+    Row ``i`` of ``weights`` belongs to segment ``segment[i]`` and to
+    chunk ``key[i]`` of that segment; the rows of one chunk must be
+    contiguous (``(segment, key)`` non-decreasing).  Models serialised
+    execution of groups of concurrent threads where each thread performs
+    ``weights[i]`` sequential units of work: a group finishes when its
+    slowest thread does, so a segment (one kernel level) takes the sum
+    of its groups' maxima.  Maxima are added in chunk order; an empty
+    segment costs zero.
+    """
+    weights = np.asarray(weights)
+    if weights.size == 0:
+        return np.zeros(num_segments, dtype=np.float64)
+    segment = np.asarray(segment)
+    key = np.asarray(key)
+    new = np.empty(weights.size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    new[1:] |= segment[1:] != segment[:-1]
+    starts = np.flatnonzero(new)
+    return np.bincount(segment[starts], np.maximum.reduceat(weights, starts),
+                       minlength=num_segments)
 
 
 def chunk_max_sum(weights: np.ndarray, chunk: int) -> int:
-    """Sum of per-chunk maxima of ``weights`` split into chunks of ``chunk``.
-
-    Models serialised execution of a group of ``chunk`` concurrent threads
-    where each thread performs ``weights[i]`` sequential units of work:
-    the group finishes when its slowest thread does, so the total time of
-    all groups is the sum of per-group maxima.  An empty ``weights`` costs
-    zero.
-    """
-    weights = np.asarray(weights)
+    """Sum of per-chunk maxima of ``weights`` split into chunks of ``chunk``
+    (one segment of :func:`chunk_max_sums`).  An empty ``weights`` costs
+    zero."""
+    weights = np.asarray(weights).ravel()
     if chunk <= 0:
         raise ValueError("chunk must be positive")
     k = weights.size
     if k == 0:
         return 0
-    pad = (-k) % chunk
-    if pad:
-        weights = np.concatenate([weights, np.zeros(pad, dtype=weights.dtype)])
-    return int(weights.reshape(-1, chunk).max(axis=1).sum())
-
-
-def chunk_sum_of_max(weights: np.ndarray, chunk: int) -> int:
-    """Alias kept for readability at call sites (same as :func:`chunk_max_sum`)."""
-    return chunk_max_sum(weights, chunk)
+    return int(chunk_max_sums(weights, np.zeros(k, dtype=np.int64),
+                              np.arange(k) // chunk, 1)[0])
 
 
 def as_index_array(x, n: int, name: str = "indices") -> np.ndarray:

@@ -88,15 +88,16 @@ def run_root(
     if observer is not None:
         observer.after_forward(fwd)
 
-    # Stage 2 — dependency accumulation, deepest-but-one level first.
+    # Stage 2 — dependency accumulation over the sweep's DAG edges,
+    # deepest-but-one level first.  This is dependency_accumulation's
+    # loop, inlined so that each level is a call to this module's
+    # accumulate_level, which benchmarks/e2e/layers.py times as the
+    # accumulation layer.
     delta = np.zeros(g.num_vertices, dtype=np.float64)
-    scales = fwd.level_scales
     for depth in range(len(fwd.levels) - 2, 0, -1):
-        ratio_scale = 1.0
-        if scales is not None and depth + 1 < scales.size:
-            ratio_scale = 1.0 / scales[depth + 1]
-        accumulate_level(g, fwd.levels[depth], fwd.distances, fwd.sigma,
-                         delta, sigma_ratio_scale=ratio_scale,
+        owner, succ = fwd.dag[depth]
+        accumulate_level(fwd.levels[depth], owner, succ, fwd.sigma, delta,
+                         sigma_ratio_scale=1.0 / fwd.level_scales[depth + 1],
                          target_weights=target_weights)
     if source_weight != 1.0:
         delta *= source_weight

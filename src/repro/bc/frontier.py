@@ -6,7 +6,9 @@ kernel does across its while-loop: per level, gather the concatenated
 adjacency lists of the frontier, discover unvisited vertices (the
 atomicCAS of line 5 collapses to a mask + sorted unique), and accumulate
 shortest-path counts into successors (the atomicAdd of line 9 collapses
-to ``np.add.at``).
+to ``np.add.at``).  The sweep also keeps each level's shortest-path DAG
+edges, so the backward stage (:mod:`repro.bc.accumulation`) need not
+gather the adjacency lists a second time.
 
 All strategy variants produce *identical* values — they differ in how
 threads are assigned to this work, which is what the cost model (in
@@ -52,6 +54,9 @@ class ForwardResult:
     levels: frontier per depth; concatenated they form the paper's ``S``
         array and their offsets the ``ends`` array.
     level_scales: rescaling factor applied at each depth (>= 1.0).
+    dag: per depth, the ``(owner, succ)`` shortest-path DAG edges leaving
+        that level, in adjacency order: ``owner`` is the tail's position
+        in ``levels[depth]``, ``succ`` the head's vertex id at depth + 1.
     """
 
     source: int
@@ -59,6 +64,7 @@ class ForwardResult:
     sigma: np.ndarray
     levels: list
     level_scales: np.ndarray = None
+    dag: list = None
 
     @property
     def max_depth(self) -> int:
@@ -77,21 +83,15 @@ class ForwardResult:
         return np.concatenate(self.levels)
 
 
-def forward_sweep(g: CSRGraph, source: int,
-                  on_level=None, metrics=None) -> ForwardResult:
+def forward_sweep(g: CSRGraph, source: int, metrics=None) -> ForwardResult:
     """Run the shortest-path calculation stage from ``source``.
 
     Parameters
     ----------
-    on_level:
-        Optional callback ``on_level(depth, frontier, q_next_len)``
-        invoked after each level is processed, *before* the next one
-        begins — this is the hook the hybrid policy (Algorithm 4) uses
-        to reconsider its parallelisation strategy between iterations.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry`; records
-        per-level frontier counters (``frontier.*`` series).  Defaults
-        to the process-wide no-op registry.
+        the sweep's ``frontier.*`` totals.  Defaults to the process-wide
+        no-op registry.
     """
     if metrics is None:
         metrics = NULL_REGISTRY
@@ -100,6 +100,7 @@ def forward_sweep(g: CSRGraph, source: int,
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
     indptr, adj = g.indptr, g.adj
+    degree = indptr[1:] - indptr[:-1]
     d = np.full(n, UNREACHED, dtype=np.int64)
     sigma = np.zeros(n, dtype=np.float64)
     d[source] = 0
@@ -107,46 +108,46 @@ def forward_sweep(g: CSRGraph, source: int,
     frontier = np.array([source], dtype=np.int64)
     levels = [frontier]
     scales = [1.0]
+    dag = []
     depth = 0
+    visited = inspected = 0
     while True:
         starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        nbr_idx = concat_ranges(starts, counts)
-        nbrs = adj[nbr_idx]
-        srcs = np.repeat(frontier, counts)
+        counts = degree[frontier]
+        nbrs = adj[concat_ranges(starts, counts)]
+        # Level-synchronous: no vertex is at depth + 1 yet, so the
+        # still-unreached neighbours are exactly the successors the
+        # backward stage would find (the DAG edges into depth + 1).
+        hit = d[nbrs] == UNREACHED
+        succ = nbrs[hit]
+        owner = np.arange(frontier.size).repeat(counts)[hit]
+        dag.append((owner, succ))
         # Discovery: first touch sets the depth (atomicCAS, line 5).
-        fresh = nbrs[d[nbrs] == UNREACHED]
-        q_next = sorted_unique(fresh)
-        if q_next.size:
-            d[q_next] = depth + 1
-        # Path counting: every tree/cross edge into depth+1 contributes
-        # (atomicAdd, line 9).  Runs after discovery so the mask sees
-        # the final depths, exactly like the level-synchronous kernel.
-        if nbrs.size:
-            useful = d[nbrs] == depth + 1
-            if np.any(useful):
-                np.add.at(sigma, nbrs[useful], sigma[srcs[useful]])
-        if q_next.size:
-            # Level-synchronous => sigma of depth+1 is final here; keep
-            # magnitudes inside float64 range (see SIGMA_RESCALE_LIMIT).
-            mx = float(sigma[q_next].max())
-            if mx > SIGMA_RESCALE_LIMIT:
-                sigma[q_next] /= mx
-                scales.append(mx)
-            else:
-                scales.append(1.0)
-        metrics.inc("frontier.levels")
-        metrics.inc("frontier.frontier_vertices", frontier.size)
-        metrics.inc("frontier.edges_inspected", nbrs.size)
-        metrics.inc("frontier.discovered", q_next.size)
-        if on_level is not None:
-            on_level(depth, frontier, int(q_next.size))
+        q_next = sorted_unique(succ)
+        visited += frontier.size
+        inspected += nbrs.size
         if q_next.size == 0:
             break
+        d[q_next] = depth + 1
+        # Path counting over the DAG edges (atomicAdd, line 9).
+        np.add.at(sigma, succ, sigma[frontier][owner])
+        # Level-synchronous => sigma of depth+1 is final here; keep
+        # magnitudes inside float64 range (see SIGMA_RESCALE_LIMIT).
+        mx = float(sigma[q_next].max())
+        if mx > SIGMA_RESCALE_LIMIT:
+            sigma[q_next] /= mx
+            scales.append(mx)
+        else:
+            scales.append(1.0)
         frontier = q_next
         depth += 1
         levels.append(frontier)
+    metrics.inc("frontier.levels", depth + 1)
+    metrics.inc("frontier.frontier_vertices", visited)
+    metrics.inc("frontier.edges_inspected", inspected)
+    metrics.inc("frontier.discovered", visited - 1)
     metrics.inc("frontier.sweeps")
     metrics.observe("frontier.max_depth", depth)
     return ForwardResult(source=source, distances=d, sigma=sigma, levels=levels,
-                         level_scales=np.asarray(scales, dtype=np.float64))
+                         level_scales=np.asarray(scales, dtype=np.float64),
+                         dag=dag)

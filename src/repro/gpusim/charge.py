@@ -5,8 +5,9 @@ threads are assigned to frontier work.  So a traversal is executed
 once, described by a value-free :class:`FrontierProfile` (per forward
 depth: frontier size, edge frontier and, for per-root traversals, the
 frontier's vertex ids and degrees), and :func:`charge` replays the
-policy over those sizes and charges every level under the strategy it
-decided.  This is the only caller of the :class:`CostModel` kernels.
+policy over those sizes, then charges each strategy's levels in one
+array call of its :class:`CostModel` kernel.  This is the only caller
+of the :class:`CostModel` kernels.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import concat_ranges
 from ..bc.policies import (
     BATCHED,
     EDGE_PARALLEL,
@@ -37,99 +39,45 @@ class FrontierProfile:
 
     ``sizes``/``edges`` are the vertex and edge frontiers (for a batch:
     active (root, vertex) pairs and their summed degrees).  Per-root
-    traversals also carry each depth's frontier ``ids`` and their
+    traversals also carry the frontier ``ids`` of every depth,
+    concatenated depth by depth (the paper's ``S`` array), and their
     ``degrees``, which the work- and vertex-parallel kernels charge.
     """
 
     root: int
     sizes: list
     edges: list
-    ids: list | None = None
-    degrees: list | None = None
+    ids: np.ndarray | None = None
+    degrees: np.ndarray | None = None
     num_vertices: int = 0
     num_directed_edges: int = 0
 
     @classmethod
     def of_sweep(cls, g, fwd) -> "FrontierProfile":
         """Profile of a per-root forward sweep (degrees gathered once)."""
-        deg = g.degrees
-        degrees = [deg[lv] for lv in fwd.levels]
-        return cls(root=int(fwd.source),
-                   sizes=[int(lv.size) for lv in fwd.levels],
-                   edges=[int(d.sum()) for d in degrees],
-                   ids=fwd.levels, degrees=degrees,
+        ids = fwd.s_array()
+        degrees = g.indptr[ids + 1] - g.indptr[ids]
+        sizes = [lv.size for lv in fwd.levels]
+        starts = np.cumsum(sizes) - sizes
+        return cls(root=int(fwd.source), sizes=sizes,
+                   edges=np.add.reduceat(degrees, starts).tolist(),
+                   ids=ids, degrees=degrees,
                    num_vertices=g.num_vertices,
                    num_directed_edges=g.num_directed_edges)
 
 
-def _add(trace: RootTrace, metrics, lv: LevelTrace) -> None:
-    trace.add(lv)
-    metrics.inc("engine.levels", stage=lv.stage, strategy=lv.strategy)
-    metrics.inc("engine.frontier_vertices", lv.frontier_size, stage=lv.stage)
-    metrics.inc("engine.frontier_edges", lv.edge_frontier, stage=lv.stage)
-    metrics.inc("engine.cycles", lv.cycles, stage=lv.stage,
-                strategy=lv.strategy)
-
-
-def charge(profile: FrontierProfile, policy: Policy, costs: CostModel,
-           chunk: int, device_chunk: int | None = None,
-           metrics=None) -> RootTrace:
-    """Charge one traversal under ``policy``.
-
-    Replays ``policy.decide`` once per forward level over the profile's
-    frontier sizes, charges each forward level and its mirrored
-    backward level (depths ``max_depth - 1`` down to 1, deepest first)
-    under the decided strategy, and emits the per-level ``engine.*``
-    series plus the ``decision.initial``/``decision.step`` audit
-    records.  ``device_chunk`` is the whole-device concurrency the
-    ``gpu-fan`` and ``batched`` kernels cooperate across.
-    """
-    if metrics is None:
-        metrics = NULL_REGISTRY
-    root = profile.root
-    trace = RootTrace(root=root)
+def _replay(policy: Policy, root: int, sizes: list, metrics) -> list:
+    """The strategy of every forward depth, recording the policy's
+    ``decision.initial``/``decision.step`` audit records."""
     decision = policy.initial_decision()
     metrics.record("decision.initial", root=root, applies_to_depth=0,
                    strategy=decision.strategy, policy=decision.policy,
                    rule=decision.rule, **decision.inputs)
     strategy = decision.strategy
-    kernels = {WORK_EFFICIENT: (costs.we_forward, costs.we_backward),
-               EDGE_PARALLEL: (costs.ep_forward, costs.ep_backward),
-               VERTEX_PARALLEL: (costs.vp_forward, costs.vp_backward),
-               GPU_FAN: (costs.gpu_fan_forward, costs.gpu_fan_backward),
-               BATCHED: (costs.batched_forward, costs.batched_backward)}
-    n, m = profile.num_vertices, profile.num_directed_edges
-    mask = None  # vertex-parallel's n-length degree mask, reused per level
-    last = len(profile.sizes) - 1
-    backward = []
-    for depth, (size, ef) in enumerate(zip(profile.sizes, profile.edges)):
-        # One level's kernel arguments, shared by both stages.
-        if strategy not in kernels:
-            raise StrategyError(f"unknown strategy {strategy!r}")
-        if strategy == WORK_EFFICIENT:
-            args = (profile.degrees[depth], chunk)
-        elif strategy == EDGE_PARALLEL:
-            args = (m, ef, chunk)
-        elif strategy == VERTEX_PARALLEL:
-            if mask is None:
-                mask = np.zeros(n, dtype=np.int64)
-            mask[profile.ids[depth]] = profile.degrees[depth]
-            args = (n, mask, chunk)
-        elif device_chunk is None:
-            raise StrategyError(f"{strategy} strategy requires device_chunk")
-        else:
-            args = ((m, ef, device_chunk) if strategy == GPU_FAN
-                    else (ef, device_chunk))
-        fwd_kernel, bwd_kernel = kernels[strategy]
-        _add(trace, metrics, LevelTrace(depth, "forward", strategy, size, ef,
-                                        fwd_kernel(*args)))
-        metrics.observe("engine.frontier_size", size, stage="forward")
-        if 0 < depth < last:
-            backward.append(LevelTrace(depth, "backward", strategy, size, ef,
-                                       bwd_kernel(*args)))
-        if strategy == VERTEX_PARALLEL:
-            mask[profile.ids[depth]] = 0
-        q_next = profile.sizes[depth + 1] if depth < last else 0
+    strategies = []
+    for depth, size in enumerate(sizes):
+        strategies.append(strategy)
+        q_next = sizes[depth + 1] if depth + 1 < len(sizes) else 0
         decision = policy.decide(strategy, size, q_next)
         if q_next > 0:
             # The decision taken after level `depth` governs level
@@ -141,6 +89,91 @@ def charge(profile: FrontierProfile, policy: Policy, costs: CostModel,
                            policy=decision.policy, rule=decision.rule,
                            **decision.inputs)
         strategy = decision.strategy
-    for lv in reversed(backward):
-        _add(trace, metrics, lv)
-    return trace
+    return strategies
+
+
+def _kernel_cycles(strategy: str, profile: FrontierProfile, depths: list,
+                   costs: CostModel, chunk: int,
+                   device_chunk: int | None) -> tuple:
+    """Forward and backward cycles of ``depths`` under ``strategy``."""
+    m = profile.num_directed_edges
+    if strategy in (WORK_EFFICIENT, VERTEX_PARALLEL):
+        sizes = np.asarray(profile.sizes, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        rows = concat_ranges(starts[depths], sizes[depths])
+        if strategy == WORK_EFFICIENT:
+            return costs.we_levels(profile.degrees[rows], sizes[depths], chunk)
+        return costs.vp_levels(profile.num_vertices, profile.ids[rows],
+                               profile.degrees[rows], sizes[depths], chunk)
+    edges = np.asarray(profile.edges, dtype=np.int64)[depths]
+    if strategy == EDGE_PARALLEL:
+        return costs.ep_levels(m, edges, chunk)
+    if strategy not in (GPU_FAN, BATCHED):
+        raise StrategyError(f"unknown strategy {strategy!r}")
+    if device_chunk is None:
+        raise StrategyError(f"{strategy} strategy requires device_chunk")
+    if strategy == GPU_FAN:
+        return costs.gpu_fan_levels(m, edges, device_chunk)
+    return costs.batched_levels(edges, device_chunk)
+
+
+def _instrument(metrics, levels: list) -> None:
+    """The per-level ``engine.*`` series, in level order, through
+    instruments resolved once per root."""
+    resolved = {}
+    frontier_size = metrics.histogram("engine.frontier_size", stage="forward")
+    for lv in levels:
+        series = resolved.get((lv.stage, lv.strategy))
+        if series is None:
+            series = resolved[lv.stage, lv.strategy] = (
+                metrics.counter("engine.levels", stage=lv.stage,
+                                strategy=lv.strategy),
+                metrics.counter("engine.frontier_vertices", stage=lv.stage),
+                metrics.counter("engine.frontier_edges", stage=lv.stage),
+                metrics.counter("engine.cycles", stage=lv.stage,
+                                strategy=lv.strategy))
+        count, vertices, edges, cycles = series
+        count.inc()
+        vertices.inc(lv.frontier_size)
+        edges.inc(lv.edge_frontier)
+        cycles.inc(lv.cycles)
+        if lv.stage == "forward":
+            frontier_size.observe(lv.frontier_size)
+
+
+def charge(profile: FrontierProfile, policy: Policy, costs: CostModel,
+           chunk: int, device_chunk: int | None = None,
+           metrics=None) -> RootTrace:
+    """Charge one traversal under ``policy``.
+
+    Replays ``policy.decide`` once per forward level over the profile's
+    frontier sizes (emitting the ``decision.initial``/``decision.step``
+    audit records), charges every forward level and its mirrored
+    backward level (depths ``max_depth - 1`` down to 1, deepest first)
+    under the decided strategy, and emits the per-level ``engine.*``
+    series.  ``device_chunk`` is the whole-device concurrency the
+    ``gpu-fan`` and ``batched`` kernels cooperate across.
+    """
+    if metrics is None:
+        metrics = NULL_REGISTRY
+    sizes = [int(size) for size in profile.sizes]
+    edges = [int(ef) for ef in profile.edges]
+    strategies = _replay(policy, profile.root, sizes, metrics)
+    by_strategy: dict = {}
+    for depth, strategy in enumerate(strategies):
+        by_strategy.setdefault(strategy, []).append(depth)
+    forward = np.empty(len(strategies))
+    backward = np.empty(len(strategies))
+    for strategy, depths in by_strategy.items():
+        forward[depths], backward[depths] = _kernel_cycles(
+            strategy, profile, depths, costs, chunk, device_chunk)
+    forward, backward = forward.tolist(), backward.tolist()
+    levels = [LevelTrace(depth, "forward", strategies[depth], sizes[depth],
+                         edges[depth], forward[depth])
+              for depth in range(len(sizes))]
+    levels += [LevelTrace(depth, "backward", strategies[depth], sizes[depth],
+                          edges[depth], backward[depth])
+               for depth in range(len(sizes) - 2, 0, -1)]
+    if metrics.enabled and levels:
+        _instrument(metrics, levels)
+    return RootTrace(root=profile.root, levels=levels)

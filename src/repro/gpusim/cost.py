@@ -18,8 +18,12 @@ about (Sections III and IV):
 * Every level costs one kernel launch / device-wide barrier.
 
 All methods return cycles for ONE thread block (one SM) processing one
-level of one root, except the GPU-FAN variant, which cooperates across
-the whole device (``device_chunk``).
+level of one root, except the GPU-FAN and batched variants, which
+cooperate across the whole device (``device_chunk``).  Each kernel's
+formula is written once, in array form over many levels
+(``*_levels``, returning forward and backward cycles per level); the
+per-level ``*_forward``/``*_backward`` methods charge one level
+through it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .._util import chunk_max_sum
+from .._util import chunk_max_sums, concat_ranges
 
 __all__ = ["CostModel", "DEFAULT_COSTS"]
 
@@ -127,106 +131,175 @@ class CostModel:
         long = deg - short
         return short * self.edge_scattered + long * self.edge_streamed
 
-    def _serialized(self, row_cycles: np.ndarray, chunk: int) -> float:
-        """Chunked execution time of per-thread costs (see module doc)."""
-        row_cycles = np.asarray(row_cycles)
-        if row_cycles.size == 0:
-            return 0.0
+    def _serialized(self, row_cycles: np.ndarray, level: np.ndarray,
+                    key: np.ndarray, num_levels: int,
+                    chunk: int) -> np.ndarray:
+        """Per-level chunked execution time of per-thread costs: the rows
+        of one level sharing a ``key`` run as one chunk (see module
+        doc).  Without imbalance each level costs its mean.
+
+        A level's chunk maxima (or row costs) are summed in order.  With
+        integer-valued edge costs, as in every shipped model, each sum
+        is exact and so equals the sum in any other order."""
         if self.imbalance:
-            return float(chunk_max_sum(row_cycles, chunk))
-        return float(row_cycles.sum()) / chunk
+            return np.trunc(chunk_max_sums(row_cycles, level, key, num_levels))
+        return np.bincount(level, row_cycles, minlength=num_levels) / chunk
 
     # -- work-efficient (Algorithms 2 and 3) --------------------------
-    def we_forward(self, frontier_degrees: np.ndarray, chunk: int) -> float:
-        """One shortest-path-calculation level, work-efficient kernel."""
-        fdeg = np.asarray(frontier_degrees)
-        f = int(fdeg.size)
-        cycles = self._serialized(self._row_cycles(fdeg), chunk)
-        cycles += math.ceil(f / chunk) * self.queue_op * 2  # Q_next->Q_curr, S append
+    def we_levels(self, degrees: np.ndarray, sizes, chunk: int) -> tuple:
+        """Forward and backward cycles of work-efficient levels.
+
+        ``degrees`` concatenates each level's frontier degrees in queue
+        order; ``sizes`` holds each level's frontier size.  A level's
+        queue is cut into chunks of ``chunk`` threads.
+        """
+        deg = np.asarray(degrees)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        level = np.repeat(np.arange(sizes.size), sizes)
+        pos = concat_ranges(np.zeros_like(sizes), sizes)
+        serial = self._serialized(self._row_cycles(deg), level, pos // chunk,
+                                  sizes.size, chunk)
+        queue = np.ceil(sizes / chunk) * self.queue_op
+        forward = serial + queue * 2  # Q_next->Q_curr, S append
         if self.enqueue == "prefix-sum":
             # Cooperative enqueue: this SM alone scans every candidate
             # edge of the level (one flag per inspected edge), paying
             # O(edge_frontier / chunk) scan passes — the overhead the
             # paper measured and rejected.
-            ef = float(fdeg.sum())
-            passes = math.log2(max(ef, 2.0))
-            cycles += ef / chunk * self.prefix_scan_factor * passes
+            ef = np.bincount(level, deg, minlength=sizes.size)
+            passes = np.array([math.log2(max(e, 2.0)) for e in ef.tolist()])
+            forward = forward + ef / chunk * self.prefix_scan_factor * passes
         elif self.enqueue != "cas":
             raise ValueError(f"unknown enqueue mode {self.enqueue!r}")
-        return (cycles + self.launch) * self.cycle_scale
+        # Backward: atomic-free successor scan, then read the S segment.
+        backward = serial * 0.8 + queue
+        return ((forward + self.launch) * self.cycle_scale,
+                (backward + self.launch) * self.cycle_scale)
+
+    def we_forward(self, frontier_degrees: np.ndarray, chunk: int) -> float:
+        """One shortest-path-calculation level, work-efficient kernel."""
+        deg = np.asarray(frontier_degrees)
+        return float(self.we_levels(deg, [deg.size], chunk)[0][0])
 
     def we_backward(self, level_degrees: np.ndarray, chunk: int) -> float:
         """One dependency-accumulation level (atomic-free successor scan)."""
-        f = int(np.asarray(level_degrees).size)
-        cycles = self._serialized(self._row_cycles(level_degrees), chunk) * 0.8
-        cycles += math.ceil(f / chunk) * self.queue_op  # read S segment
-        return (cycles + self.launch) * self.cycle_scale
+        deg = np.asarray(level_degrees)
+        return float(self.we_levels(deg, [deg.size], chunk)[1][0])
 
     # -- edge-parallel (Jia et al. / GPU-FAN layout) -------------------
+    def ep_levels(self, num_directed_edges: int, useful_edges,
+                  chunk: int) -> tuple:
+        """Forward and backward cycles of edge-parallel levels: every
+        level scans all edges and relaxes its ``useful_edges``; backward
+        predecessor updates are atomic too (Section IV-A), so both
+        stages cost the same."""
+        useful = np.asarray(useful_edges, dtype=np.float64)
+        cycles = math.ceil(num_directed_edges / chunk) * self.edge_coalesced
+        cycles = cycles + useful / chunk * self.atomic
+        out = (cycles + self.launch) * self.cycle_scale
+        return out, out
+
     def ep_forward(self, num_directed_edges: int, useful_edges: int,
                    chunk: int) -> float:
         """One forward level: scan all edges, relax the useful ones."""
-        cycles = math.ceil(num_directed_edges / chunk) * self.edge_coalesced
-        cycles += useful_edges / chunk * self.atomic
-        return (cycles + self.launch) * self.cycle_scale
+        return float(self.ep_levels(num_directed_edges, [useful_edges],
+                                    chunk)[0][0])
 
     def ep_backward(self, num_directed_edges: int, useful_edges: int,
                     chunk: int) -> float:
         """One backward level: scan all edges; predecessor updates are
         atomic in the edge-parallel layout (Section IV-A)."""
-        cycles = math.ceil(num_directed_edges / chunk) * self.edge_coalesced
-        cycles += useful_edges / chunk * self.atomic
-        return (cycles + self.launch) * self.cycle_scale
+        return float(self.ep_levels(num_directed_edges, [useful_edges],
+                                    chunk)[1][0])
 
     # -- vertex-parallel (Jia et al.) ----------------------------------
+    def vp_levels(self, num_vertices: int, ids: np.ndarray,
+                  degrees: np.ndarray, sizes, chunk: int) -> tuple:
+        """Forward and backward cycles of vertex-parallel levels.
+
+        Every vertex is checked each level; frontier vertices traverse
+        their edges in place (no queue), so thread ``v`` belongs to
+        chunk ``v // chunk``.  ``ids``/``degrees`` concatenate each
+        level's frontier ids (ascending within a level) and degrees;
+        ``sizes`` holds each level's frontier size.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        level = np.repeat(np.arange(sizes.size), sizes)
+        serial = self._serialized(self._row_cycles(degrees), level,
+                                  np.asarray(ids) // chunk, sizes.size, chunk)
+        check = math.ceil(num_vertices / chunk) * self.vertex_check
+        return ((check + serial + self.launch) * self.cycle_scale,
+                (check + serial * 0.8 + self.launch) * self.cycle_scale)
+
     def vp_forward(self, num_vertices: int, masked_degrees: np.ndarray,
                    chunk: int) -> float:
         """One forward level: every vertex checked, frontier vertices
         traverse their edges in-place (no queue)."""
-        cycles = math.ceil(num_vertices / chunk) * self.vertex_check
-        cycles += self._serialized(self._row_cycles(masked_degrees), chunk)
-        return (cycles + self.launch) * self.cycle_scale
+        return self._vp_one(num_vertices, masked_degrees, chunk)[0]
 
     def vp_backward(self, num_vertices: int, masked_degrees: np.ndarray,
                     chunk: int) -> float:
         """One backward level of the vertex-parallel kernel."""
-        cycles = math.ceil(num_vertices / chunk) * self.vertex_check
-        cycles += self._serialized(self._row_cycles(masked_degrees), chunk) * 0.8
-        return (cycles + self.launch) * self.cycle_scale
+        return self._vp_one(num_vertices, masked_degrees, chunk)[1]
+
+    def _vp_one(self, num_vertices, masked_degrees, chunk) -> tuple:
+        masked = np.asarray(masked_degrees)
+        ids = np.flatnonzero(masked)
+        fwd, bwd = self.vp_levels(num_vertices, ids, masked[ids], [ids.size],
+                                  chunk)
+        return float(fwd[0]), float(bwd[0])
 
     # -- GPU-FAN -------------------------------------------------------
+    def gpu_fan_levels(self, num_directed_edges: int, useful_edges,
+                       device_chunk: int) -> tuple:
+        """Forward and backward cycles of GPU-FAN levels: the whole
+        device on one root, with a global sync per level; both stages
+        cost the same."""
+        useful = np.asarray(useful_edges, dtype=np.float64)
+        cycles = (math.ceil(num_directed_edges / device_chunk)
+                  * self.edge_coalesced)
+        cycles = cycles + useful / device_chunk * self.atomic
+        cycles = cycles + self.launch * self.gpu_fan_sync_multiplier
+        out = cycles * self.cycle_scale
+        return out, out
+
     def gpu_fan_forward(self, num_directed_edges: int, useful_edges: int,
                         device_chunk: int) -> float:
         """GPU-FAN forward level: whole device on one root, global sync."""
-        cycles = math.ceil(num_directed_edges / device_chunk) * self.edge_coalesced
-        cycles += useful_edges / device_chunk * self.atomic
-        cycles += self.launch * self.gpu_fan_sync_multiplier
-        return cycles * self.cycle_scale
+        return float(self.gpu_fan_levels(num_directed_edges, [useful_edges],
+                                         device_chunk)[0][0])
 
     def gpu_fan_backward(self, num_directed_edges: int, useful_edges: int,
                          device_chunk: int) -> float:
         """GPU-FAN backward level."""
-        return self.gpu_fan_forward(num_directed_edges, useful_edges, device_chunk)
+        return float(self.gpu_fan_levels(num_directed_edges, [useful_edges],
+                                         device_chunk)[1][0])
 
     # -- batched multi-source (Sarıyüce et al., reference [33]) --------
-    def batched_forward(self, edge_pairs: int, device_chunk: int) -> float:
-        """One frontier-matrix level for a whole root batch.
+    def batched_levels(self, edge_pairs, device_chunk: int) -> tuple:
+        """Forward and backward cycles of frontier-matrix levels for a
+        whole root batch.
 
         The ``(k, n) x (n, n)`` product streams each active row's edges
         exactly once — fully coalesced, BLAS-shaped, no queues and no
         atomics (path counts accumulate inside the product) — and the
         whole device cooperates, so one launch covers every root in the
-        batch.  ``edge_pairs`` is the summed edge frontier across the
-        batch's rows at this level.
+        batch.  ``edge_pairs`` is each level's summed edge frontier
+        across the batch's rows.  The backward product is the same
+        regular stream, transposed, so both stages cost the same.
         """
-        cycles = math.ceil(edge_pairs / device_chunk) * self.edge_coalesced
-        return (cycles + self.launch) * self.cycle_scale
+        pairs = np.asarray(edge_pairs, dtype=np.float64)
+        cycles = np.ceil(pairs / device_chunk) * self.edge_coalesced
+        out = (cycles + self.launch) * self.cycle_scale
+        return out, out
+
+    def batched_forward(self, edge_pairs: int, device_chunk: int) -> float:
+        """One frontier-matrix level for a whole root batch."""
+        return float(self.batched_levels([edge_pairs], device_chunk)[0][0])
 
     def batched_backward(self, edge_pairs: int, device_chunk: int) -> float:
-        """One batched dependency-accumulation level (same regular
-        streamed product, transposed)."""
-        cycles = math.ceil(edge_pairs / device_chunk) * self.edge_coalesced
-        return (cycles + self.launch) * self.cycle_scale
+        """One batched dependency-accumulation level."""
+        return float(self.batched_levels([edge_pairs], device_chunk)[1][0])
 
     # -- variants ------------------------------------------------------
     def without_imbalance(self) -> "CostModel":

@@ -251,18 +251,49 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+class _NullCounter(Counter):
+    def inc(self, value: float = 1.0) -> None:
+        pass
+
+
+class _NullGauge(Gauge):
+    def set(self, value: float) -> None:
+        pass
+
+
+class _NullHistogram(Histogram):
+    def observe(self, value: float) -> None:
+        pass
+
+
+_NULL_COUNTER = _NullCounter("", {})
+_NULL_GAUGE = _NullGauge("", {})
+_NULL_HISTOGRAM = _NullHistogram("", {}, DEFAULT_BUCKETS)
+
+
 class NullRegistry(MetricsRegistry):
     """No-op registry: every instrument call does nothing.
 
     Module-level :data:`NULL_REGISTRY` is the default ``metrics``
     argument of every instrumented function, making observability
-    zero-cost when nobody asked to observe.
+    zero-cost when nobody asked to observe.  Its accessors hand out
+    shared inert instruments, so code that resolves an instrument once
+    and updates it directly records nothing either.
     """
 
     enabled = False
 
     def __init__(self):
         super().__init__(clock=SpanClock(wall=lambda: 0.0))
+
+    def counter(self, name, /, **labels):
+        return _NULL_COUNTER
+
+    def gauge(self, name, /, **labels):
+        return _NULL_GAUGE
+
+    def histogram(self, name, /, buckets=DEFAULT_BUCKETS, wall=False, **labels):
+        return _NULL_HISTOGRAM
 
     def inc(self, name, value=1.0, /, **labels):
         pass

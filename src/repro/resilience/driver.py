@@ -490,9 +490,11 @@ def resilient_distributed_bc(
                     s = int(s)
                     fwd = forward_sweep(run_g, s)
                     events = faults.sdc_for_root(rank, pos) if faults else []
-                    # sigma/dist strikes hit before accumulation so the
-                    # corruption propagates into delta, as a real upset
-                    # in resident memory would.
+                    # sigma/dist strikes hit before accumulation, as a
+                    # real upset in resident memory would: a sigma flip
+                    # propagates into delta; a dist flip does not
+                    # (accumulation follows the sweep's DAG edges) but
+                    # the invariant checks still see it.
                     apply_site(events, "sigma", fwd.sigma)
                     apply_site(events, "dist", fwd.distances)
                     delta = dependency_accumulation(

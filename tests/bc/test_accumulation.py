@@ -43,12 +43,12 @@ class TestDependencyAccumulation:
         delta = dependency_accumulation(two_components, fwd)
         assert np.all(delta[[3, 4, 5, 6]] == 0.0)
 
-    def test_on_level_order_is_deepest_first(self, path5):
+    def test_dag_edges_per_level(self, path5):
+        # 0-1-2-3-4 from 0: each level's only DAG edge leads one hop on.
         fwd = forward_sweep(path5, 0)
-        seen = []
-        dependency_accumulation(path5, fwd,
-                                on_level=lambda d, lv: seen.append(d))
-        assert seen == [3, 2, 1]
+        edges = [(owner.tolist(), succ.tolist()) for owner, succ in fwd.dag]
+        assert edges == [([0], [1]), ([0], [2]), ([0], [3]), ([0], [4]),
+                         ([], [])]
 
     def test_single_vertex_graph(self):
         g = from_edges([], num_vertices=1)
@@ -61,21 +61,23 @@ class TestAccumulateLevel:
     def test_empty_level_noop(self, fig1):
         fwd = forward_sweep(fig1, 0)
         delta = np.zeros(9)
-        accumulate_level(fig1, np.empty(0, dtype=np.int64), fwd.distances,
-                         fwd.sigma, delta)
+        none = np.empty(0, dtype=np.int64)
+        accumulate_level(none, none, none, fwd.sigma, delta)
         assert np.all(delta == 0)
 
     def test_level_without_successors_untouched(self, path5):
         fwd = forward_sweep(path5, 0)
         delta = np.full(5, -1.0)
-        accumulate_level(path5, np.array([4]), fwd.distances, fwd.sigma, delta)
+        owner, succ = fwd.dag[4]
+        accumulate_level(fwd.levels[4], owner, succ, fwd.sigma, delta)
         assert delta[4] == -1.0  # no successors => no write
 
     def test_sigma_ratio_scale(self, path5):
         fwd = forward_sweep(path5, 0)
+        owner, succ = fwd.dag[3]
         base = np.zeros(5)
-        accumulate_level(path5, np.array([3]), fwd.distances, fwd.sigma, base)
+        accumulate_level(fwd.levels[3], owner, succ, fwd.sigma, base)
         scaled = np.zeros(5)
-        accumulate_level(path5, np.array([3]), fwd.distances, fwd.sigma,
-                         scaled, sigma_ratio_scale=0.5)
+        accumulate_level(fwd.levels[3], owner, succ, fwd.sigma, scaled,
+                         sigma_ratio_scale=0.5)
         assert scaled[3] == pytest.approx(base[3] * 0.5)

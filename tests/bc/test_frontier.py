@@ -43,12 +43,12 @@ class TestForwardSweep:
         with pytest.raises(IndexError):
             forward_sweep(fig1, 100)
 
-    def test_on_level_callback_sequence(self, path5):
-        calls = []
-        forward_sweep(path5, 0,
-                      on_level=lambda d, f, q: calls.append((d, f.size, q)))
-        # 5 levels; the last sees an empty next queue.
-        assert calls == [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 0)]
+    def test_level_sequence(self, path5):
+        fwd = forward_sweep(path5, 0)
+        sizes = [lv.size for lv in fwd.levels] + [0]
+        steps = [(d, sizes[d], sizes[d + 1]) for d in range(len(fwd.levels))]
+        # 5 levels; the last has an empty next queue.
+        assert steps == [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1), (4, 1, 0)]
 
     def test_sigma_counts_parallel_paths(self):
         # Diamond: 0-1, 0-2, 1-3, 2-3: two shortest paths 0->3.

@@ -171,6 +171,12 @@ class TestNullRegistry:
         reg.observe("h", 2)
         with reg.span("s") as s:
             assert s.duration == 0.0
+        reg.counter("x").inc(5)
+        reg.gauge("y").set(3)
+        reg.histogram("z").observe(2)
+        assert reg.counter("x").value == 0.0
+        assert reg.gauge("y").value == 0.0
+        assert reg.histogram("z").count == 0
         assert reg.counters() == []
         assert reg.gauges() == []
         assert reg.histograms() == []

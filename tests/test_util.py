@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._util import (
     as_index_array,
@@ -53,6 +55,50 @@ class TestConcatRanges:
     def test_single_large_range(self):
         out = concat_ranges(np.array([7]), np.array([1000]))
         assert out[0] == 7 and out[-1] == 1006 and out.size == 1000
+
+
+def _concat_ranges_cumsum(starts, counts):
+    """The earlier boundary-jump cumsum implementation, kept as the
+    reference the repeat-plus-arange form is checked against."""
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    nz = counts > 0
+    if not np.any(nz):
+        return np.empty(0, dtype=np.int64)
+    starts = starts[nz]
+    counts = counts[nz]
+    out = np.ones(int(counts.sum()), dtype=np.int64)
+    out[0] = starts[0]
+    cum = np.cumsum(counts)
+    out[cum[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
+    return np.cumsum(out)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 6)),
+                max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_concat_ranges_matches_cumsum_form(pairs):
+    # Covers empty input, all-zero and interleaved zero counts.
+    starts = np.array([s for s, _ in pairs], dtype=np.int64)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    got = concat_ranges(starts, counts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _concat_ranges_cumsum(starts, counts))
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=20),
+       st.integers(0, 19), st.integers(-5, -1))
+@settings(max_examples=50, deadline=None)
+def test_concat_ranges_negative_count_raises(counts, at, negative):
+    counts[at % len(counts)] = negative
+    starts = np.zeros(len(counts), dtype=np.int64)
+    for impl in (concat_ranges, _concat_ranges_cumsum):
+        with pytest.raises(ValueError):
+            impl(starts, np.array(counts, dtype=np.int64))
 
 
 class TestChunkMaxSum:
