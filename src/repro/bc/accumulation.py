@@ -16,6 +16,15 @@ Levels are processed deepest-first; vertices on the deepest level have
 no successors, so the sweep starts one level up (Algorithm 2, line 12),
 and depth 0 (the root) is skipped since a root never contributes to its
 own score.
+
+:func:`accumulate_group` runs the backward stage of a lockstep group
+(:func:`~repro.bc.frontier.sweep_group`) one group depth at a time over
+the ``row * n + vertex`` keys; a row whose traversal is shallower has
+no DAG edges at its deepest level, so each root still accumulates
+exactly its depths ``max_depth - 1`` down to 1.
+:func:`dependency_accumulation` is the one-root case, and
+:func:`root_dependencies` yields per-root dependency vectors of any
+root list through it.
 """
 
 from __future__ import annotations
@@ -23,9 +32,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .frontier import ForwardResult
+from .frontier import ForwardGroup, ForwardResult, group_width, sweep_group
 
-__all__ = ["dependency_accumulation", "accumulate_level"]
+__all__ = [
+    "accumulate_group",
+    "accumulate_level",
+    "dependency_accumulation",
+    "root_dependencies",
+]
 
 
 def accumulate_level(
@@ -63,6 +77,26 @@ def accumulate_level(
     delta[level] = sigma[level] * acc * sigma_ratio_scale
 
 
+def accumulate_group(grp: ForwardGroup,
+                     target_weights: np.ndarray | None = None) -> np.ndarray:
+    """Run Stage 2 for every root of a lockstep group; returns the
+    ``(k, n)`` dependencies, row ``r`` for ``grp.sources[r]``.
+
+    ``target_weights`` are optional per-vertex target multiplicities
+    (see :func:`accumulate_level`); ``None`` means unit weights.
+    """
+    delta = np.zeros(grp.sigma.size, dtype=np.float64)
+    target_weights = grp.by_key(target_weights)
+    ratio = grp.ratio_scales()
+    # Start one level above the deepest (its vertices have no successors).
+    for depth in range(len(grp.levels) - 2, 0, -1):
+        owner, succ = grp.dag[depth]
+        accumulate_level(grp.levels[depth], owner, succ, grp.sigma, delta,
+                         sigma_ratio_scale=ratio[depth],
+                         target_weights=target_weights)
+    return delta.reshape(grp.size, grp.num_vertices)
+
+
 def dependency_accumulation(
     g: CSRGraph,
     fwd: ForwardResult,
@@ -73,13 +107,29 @@ def dependency_accumulation(
     The caller accumulates ``bc += delta`` (``delta[source]`` is always
     zero because depth 0 is never processed).  ``target_weights`` are
     optional per-vertex target multiplicities (see
-    :func:`accumulate_level`); ``None`` means unit weights.
+    :func:`accumulate_level`); ``None`` means unit weights.  This is the
+    one-root case of :func:`accumulate_group`.
     """
-    delta = np.zeros(g.num_vertices, dtype=np.float64)
-    # Start one level above the deepest (its vertices have no successors).
-    for depth in range(len(fwd.levels) - 2, 0, -1):
-        owner, succ = fwd.dag[depth]
-        accumulate_level(fwd.levels[depth], owner, succ, fwd.sigma, delta,
-                         sigma_ratio_scale=1.0 / fwd.level_scales[depth + 1],
-                         target_weights=target_weights)
-    return delta
+    grp = ForwardGroup(sources=np.array([fwd.source]),
+                       num_vertices=g.num_vertices, distances=fwd.distances,
+                       sigma=fwd.sigma, levels=fwd.levels, dag=fwd.dag,
+                       level_scales=fwd.level_scales[None, :])
+    return accumulate_group(grp, target_weights)[0]
+
+
+def root_dependencies(g: CSRGraph, sources,
+                      target_weights: np.ndarray | None = None,
+                      metrics=None):
+    """Yield each root's dependency vector, in the order of ``sources``.
+
+    Roots are swept and accumulated in lockstep groups of
+    :func:`~repro.bc.frontier.group_width` roots; each yielded vector
+    is a row of its group's result, byte-identical to
+    :func:`dependency_accumulation` of a one-root sweep.
+    ``metrics`` records the sweeps' ``frontier.*`` totals.
+    """
+    sources = np.asarray(sources, dtype=np.int64).ravel()
+    width = group_width(g)
+    for lo in range(0, sources.size, width):
+        grp = sweep_group(g, sources[lo:lo + width], metrics=metrics)
+        yield from accumulate_group(grp, target_weights)

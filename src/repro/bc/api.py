@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .accumulation import dependency_accumulation
+from .accumulation import dependency_accumulation, root_dependencies
 from .brandes import normalize_bc
 from .frontier import forward_sweep
 from .preprocess import FoldResult, fold_degree_one, per_root_correction
@@ -26,13 +26,6 @@ def bc_single_source_dependencies(g: CSRGraph, source: int) -> np.ndarray:
     successors); ``BC = sum over roots of delta_s`` (Eq. 3)."""
     fwd = forward_sweep(g, int(source))
     return dependency_accumulation(g, fwd)
-
-
-def _core_dependencies(fold: FoldResult, core_root: int) -> np.ndarray:
-    """One weighted traversal on the folded core."""
-    fwd = forward_sweep(fold.core, int(core_root))
-    return dependency_accumulation(fold.core, fwd,
-                                   target_weights=fold.core_weights)
 
 
 def betweenness_centrality(
@@ -81,7 +74,7 @@ def betweenness_centrality(
     n = g.num_vertices
     bc = np.zeros(n, dtype=np.float64)
     if sources is None:
-        roots = range(n)
+        roots = np.arange(n, dtype=np.int64)
     else:
         roots = np.asarray(sources, dtype=np.int64).ravel()
         if roots.size == 0:
@@ -94,27 +87,32 @@ def betweenness_centrality(
         fold_result = fold
     elif fold:
         fold_result = fold_degree_one(g)
+    # Roots are swept in lockstep groups (root_dependencies); their
+    # dependencies are still summed one root at a time, in root order.
     if fold_result is not None and not fold_result.is_identity:
+        core, tw = fold_result.core, fold_result.core_weights
         if sources is None:
             # Full BC: one weighted traversal per *core* root, each
             # counted with its absorbed subtree weight, plus the fold's
             # closed-form credits.
-            tw = fold_result.core_weights
-            acc = np.zeros(fold_result.core.num_vertices, dtype=np.float64)
-            for cs in range(fold_result.core.num_vertices):
-                acc += tw[cs] * _core_dependencies(fold_result, cs)
+            acc = np.zeros(core.num_vertices, dtype=np.float64)
+            core_roots = np.arange(core.num_vertices, dtype=np.int64)
+            for cs, delta in zip(core_roots.tolist(),
+                                 root_dependencies(core, core_roots, tw)):
+                acc += tw[cs] * delta
             bc = fold_result.expand(acc) + fold_result.credit
         else:
             # Subset roots: one weighted traversal from each root's
             # residual host plus its per-root correction — exact for
             # the unscaled partial sum, still traversing only the core.
-            for a in roots:
-                cr, corr = per_root_correction(fold_result, int(a))
-                bc += fold_result.expand(_core_dependencies(fold_result, cr))
-                bc += corr
+            core_roots = fold_result.core_index[fold_result.host[roots]]
+            for a, delta in zip(roots.tolist(),
+                                root_dependencies(core, core_roots, tw)):
+                bc += fold_result.expand(delta)
+                bc += per_root_correction(fold_result, a)[1]
     else:
-        for s in roots:
-            bc += bc_single_source_dependencies(g, int(s))
+        for delta in root_dependencies(g, roots):
+            bc += delta
     if g.undirected:
         bc /= 2.0
     if normalized:

@@ -172,15 +172,12 @@ def _engine_retry(g: CSRGraph, batch: np.ndarray, metrics,
                   row_weights: np.ndarray | None = None) -> np.ndarray:
     """Per-root-engine fallback for one overflowed batch; the caller's
     metrics registry sees both the retry counter and the traversals."""
-    from .accumulation import dependency_accumulation
-    from .frontier import forward_sweep
+    from .accumulation import root_dependencies
 
     metrics.inc("batched.overflow_retries")
     contrib = np.zeros(g.num_vertices, dtype=np.float64)
-    for j, s in enumerate(batch):
-        fwd = forward_sweep(g, int(s), metrics=metrics)
-        delta = dependency_accumulation(g, fwd,
-                                        target_weights=target_weights)
+    deltas = root_dependencies(g, batch, target_weights, metrics=metrics)
+    for j, delta in enumerate(deltas):
         contrib += delta if row_weights is None else row_weights[j] * delta
     return contrib
 

@@ -15,10 +15,18 @@ threads are assigned to this work, which is what the cost model (in
 :mod:`repro.gpusim.cost`) charges for.  Literal re-implementations of
 the edge-parallel and vertex-parallel traversal orders live in their
 strategy modules and are tested for value-equality against this engine.
+
+:func:`sweep_group` runs a group of roots in lockstep, the way the
+paper's coarse-grained layer runs one root per SM: every level advances
+all of the group's roots with one set of array operations.  State is
+flat ``(k * n)`` arrays keyed by ``row * n + vertex``, so row ``r``'s
+values are exactly those of a one-root sweep from ``sources[r]``.
+:func:`forward_sweep` is the one-root case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +35,15 @@ from .._util import concat_ranges, sorted_unique
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 
-__all__ = ["ForwardResult", "forward_sweep", "SIGMA_RESCALE_LIMIT"]
+__all__ = [
+    "ForwardGroup",
+    "ForwardResult",
+    "GROUP_CELLS",
+    "SIGMA_RESCALE_LIMIT",
+    "forward_sweep",
+    "group_width",
+    "sweep_group",
+]
 
 UNREACHED = -1
 
@@ -37,6 +53,15 @@ UNREACHED = -1
 #: uses ratios of sigmas on *adjacent* levels, so each level can be
 #: renormalised independently as long as the scale factor is recorded.
 SIGMA_RESCALE_LIMIT = 1e100
+
+#: Size of one lockstep group, in vertex-plus-edge cells of the
+#: traversed graph: :func:`group_width` runs ``GROUP_CELLS // (n + m)``
+#: roots together.  Grouping pays where levels are many and small (road
+#: networks, meshes, folded cores) and NumPy's per-call overhead
+#: dominates; a graph whose ``n + m`` exceeds half of this runs one root
+#: at a time, which keeps wide scale-free frontiers inside the cache.
+#: Measured in DESIGN section 5 ("Lockstep roots").
+GROUP_CELLS = 1 << 17
 
 
 @dataclass
@@ -57,6 +82,10 @@ class ForwardResult:
     dag: per depth, the ``(owner, succ)`` shortest-path DAG edges leaving
         that level, in adjacency order: ``owner`` is the tail's position
         in ``levels[depth]``, ``succ`` the head's vertex id at depth + 1.
+
+    A row of a :class:`ForwardGroup` (:meth:`ForwardGroup.row`) carries
+    ``source``, ``distances``, ``sigma`` and ``level_scales`` only;
+    its ``levels`` and ``dag`` are ``None``.
     """
 
     source: int
@@ -83,8 +112,205 @@ class ForwardResult:
         return np.concatenate(self.levels)
 
 
+def group_width(g: CSRGraph) -> int:
+    """Roots per lockstep group on ``g``: ``GROUP_CELLS // (n + m)``,
+    at least one (``m`` counts directed edges)."""
+    return max(1, GROUP_CELLS // max(1, g.num_vertices
+                                     + g.num_directed_edges))
+
+
+@dataclass
+class ForwardGroup:
+    """Stage-1 output for a group of ``k`` roots swept in lockstep.
+
+    Attributes
+    ----------
+    sources: the roots, one per row (duplicates allowed).
+    num_vertices: ``n``; vertex ``v`` of row ``r`` has key ``r * n + v``.
+    distances, sigma: flat ``(k * n)`` arrays, row-major; row ``r`` is
+        what :func:`forward_sweep` returns for ``sources[r]``.
+    levels: per group depth, the sorted keys of every row's frontier at
+        that depth (a row whose traversal ended is absent).
+    dag: per group depth, ``(owner, succ)``: ``owner`` a position in
+        ``levels[depth]``, ``succ`` the successor's key.
+    level_scales: ``(k, len(levels))`` rescaling factors; entries past a
+        row's last depth are 1.0.
+    """
+
+    sources: np.ndarray
+    num_vertices: int
+    distances: np.ndarray
+    sigma: np.ndarray
+    levels: list
+    dag: list
+    level_scales: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Number of roots ``k``."""
+        return int(self.sources.size)
+
+    @functools.cached_property
+    def frontier_sizes(self) -> np.ndarray:
+        """``(k, len(levels))`` frontier size of every row at every
+        depth (zero past a row's last depth)."""
+        k, depths = self.level_scales.shape
+        counts = [lv.size for lv in self.levels]
+        if k == 1:
+            return np.array([counts], dtype=np.int64)
+        cell = (np.concatenate(self.levels) // self.num_vertices * depths
+                + np.arange(depths).repeat(counts))
+        return np.bincount(cell, minlength=k * depths).reshape(k, depths)
+
+    @functools.cached_property
+    def depths(self) -> list:
+        """Per row, its number of depths (``max_depth + 1``)."""
+        return np.count_nonzero(self.frontier_sizes, axis=1).tolist()
+
+    def ratio_scales(self) -> list:
+        """Per depth but the last, the ``sigma_ratio_scale`` the backward
+        stage applies to ``levels[depth]``: the inverse of the next
+        depth's rescaling factor, one value per key when the group's
+        rows were rescaled differently."""
+        inv = 1.0 / self.level_scales[:, 1:]
+        if inv.shape[0] == 1:
+            return list(inv[0])
+        if np.all(inv == 1.0):
+            return [1.0] * inv.shape[1]
+        return [1.0 if np.all(col == 1.0)
+                else col[level // self.num_vertices]
+                for level, col in zip(self.levels, inv.T)]
+
+    def by_key(self, values: np.ndarray | None) -> np.ndarray | None:
+        """Per-vertex ``values`` indexable by key: repeated for every
+        row (``None`` stays ``None``)."""
+        if values is None or self.size == 1:
+            return values
+        return np.tile(values, self.size)
+
+    def row(self, r: int) -> ForwardResult:
+        """Row ``r`` as a :class:`ForwardResult` over views of the group
+        state (no ``levels``/``dag``)."""
+        n = self.num_vertices
+        return ForwardResult(source=int(self.sources[r]),
+                             distances=self.distances[r * n:(r + 1) * n],
+                             sigma=self.sigma[r * n:(r + 1) * n],
+                             levels=None,
+                             level_scales=self.level_scales[r, :self.depths[r]])
+
+
+def _rescale(sigma: np.ndarray, q_next: np.ndarray, rows, k: int):
+    """Keep the new level's sigma inside float64 range (see
+    :data:`SIGMA_RESCALE_LIMIT`): each row whose largest count exceeds
+    the limit is divided by it.  ``rows`` holds each key's row (``None``
+    for one root).  Returns the level's factor per row, or ``None``
+    when every factor is one."""
+    vals = sigma[q_next]
+    mx = vals.max()
+    if mx <= SIGMA_RESCALE_LIMIT:
+        return None
+    if rows is None:
+        sigma[q_next] = vals / mx
+        return mx
+    # Segmented max over the sorted keys: each row's keys are one run.
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    seg_max = np.maximum.reduceat(vals, first)
+    factor = np.where(seg_max > SIGMA_RESCALE_LIMIT, seg_max, 1.0)
+    sigma[q_next] = vals / factor.repeat(np.diff(first, append=vals.size))
+    out = np.ones(k)
+    out[rows[first]] = factor
+    return out
+
+
+def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
+    """Run the shortest-path calculation stage from every root of
+    ``sources`` in lockstep, one level of all roots per step.
+
+    Per level, the frontiers of all rows are gathered, discovered and
+    path-counted with one set of array operations over ``row * n +
+    vertex`` keys; each row's values, DAG edges and rescaling factors
+    are byte-identical to a one-root sweep from that root.  With one
+    root the keys are the vertex ids and no key arithmetic is done.
+
+    ``metrics`` (optional :class:`~repro.observability.MetricsRegistry`)
+    records each root's ``frontier.*`` totals, in root order.
+    """
+    if metrics is None:
+        metrics = NULL_REGISTRY
+    n = g.num_vertices
+    sources = np.asarray(sources, dtype=np.int64).ravel()
+    k = sources.size
+    if k == 0:
+        raise ValueError("sweep_group needs at least one source")
+    bad = (sources < 0) | (sources >= n)
+    if np.any(bad):
+        raise IndexError(f"source {int(sources[bad][0])} out of range [0, {n})")
+    indptr, adj = g.indptr, g.adj
+    degree = indptr[1:] - indptr[:-1]
+    d = np.full(k * n, UNREACHED, dtype=np.int64)
+    sigma = np.zeros(k * n, dtype=np.float64)
+    verts = sources
+    rows = None if k == 1 else np.arange(k, dtype=np.int64)
+    frontier = sources if rows is None else sources + rows * n
+    d[frontier] = 0
+    sigma[frontier] = 1.0
+    levels = [frontier]
+    scales = [None]
+    dag = []
+    depth = 0
+    while True:
+        counts = degree[verts]
+        owner = np.arange(frontier.size).repeat(counts)
+        nbrs = adj[concat_ranges(indptr[verts], counts)]
+        if rows is not None:
+            nbrs += (rows * n).repeat(counts)
+        # Level-synchronous: no vertex is at depth + 1 yet, so the
+        # still-unreached neighbours are exactly the successors the
+        # backward stage would find (the DAG edges into depth + 1).
+        hit = d[nbrs] == UNREACHED
+        succ = nbrs[hit]
+        owner = owner[hit]
+        dag.append((owner, succ))
+        # Discovery: first touch sets the depth (atomicCAS, line 5).
+        q_next = sorted_unique(succ)
+        if q_next.size == 0:
+            break
+        d[q_next] = depth + 1
+        # Path counting over the DAG edges (atomicAdd, line 9).
+        np.add.at(sigma, succ, sigma[frontier][owner])
+        if rows is None:
+            verts = q_next
+        else:
+            rows, verts = np.divmod(q_next, n)
+        # Level-synchronous => sigma of depth+1 is final here.
+        scales.append(_rescale(sigma, q_next, rows, k))
+        frontier = q_next
+        depth += 1
+        levels.append(frontier)
+    level_scales = np.ones((k, len(levels)), dtype=np.float64)
+    for col, factors in enumerate(scales):
+        if factors is not None:
+            level_scales[:, col] = factors
+    grp = ForwardGroup(sources=sources, num_vertices=n, distances=d,
+                       sigma=sigma, levels=levels, dag=dag,
+                       level_scales=level_scales)
+    if metrics.enabled:
+        visited = grp.frontier_sizes.sum(axis=1).tolist()
+        depths = grp.depths
+        inspected = ((d.reshape(k, n) >= 0) @ degree).tolist()
+        for r in range(k):
+            metrics.inc("frontier.levels", depths[r])
+            metrics.inc("frontier.frontier_vertices", visited[r])
+            metrics.inc("frontier.edges_inspected", inspected[r])
+            metrics.inc("frontier.discovered", visited[r] - 1)
+            metrics.inc("frontier.sweeps")
+            metrics.observe("frontier.max_depth", depths[r] - 1)
+    return grp
+
+
 def forward_sweep(g: CSRGraph, source: int, metrics=None) -> ForwardResult:
-    """Run the shortest-path calculation stage from ``source``.
+    """Run the shortest-path calculation stage from ``source``: the
+    one-root case of :func:`sweep_group`.
 
     Parameters
     ----------
@@ -93,61 +319,7 @@ def forward_sweep(g: CSRGraph, source: int, metrics=None) -> ForwardResult:
         the sweep's ``frontier.*`` totals.  Defaults to the process-wide
         no-op registry.
     """
-    if metrics is None:
-        metrics = NULL_REGISTRY
-    n = g.num_vertices
-    source = int(source)
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range [0, {n})")
-    indptr, adj = g.indptr, g.adj
-    degree = indptr[1:] - indptr[:-1]
-    d = np.full(n, UNREACHED, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    d[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    levels = [frontier]
-    scales = [1.0]
-    dag = []
-    depth = 0
-    visited = inspected = 0
-    while True:
-        starts = indptr[frontier]
-        counts = degree[frontier]
-        nbrs = adj[concat_ranges(starts, counts)]
-        # Level-synchronous: no vertex is at depth + 1 yet, so the
-        # still-unreached neighbours are exactly the successors the
-        # backward stage would find (the DAG edges into depth + 1).
-        hit = d[nbrs] == UNREACHED
-        succ = nbrs[hit]
-        owner = np.arange(frontier.size).repeat(counts)[hit]
-        dag.append((owner, succ))
-        # Discovery: first touch sets the depth (atomicCAS, line 5).
-        q_next = sorted_unique(succ)
-        visited += frontier.size
-        inspected += nbrs.size
-        if q_next.size == 0:
-            break
-        d[q_next] = depth + 1
-        # Path counting over the DAG edges (atomicAdd, line 9).
-        np.add.at(sigma, succ, sigma[frontier][owner])
-        # Level-synchronous => sigma of depth+1 is final here; keep
-        # magnitudes inside float64 range (see SIGMA_RESCALE_LIMIT).
-        mx = float(sigma[q_next].max())
-        if mx > SIGMA_RESCALE_LIMIT:
-            sigma[q_next] /= mx
-            scales.append(mx)
-        else:
-            scales.append(1.0)
-        frontier = q_next
-        depth += 1
-        levels.append(frontier)
-    metrics.inc("frontier.levels", depth + 1)
-    metrics.inc("frontier.frontier_vertices", visited)
-    metrics.inc("frontier.edges_inspected", inspected)
-    metrics.inc("frontier.discovered", visited - 1)
-    metrics.inc("frontier.sweeps")
-    metrics.observe("frontier.max_depth", depth)
-    return ForwardResult(source=source, distances=d, sigma=sigma, levels=levels,
-                         level_scales=np.asarray(scales, dtype=np.float64),
-                         dag=dag)
+    grp = sweep_group(g, [int(source)], metrics=metrics)
+    return ForwardResult(source=int(grp.sources[0]), distances=grp.distances,
+                         sigma=grp.sigma, levels=grp.levels,
+                         level_scales=grp.level_scales[0], dag=grp.dag)

@@ -65,6 +65,38 @@ class FrontierProfile:
                    num_vertices=g.num_vertices,
                    num_directed_edges=g.num_directed_edges)
 
+    @classmethod
+    def of_group(cls, g, grp) -> list:
+        """Profiles of every root of a lockstep
+        :class:`~repro.bc.frontier.ForwardGroup`, in row order; each is
+        what :meth:`of_sweep` gives for that root's own sweep."""
+        n = g.num_vertices
+        keys = np.concatenate(grp.levels)
+        if grp.size == 1:
+            ids = keys
+        else:
+            # Level-major keys -> row-major, depth order kept per row.
+            ids = keys[np.argsort(keys // n, kind="stable")] % n
+        degrees = g.indptr[ids + 1] - g.indptr[ids]
+        sizes = grp.frontier_sizes[grp.frontier_sizes > 0]
+        starts = np.cumsum(sizes) - sizes
+        edges = np.add.reduceat(degrees, starts).tolist()
+        sizes = sizes.tolist()
+        profiles = []
+        depth_end = np.cumsum(grp.depths).tolist()
+        depth_lo = vert_lo = 0
+        for r, depth_hi in enumerate(depth_end):
+            vert_hi = vert_lo + sum(sizes[depth_lo:depth_hi])
+            profiles.append(cls(root=int(grp.sources[r]),
+                                sizes=sizes[depth_lo:depth_hi],
+                                edges=edges[depth_lo:depth_hi],
+                                ids=ids[vert_lo:vert_hi],
+                                degrees=degrees[vert_lo:vert_hi],
+                                num_vertices=n,
+                                num_directed_edges=g.num_directed_edges))
+            depth_lo, vert_lo = depth_hi, vert_hi
+        return profiles
+
 
 def _replay(policy: Policy, root: int, sizes: list, metrics) -> list:
     """The strategy of every forward depth, recording the policy's

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..bc.frontier import group_width
 from ..bc.policies import (
     BATCHED,
     EDGE_PARALLEL,
@@ -164,11 +165,16 @@ class _RunObserver:
     """Threads SDC injection and ABFT verification through one run.
 
     Implements the engine's observer protocol (``after_forward`` /
-    ``after_accumulation``): immediately after the forward sweep it
-    fires any planned ``sigma``/``dist`` bit-flips for the current root
-    position, after accumulation any ``delta`` flips — corruption
-    strikes the *intermediate* arrays, exactly where a resident-memory
-    upset would — then runs the policy's per-root invariant suite.  On
+    ``after_accumulation``, called per root with its lockstep group and
+    row): immediately after the forward sweep it fires any planned
+    ``sigma``/``dist`` bit-flips for the current root position, after
+    accumulation any ``delta`` flips — corruption strikes the
+    *intermediate* arrays, exactly where a resident-memory upset would —
+    then runs the policy's per-root invariant suite.  The suite runs
+    for all of a group's checked roots at once
+    (:meth:`~repro.verify.RootChecker.rows_pass`); a root that does not
+    pass there, or was struck by a bit-flip, gets the per-root
+    :meth:`~repro.verify.RootChecker.check_root` and its diagnosis.  On
     the bare device path a violation raises
     :class:`~repro.errors.SilentCorruptionError`; there is no recovery
     story below the resilient driver, so a poisoned result must not be
@@ -192,6 +198,8 @@ class _RunObserver:
         self.source_weights: np.ndarray | None = None
         self._pos = 0
         self._events: list = []
+        self._group = None
+        self._passed: dict = {}
 
     def _apply(self, events, site: str, arr: np.ndarray) -> None:
         hits = [ev for ev in events if ev.site == site]
@@ -203,28 +211,49 @@ class _RunObserver:
             apply_sdc(ev, arr, seed=self.device._sdc_seed())
             self.metrics.inc("verify.faults_injected", site=site)
 
-    def after_forward(self, fwd) -> None:
+    def after_forward(self, grp, r: int) -> None:
         self._events = list(self.device._sdc_events(self._pos))
-        self._apply(self._events, "sigma", fwd.sigma)
-        self._apply(self._events, "dist", fwd.distances)
+        if self._events:
+            fwd = grp.row(r)
+            self._apply(self._events, "sigma", fwd.sigma)
+            self._apply(self._events, "dist", fwd.distances)
 
-    def after_accumulation(self, fwd, delta: np.ndarray) -> None:
-        self._apply(self._events, "delta", delta)
-        self._events = []
+    def _group_passed(self, grp, delta: np.ndarray) -> dict:
+        """:meth:`RootChecker.rows_pass` over the group's checked rows,
+        once per group."""
+        if grp is not self._group:
+            rows = [r for r, s in enumerate(grp.sources.tolist())
+                    if self.policy.checks_root(s)]
+            self._group = grp
+            self._passed = self.checker.rows_pass(
+                self.g, grp, delta, rows, self.target_weights,
+                self.source_weights)
+        return self._passed
+
+    def after_accumulation(self, grp, r: int, delta: np.ndarray) -> None:
+        events, self._events = self._events, []
+        row = delta[r]
+        self._apply(events, "delta", row)
         self._pos += 1
-        if self.checker is not None and self.policy.checks_root(fwd.source):
-            sw = (1.0 if self.source_weights is None
-                  else float(self.source_weights[fwd.source]))
+        root = int(grp.sources[r])
+        if self.checker is not None and self.policy.checks_root(root):
             t0 = time.perf_counter()
-            violations = self.checker.check_root(
-                self.g, fwd, delta, target_weights=self.target_weights,
-                source_weight=sw)
+            passed = None if events else self._group_passed(grp, delta).get(r)
+            if passed is not None:
+                self.checker.count(passed)
+                violations = []
+            else:
+                sw = (1.0 if self.source_weights is None
+                      else float(self.source_weights[root]))
+                violations = self.checker.check_root(
+                    self.g, grp.row(r), row,
+                    target_weights=self.target_weights, source_weight=sw)
             self.metrics.inc("verify.overhead_seconds",
                              time.perf_counter() - t0)
             if violations:
                 self.metrics.inc("verify.corruption_detected", layer="device")
-                raise SilentCorruptionError(violations, root=fwd.source)
-        self.expected_sum += float(delta.sum())
+                raise SilentCorruptionError(violations, root=root)
+        self.expected_sum += float(row.sum())
 
     def finish(self, bc: np.ndarray) -> None:
         """Partial-BC injection + unit checksum, once per run (called
@@ -556,22 +585,24 @@ class Device:
 
     def _roots(self, run: "_Run", roots, policy,
                device_chunk: int | None = None) -> list:
-        """The per-root loop: run each root under ``policy``, append its
-        trace, return the per-root cycles."""
+        """The root loop: run ``roots`` under ``policy`` in lockstep
+        groups (one root at a time while silent-corruption faults are
+        planned, so each bit-flip strikes its own root's state before
+        accumulation), append their traces, return the per-root
+        cycles."""
         from ..bc import engine  # deferred: the engine imports gpusim
 
-        cycles = []
-        for s in roots:
-            rt = engine.run_root(
-                run.g, int(s), run.bc, policy, self.costs, run.chunk,
-                device_chunk=device_chunk, metrics=run.metrics,
-                observer=run.observer,
-                source_weight=(1.0 if run.source_weights is None
-                               else float(run.source_weights[int(s)])),
-                target_weights=run.target_weights)
-            run.trace.roots.append(rt)
-            cycles.append(rt.cycles)
-        return cycles
+        roots = np.asarray(roots, dtype=np.int64)
+        traces = engine.run_roots(
+            run.g, roots, run.bc, policy, self.costs, run.chunk,
+            device_chunk=device_chunk, metrics=run.metrics,
+            observer=run.observer,
+            source_weights=(None if run.source_weights is None
+                            else run.source_weights[roots]),
+            target_weights=run.target_weights,
+            width=1 if self._sdc_pending() else group_width(run.g))
+        run.trace.roots.extend(traces)
+        return [rt.cycles for rt in traces]
 
     def _schedule(self, cycles, serial: bool = False):
         """(makespan, per-SM cycles): greedy list scheduling of roots

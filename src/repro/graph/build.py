@@ -162,19 +162,34 @@ def largest_connected_component(g: CSRGraph) -> CSRGraph:
 
 
 def induced_subgraph(g: CSRGraph, vertices: Sequence[int]) -> CSRGraph:
-    """Induced subgraph on ``vertices`` (relabelled to 0..k-1, sorted order)."""
+    """Induced subgraph on ``vertices`` (relabelled to 0..k-1, sorted order).
+
+    The kept rows are already in CSR order: sources ascend and the
+    relabelling preserves order.  So when every kept row is strictly
+    increasing and loop-free (every graph :func:`from_edges` builds),
+    the CSR is built from them directly; otherwise the edges go through
+    :func:`from_edges`, which sorts, drops repeats and self loops.
+    Both give the same bytes.
+    """
     keep = sorted_unique(np.asarray(vertices, dtype=np.int64))
     if keep.size and (keep[0] < 0 or keep[-1] >= g.num_vertices):
         raise IndexError("vertices out of range")
     remap = np.full(g.num_vertices, -1, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
-    src = g.edge_sources()
-    mask = (remap[src] >= 0) & (remap[g.adj] >= 0)
-    edges = np.column_stack([remap[src[mask]], remap[g.adj[mask]]])
-    return from_edges(
-        edges, num_vertices=keep.size, undirected=g.undirected,
-        dedupe=True, name=g.name, already_symmetric=True,
-    )
+    src = remap[g.edge_sources()]
+    dst = remap[g.adj]
+    mask = (src >= 0) & (dst >= 0)
+    src, dst = src[mask], dst[mask]
+    same_row = src[1:] == src[:-1]
+    if np.any(src == dst) or np.any(same_row & (dst[1:] <= dst[:-1])):
+        return from_edges(
+            np.column_stack([src, dst]), num_vertices=keep.size,
+            undirected=g.undirected, dedupe=True, name=g.name,
+            already_symmetric=True,
+        )
+    counts = np.bincount(src, minlength=keep.size).astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return CSRGraph(indptr, dst, undirected=g.undirected, name=g.name)
 
 
 def relabel(g: CSRGraph, permutation: Sequence[int]) -> CSRGraph:

@@ -47,12 +47,13 @@ def _init_worker(indptr: np.ndarray, adj: np.ndarray, undirected: bool,
 
 
 def _chunk_partial(g: CSRGraph, roots: np.ndarray) -> np.ndarray:
-    """Accumulate dependencies for one chunk of roots on ``g``."""
-    from ..bc.api import bc_single_source_dependencies
+    """Accumulate dependencies for one chunk of roots on ``g``, in
+    root order (swept in lockstep groups)."""
+    from ..bc.accumulation import root_dependencies
 
     bc = np.zeros(g.num_vertices, dtype=np.float64)
-    for s in roots:
-        bc += bc_single_source_dependencies(g, int(s))
+    for delta in root_dependencies(g, roots):
+        bc += delta
     return bc
 
 

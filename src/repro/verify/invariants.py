@@ -36,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from .._util import concat_ranges
 from ..bc.frontier import ForwardResult
+from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 from .policy import VerificationPolicy
 
@@ -64,6 +65,36 @@ class Violation:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.invariant}@root {self.root}] {self.detail}"
+
+
+@dataclass
+class _Sample:
+    """Sampled B2/B3 state of some rows (:meth:`RootChecker._sample`).
+
+    ``sample`` holds the sampled vertex ids row after row and ``row``
+    the row of each; ``owner`` maps each gathered edge to its sampled
+    vertex, ``dn``/``dv`` are the edge's head and tail depths.
+    Undirected graphs also get ``has_parent`` and the B3 predecessor
+    sums ``expect`` with their verdict ``sigma_bad``, per sampled
+    vertex.
+    """
+
+    sample: np.ndarray
+    row: np.ndarray
+    owner: np.ndarray
+    dn: np.ndarray
+    dv: np.ndarray
+    directed: bool
+    has_parent: np.ndarray | None = None
+    expect: np.ndarray | None = None
+    sigma_bad: np.ndarray | None = None
+
+    def edge_bad(self) -> np.ndarray:
+        """Edges that break B2: out of the reachable cone (directed), or
+        to an unreached vertex or more than one level away."""
+        if self.directed:
+            return (self.dn < 0) | (self.dn > self.dv + 1)
+        return (self.dn < 0) | (np.abs(self.dn - self.dv) > 1)
 
 
 def expected_delta_checksum(distances: np.ndarray,
@@ -127,7 +158,7 @@ class RootChecker:
         self.metrics.inc("verify.checks", invariant="root")
         self._check_ranges(g, fwd, delta, violations)
         scales_active = (fwd.level_scales is not None
-                         and bool(np.any(fwd.level_scales != 1.0)))
+                         and bool((fwd.level_scales != 1.0).any()))
         if self.policy.paranoid:
             self._check_structure_full(g, fwd, scales_active, violations)
         else:
@@ -137,10 +168,91 @@ class RootChecker:
                              source_weight=source_weight)
         return violations
 
+    # -- all checks of a group's rows at once ---------------------------
+    def rows_pass(self, g: CSRGraph, grp, delta: np.ndarray, rows,
+                  target_weights: np.ndarray | None = None,
+                  source_weights: np.ndarray | None = None) -> dict:
+        """Check ``rows`` of a lockstep group in one vectorised pass.
+
+        ``grp`` is a :class:`~repro.bc.frontier.ForwardGroup` and
+        ``delta`` its ``(k, n)`` dependencies (``source_weights`` per
+        vertex id, as in :meth:`check_root`).  Returns ``{row:
+        counters}`` for every row on which :meth:`check_root` would
+        record no violation, ``counters`` being the ``verify.checks`` /
+        ``verify.skipped`` series it would increment (replay them with
+        :meth:`count`).  A row missing from the result may or may not
+        pass: run :meth:`check_root` on it for the verdict and the
+        diagnosis.  Only the sampled suite is batched; a paranoid
+        policy returns ``{}``.
+        """
+        rows = [int(r) for r in rows]
+        if self.policy.paranoid or not rows:
+            return {}
+        n = g.num_vertices
+        k = len(rows)
+        d = grp.distances.reshape(-1, n)[rows]
+        sigma = grp.sigma.reshape(-1, n)[rows]
+        roots = grp.sources[rows]
+        ok = self._ranges_hold(n, d, sigma, delta[rows], roots)
+        # B4 per row, on the same vectors check_root would sum.
+        for i, r in enumerate(rows):
+            if ok[i]:
+                sw = (1.0 if source_weights is None
+                      else float(source_weights[roots[i]]))
+                ok[i] = self._close(
+                    float(delta[r].sum()),
+                    expected_delta_checksum(d[i], target_weights, sw))
+        # B2/B3 on every passing row's vertex sample, all rows at once.
+        scaled = (grp.level_scales[rows] != 1.0).any(axis=1)
+        live = np.flatnonzero(ok)
+        smp = self._sample(g, d[live], sigma[live], roots[live])
+        failed = np.zeros(k, dtype=bool)
+        failed[live[smp.row[smp.owner[smp.edge_bad()]]]] = True
+        if g.undirected:
+            vertex_bad = ~smp.has_parent | (smp.sigma_bad
+                                            & ~scaled[live][smp.row])
+            failed[live[smp.row[vertex_bad]]] = True
+        sampled = np.zeros(k, dtype=bool)
+        sampled[live[smp.row]] = True
+        out = {}
+        for i in live[~failed[live]].tolist():
+            counters = [("verify.checks", "root")]
+            if sampled[i]:
+                counters.append(("verify.checks", LEVEL))
+                if g.undirected:
+                    counters.append(("verify.skipped", SIGMA) if scaled[i]
+                                    else ("verify.checks", SIGMA))
+            counters.append(("verify.checks", CHECKSUM))
+            out[rows[i]] = tuple(counters)
+        return out
+
+    def count(self, counters) -> None:
+        """Record the check counters :meth:`rows_pass` returned."""
+        for name, invariant in counters:
+            self.metrics.inc(name, invariant=invariant)
+
     # -- B1: ranges ----------------------------------------------------
+    def _ranges_hold(self, n, d, sigma, delta, roots) -> np.ndarray:
+        """Every B1 condition of :meth:`_check_ranges` as one elementwise
+        mask, for ``(k, n)`` rows with roots ``roots``: True exactly on
+        the rows where it would record nothing."""
+        atol = self.policy.atol
+        reached = d >= 0
+        ok = (d >= UNREACHED) & (d < n)
+        ok &= np.isfinite(sigma)
+        ok &= np.where(reached, sigma > 0.0, sigma == 0.0)
+        ok &= np.isfinite(delta)
+        ok &= delta >= -atol
+        ok &= reached | (np.abs(delta) <= atol)
+        pos = np.arange(len(roots))
+        return (ok.all(axis=1) & (d[pos, roots] == 0)
+                & (np.abs(delta[pos, roots]) <= atol))
+
     def _check_ranges(self, g, fwd, delta, violations) -> None:
         n = g.num_vertices
         d, sigma, root = fwd.distances, fwd.sigma, fwd.source
+        if self._ranges_hold(n, d[None], sigma[None], delta[None], [root])[0]:
+            return
         bad = (d < UNREACHED) | (d >= n)
         if np.any(bad):
             v = int(np.flatnonzero(bad)[0])
@@ -241,54 +353,73 @@ class RootChecker:
                          f"sigma[root] = {sigma[root]!r}, expected 1")
 
     # -- B2 + B3 on a deterministic vertex sample (sampled) ------------
+    def _sample(self, g, d, sigma, roots) -> _Sample:
+        """B2/B3 on a deterministic vertex sample of each ``(k, n)`` row
+        (``sample_vertices`` reached non-root vertices, drawn by a
+        generator seeded with the policy seed and the row's root), with
+        every sampled vertex's CSR row gathered for all rows in one
+        shot: a fixed handful of vectorised ops, not a Python loop per
+        vertex or per row."""
+        n = g.num_vertices
+        picks, row = [], []
+        for i, root in enumerate(roots.tolist()):
+            reached = np.flatnonzero(d[i] >= 1)
+            if reached.size:
+                rng = np.random.default_rng([self.policy.seed, root])
+                size = min(self.policy.sample_vertices, reached.size)
+                picks.append(rng.choice(reached, size=size, replace=False))
+                row.append(i)
+        sizes = [p.size for p in picks]
+        sample = (np.concatenate(picks) if picks
+                  else np.empty(0, dtype=np.int64))
+        row = np.repeat(np.asarray(row, dtype=np.int64), sizes)
+        # Key of sampled vertex v of row i: i * n + v.
+        key = sample + row * n
+        starts = g.indptr[sample]
+        counts = g.indptr[sample + 1] - starts
+        owner = np.arange(sample.size).repeat(counts)
+        nbrs = g.adj[concat_ranges(starts, counts)] + (row * n)[owner]
+        d, sigma = d.ravel(), sigma.ravel()
+        smp = _Sample(sample=sample, row=row, owner=owner, dn=d[nbrs],
+                      dv=d[key][owner], directed=not g.undirected)
+        if g.undirected:
+            tree = smp.dn == smp.dv - 1
+            tree_owner = owner[tree]
+            smp.has_parent = np.bincount(tree_owner,
+                                         minlength=sample.size) > 0
+            smp.expect = np.bincount(tree_owner, weights=sigma[nbrs[tree]],
+                                     minlength=sample.size)
+            tol = self.policy.rtol * np.maximum(1.0, np.abs(smp.expect)) \
+                + self.policy.atol
+            smp.sigma_bad = np.abs(sigma[key] - smp.expect) > tol
+        return smp
+
     def _check_structure_sampled(self, g, fwd, scales_active,
                                  violations) -> None:
         d, sigma, root = fwd.distances, fwd.sigma, fwd.source
-        reached = np.flatnonzero(d >= 1)
-        if reached.size == 0:
+        smp = self._sample(g, d[None], sigma[None], np.array([root]))
+        if smp.sample.size == 0:
             return
-        rng = np.random.default_rng([self.policy.seed, int(root)])
-        k = min(self.policy.sample_vertices, reached.size)
-        sample = rng.choice(reached, size=k, replace=False)
         self.metrics.inc("verify.checks", invariant=LEVEL)
-        # Gather every sampled vertex's CSR row in one shot (the
-        # repeat/cumsum trick) so the sample cost is a fixed handful of
-        # vectorised ops, not a Python loop per vertex.
-        starts = g.indptr[sample]
-        counts = g.indptr[sample + 1] - starts
-        total = int(counts.sum())
-        base = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.arange(total) - base + np.repeat(starts, counts)
-        owner = np.repeat(np.arange(sample.size), counts)
-        nbrs = g.adj[flat]
-        dn = d[nbrs]
-        dv = np.repeat(d[sample], counts)
-        if not g.undirected:
+        if smp.directed:
             # Directed CSR rows are out-edges; the reachable cone
             # invariant is d[successor] <= d[v] + 1 and reached.
-            bad = (dn < 0) | (dn > dv + 1)
-            if np.any(bad):
-                v = int(sample[owner[np.flatnonzero(bad)[0]]])
-                self._record(violations, LEVEL, root,
-                             f"vertex {v}: successor outside the "
-                             f"reachable cone")
+            checks = ((smp.edge_bad(), "vertex {v}: successor outside "
+                       "the reachable cone"),)
+        else:
+            checks = ((smp.dn < 0, "reached vertex {v} has an unreached "
+                       "neighbour"),
+                      (np.abs(smp.dn - smp.dv) > 1,
+                       "vertex {v}: neighbour depth gap > 1"))
+        for bad, detail in checks:
+            if bad.any():
+                v = int(smp.sample[smp.owner[np.flatnonzero(bad)[0]]])
+                self._record(violations, LEVEL, root, detail.format(v=v))
+                return
+        if smp.directed:
             return
-        bad = dn < 0
-        if np.any(bad):
-            v = int(sample[owner[np.flatnonzero(bad)[0]]])
-            self._record(violations, LEVEL, root,
-                         f"reached vertex {v} has an unreached neighbour")
-            return
-        bad = np.abs(dn - dv) > 1
-        if np.any(bad):
-            v = int(sample[owner[np.flatnonzero(bad)[0]]])
-            self._record(violations, LEVEL, root,
-                         f"vertex {v}: neighbour depth gap > 1")
-            return
-        tree = dn == dv - 1
-        has_parent = np.bincount(owner[tree], minlength=sample.size) > 0
-        if not np.all(has_parent):
-            v = int(sample[np.flatnonzero(~has_parent)[0]])
+        if not smp.has_parent.all():
+            v = int(smp.sample[np.flatnonzero(~smp.has_parent)[0]])
             self._record(violations, LEVEL, root,
                          f"vertex {v} at depth {int(d[v])} has no "
                          f"parent at depth {int(d[v]) - 1}")
@@ -297,17 +428,12 @@ class RootChecker:
             self.metrics.inc("verify.skipped", invariant=SIGMA)
             return
         self.metrics.inc("verify.checks", invariant=SIGMA)
-        expect = np.bincount(owner[tree], weights=sigma[nbrs[tree]],
-                             minlength=sample.size)
-        tol = self.policy.rtol * np.maximum(1.0, np.abs(expect)) \
-            + self.policy.atol
-        bad = np.abs(sigma[sample] - expect) > tol
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            v = int(sample[i])
+        if smp.sigma_bad.any():
+            i = int(np.flatnonzero(smp.sigma_bad)[0])
+            v = int(smp.sample[i])
             self._record(violations, SIGMA, root,
                          f"sigma[{v}] = {sigma[v]!r}, predecessors sum "
-                         f"to {expect[i]!r}")
+                         f"to {smp.expect[i]!r}")
 
     # -- B4: dependency checksum ---------------------------------------
     def _check_checksum(self, fwd, delta, violations,
