@@ -23,8 +23,8 @@ the ``row * n + vertex`` keys; a row whose traversal is shallower has
 no DAG edges at its deepest level, so each root still accumulates
 exactly its depths ``max_depth - 1`` down to 1.
 :func:`dependency_accumulation` is the one-root case, and
-:func:`root_dependencies` yields per-root dependency vectors of any
-root list through it.
+:func:`root_dependencies`, the executor's one root loop, yields
+per-root dependency vectors of any root list through it.
 """
 
 from __future__ import annotations
@@ -119,17 +119,42 @@ def dependency_accumulation(
 
 def root_dependencies(g: CSRGraph, sources,
                       target_weights: np.ndarray | None = None,
-                      metrics=None):
-    """Yield each root's dependency vector, in the order of ``sources``.
+                      metrics=None, *, observer=None,
+                      source_weights: np.ndarray | None = None,
+                      width: int | None = None):
+    """Yield each root's dependency vector, in the order of ``sources``:
+    the executor's one root loop.
 
-    Roots are swept and accumulated in lockstep groups of
-    :func:`~repro.bc.frontier.group_width` roots; each yielded vector
-    is a row of its group's result, byte-identical to
-    :func:`dependency_accumulation` of a one-root sweep.
+    Roots are swept and accumulated in lockstep groups of ``width``
+    roots (default :func:`~repro.bc.frontier.group_width`); each yielded
+    vector is a row of its group's result, byte-identical to
+    :func:`dependency_accumulation` of a one-root sweep, scaled by
+    ``source_weights[i]`` (aligned with ``sources``) when given.
     ``metrics`` records the sweeps' ``frontier.*`` totals.
+
+    ``observer`` (optional) has ``after_forward(grp, r)`` and
+    ``after_accumulation(grp, r, delta)`` methods: ``grp`` is the
+    root's :class:`~repro.bc.frontier.ForwardGroup`, ``r`` its row and
+    ``delta`` the group's ``(k, n)`` dependencies.  Per root they run
+    in that order around the group's accumulation (done once, after
+    the first root's ``after_forward``) and before the yield, so an
+    exception stops the loop before any later root is seen.  An
+    observer that writes into forward state (fault injection) needs
+    ``width=1``.
     """
     sources = np.asarray(sources, dtype=np.int64).ravel()
-    width = group_width(g)
+    if width is None:
+        width = group_width(g)
     for lo in range(0, sources.size, width):
         grp = sweep_group(g, sources[lo:lo + width], metrics=metrics)
-        yield from accumulate_group(grp, target_weights)
+        delta = None
+        for r in range(grp.size):
+            if observer is not None:
+                observer.after_forward(grp, r)
+            if delta is None:
+                delta = accumulate_group(grp, target_weights)
+                if source_weights is not None:
+                    delta *= source_weights[lo:lo + grp.size, None]
+            if observer is not None:
+                observer.after_accumulation(grp, r, delta)
+            yield delta[r]

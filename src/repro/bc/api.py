@@ -97,9 +97,9 @@ def betweenness_centrality(
             # closed-form credits.
             acc = np.zeros(core.num_vertices, dtype=np.float64)
             core_roots = np.arange(core.num_vertices, dtype=np.int64)
-            for cs, delta in zip(core_roots.tolist(),
-                                 root_dependencies(core, core_roots, tw)):
-                acc += tw[cs] * delta
+            for delta in root_dependencies(core, core_roots, tw,
+                                           source_weights=tw):
+                acc += delta
             bc = fold_result.expand(acc) + fold_result.credit
         else:
             # Subset roots: one weighted traversal from each root's

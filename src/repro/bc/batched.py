@@ -176,9 +176,9 @@ def _engine_retry(g: CSRGraph, batch: np.ndarray, metrics,
 
     metrics.inc("batched.overflow_retries")
     contrib = np.zeros(g.num_vertices, dtype=np.float64)
-    deltas = root_dependencies(g, batch, target_weights, metrics=metrics)
-    for j, delta in enumerate(deltas):
-        contrib += delta if row_weights is None else row_weights[j] * delta
+    for delta in root_dependencies(g, batch, target_weights, metrics=metrics,
+                                   source_weights=row_weights):
+        contrib += delta
     return contrib
 
 

@@ -6,10 +6,10 @@ accumulates each root's dependencies into a shared ``bc`` array in
 root order, and returns one :class:`~repro.gpusim.trace.RootTrace` per
 root, charged by :func:`repro.gpusim.charge.charge` from the root's
 frontier profile under the strategy the policy selected for each
-iteration.  The values are computed in lockstep groups of roots
-(:func:`~repro.bc.frontier.sweep_group`, then the group's backward
-stage); everything per root —
-charging, observer calls, ``bc +=`` — still runs root by root, so
+iteration.  The values come from the executor's one root loop,
+:func:`~repro.bc.accumulation.root_dependencies` (lockstep groups of
+roots), with charging as its per-root forward hook; everything per
+root — charging, observer calls, ``bc +=`` — runs root by root, so
 traces, decision records and ``bc`` bytes do not depend on the group
 width.  :func:`run_root` is the one-root case.
 
@@ -29,34 +29,41 @@ from ..gpusim.charge import FrontierProfile, charge
 from ..gpusim.cost import CostModel
 from ..gpusim.trace import RootTrace
 from ..observability.registry import NULL_REGISTRY
-from .accumulation import accumulate_level
+from .accumulation import accumulate_level  # noqa: F401  (see below)
+from .accumulation import root_dependencies
 from .frontier import forward_sweep  # noqa: F401  (see below)
-from .frontier import group_width, sweep_group
 from .policies import Policy
 
 # The layer tracer of benchmarks/e2e/layers.py wraps ``forward_sweep``,
-# ``accumulate_level`` and ``run_root`` by name in this module, so
-# ``forward_sweep`` stays importable here although only one-root
-# callers use it.
+# ``accumulate_level`` and ``run_root`` by name in this module, so the
+# first two stay importable here although the engine no longer calls
+# them itself.
 
 __all__ = ["run_root", "run_roots"]
 
 
-def _accumulate(grp, target_weights) -> np.ndarray:
-    """Stage 2 for a whole group, deepest-but-one level first, over the
-    sweep's DAG edges.  This is ``accumulation.accumulate_group``'s
-    loop, inlined so that each level is a call to this module's
-    ``accumulate_level``, which benchmarks/e2e/layers.py times as the
-    accumulation layer."""
-    delta = np.zeros(grp.sigma.size, dtype=np.float64)
-    target_weights = grp.by_key(target_weights)
-    ratio = grp.ratio_scales()
-    for depth in range(len(grp.levels) - 2, 0, -1):
-        owner, succ = grp.dag[depth]
-        accumulate_level(grp.levels[depth], owner, succ, grp.sigma, delta,
-                         sigma_ratio_scale=ratio[depth],
-                         target_weights=target_weights)
-    return delta.reshape(grp.size, grp.num_vertices)
+class _Charger:
+    """:func:`run_roots`' observer: charges each root, then hands it to
+    the run's own observer, so decision records precede any corruption
+    that observer raises and no later root is charged after it."""
+
+    def __init__(self, g: CSRGraph, observer, charge_root):
+        self.g = g
+        self.observer = observer
+        self.charge_root = charge_root
+        self.traces: list = []
+        self._profiles: list = []
+
+    def after_forward(self, grp, r: int) -> None:
+        if r == 0:  # a new group
+            self._profiles = FrontierProfile.of_group(self.g, grp)
+        self.traces.append(self.charge_root(self._profiles[r]))
+        if self.observer is not None:
+            self.observer.after_forward(grp, r)
+
+    def after_accumulation(self, grp, r: int, delta: np.ndarray) -> None:
+        if self.observer is not None:
+            self.observer.after_accumulation(grp, r, delta)
 
 
 def run_roots(
@@ -95,18 +102,10 @@ def run_roots(
         inputs, consumed by :mod:`repro.observability.trace`).  Defaults
         to the no-op registry, so uninstrumented runs pay nothing.
     observer:
-        Optional hook with ``after_forward(grp, r)`` and
-        ``after_accumulation(grp, r, delta)`` methods, called for each
-        root after its forward sweep has been charged and after its
-        dependency accumulation (before its dependencies are folded
-        into ``bc``): ``grp`` is the root's
-        :class:`~repro.bc.frontier.ForwardGroup`, ``r`` its row and
-        ``delta`` the group's ``(k, n)`` dependencies, row ``r`` being
-        this root's.  Used by the SDC verification layer to inject
-        faults into, and run ABFT checks over, a root's intermediate
-        state.  A group's accumulation runs after its first root's
-        ``after_forward``, so an observer that writes into the state
-        (fault injection) needs ``width=1``.
+        Optional per-root hook of
+        :func:`~repro.bc.accumulation.root_dependencies` (such as
+        :class:`~repro.verify.RootObserver`); its ``after_forward``
+        runs once the root has been charged.
     source_weights / target_weights:
         Weighted-traversal parameters for degree-1 folded cores (see
         :mod:`repro.bc.preprocess`): each target vertex counts
@@ -121,31 +120,17 @@ def run_roots(
     """
     if metrics is None:
         metrics = NULL_REGISTRY
-    sources = np.asarray(sources, dtype=np.int64).ravel()
-    if width is None:
-        width = group_width(g)
-    traces = []
-    for lo in range(0, sources.size, width):
-        grp = sweep_group(g, sources[lo:lo + width])
-        delta = None
-        for r, profile in enumerate(FrontierProfile.of_group(g, grp)):
-            # Charging before the observer keeps every decision record
-            # ahead of any corruption the observer raises for this root.
-            trace = charge(profile, policy, costs, chunk,
-                           device_chunk=device_chunk, metrics=metrics)
-            if observer is not None:
-                observer.after_forward(grp, r)
-            if delta is None:
-                delta = _accumulate(grp, target_weights)
-                if source_weights is not None:
-                    delta *= source_weights[lo:lo + grp.size, None]
-            if observer is not None:
-                observer.after_accumulation(grp, r, delta)
-            bc += delta[r]
-            metrics.inc("engine.roots")
-            metrics.observe("engine.root_cycles", trace.cycles)
-            traces.append(trace)
-    return traces
+    charger = _Charger(g, observer, lambda profile: charge(
+        profile, policy, costs, chunk, device_chunk=device_chunk,
+        metrics=metrics))
+    for delta in root_dependencies(g, sources, target_weights,
+                                   observer=charger,
+                                   source_weights=source_weights,
+                                   width=width):
+        bc += delta
+        metrics.inc("engine.roots")
+        metrics.observe("engine.root_cycles", charger.traces[-1].cycles)
+    return charger.traces
 
 
 def run_root(

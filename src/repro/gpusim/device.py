@@ -22,7 +22,6 @@ paper reports it failing (Figure 5).
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +48,7 @@ from ..bc.sampling import (
 from ..errors import GraphFormatError, SilentCorruptionError, StrategyError
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
-from ..verify import RootChecker, VerificationPolicy
+from ..verify import RootObserver, VerificationPolicy
 from .cost import DEFAULT_COSTS, CostModel
 from .memory import DeviceMemoryModel, strategy_footprint
 from .spec import GTX_TITAN, GPUSpec
@@ -161,115 +160,6 @@ class DeviceRun:
         return self.extrapolated_teps(total_roots) / 1e6
 
 
-class _RunObserver:
-    """Threads SDC injection and ABFT verification through one run.
-
-    Implements the engine's observer protocol (``after_forward`` /
-    ``after_accumulation``, called per root with its lockstep group and
-    row): immediately after the forward sweep it fires any planned
-    ``sigma``/``dist`` bit-flips for the current root position, after
-    accumulation any ``delta`` flips — corruption strikes the
-    *intermediate* arrays, exactly where a resident-memory upset would —
-    then runs the policy's per-root invariant suite.  The suite runs
-    for all of a group's checked roots at once
-    (:meth:`~repro.verify.RootChecker.rows_pass`); a root that does not
-    pass there, or was struck by a bit-flip, gets the per-root
-    :meth:`~repro.verify.RootChecker.check_root` and its diagnosis.  On
-    the bare device path a violation raises
-    :class:`~repro.errors.SilentCorruptionError`; there is no recovery
-    story below the resilient driver, so a poisoned result must not be
-    returned as healthy.
-    """
-
-    def __init__(self, device: "Device", g: CSRGraph,
-                 policy: VerificationPolicy, metrics):
-        self.device = device
-        self.g = g
-        self.policy = policy
-        self.checker = RootChecker(policy, metrics) if policy.enabled else None
-        self.metrics = metrics
-        #: Sum of every accepted root's dependencies — the reference the
-        #: final partial-BC checksum is validated against.
-        self.expected_sum = 0.0
-        #: Weighted-traversal context for degree-1 folded runs: the
-        #: core's target-weight vector and (full runs only) the
-        #: per-core-root source weights the engine pre-scales delta by.
-        self.target_weights: np.ndarray | None = None
-        self.source_weights: np.ndarray | None = None
-        self._pos = 0
-        self._events: list = []
-        self._group = None
-        self._passed: dict = {}
-
-    def _apply(self, events, site: str, arr: np.ndarray) -> None:
-        hits = [ev for ev in events if ev.site == site]
-        if not hits:
-            return
-        from ..resilience.faults import apply_sdc
-
-        for ev in hits:
-            apply_sdc(ev, arr, seed=self.device._sdc_seed())
-            self.metrics.inc("verify.faults_injected", site=site)
-
-    def after_forward(self, grp, r: int) -> None:
-        self._events = list(self.device._sdc_events(self._pos))
-        if self._events:
-            fwd = grp.row(r)
-            self._apply(self._events, "sigma", fwd.sigma)
-            self._apply(self._events, "dist", fwd.distances)
-
-    def _group_passed(self, grp, delta: np.ndarray) -> dict:
-        """:meth:`RootChecker.rows_pass` over the group's checked rows,
-        once per group."""
-        if grp is not self._group:
-            rows = [r for r, s in enumerate(grp.sources.tolist())
-                    if self.policy.checks_root(s)]
-            self._group = grp
-            self._passed = self.checker.rows_pass(
-                self.g, grp, delta, rows, self.target_weights,
-                self.source_weights)
-        return self._passed
-
-    def after_accumulation(self, grp, r: int, delta: np.ndarray) -> None:
-        events, self._events = self._events, []
-        row = delta[r]
-        self._apply(events, "delta", row)
-        self._pos += 1
-        root = int(grp.sources[r])
-        if self.checker is not None and self.policy.checks_root(root):
-            t0 = time.perf_counter()
-            passed = None if events else self._group_passed(grp, delta).get(r)
-            if passed is not None:
-                self.checker.count(passed)
-                violations = []
-            else:
-                sw = (1.0 if self.source_weights is None
-                      else float(self.source_weights[root]))
-                violations = self.checker.check_root(
-                    self.g, grp.row(r), row,
-                    target_weights=self.target_weights, source_weight=sw)
-            self.metrics.inc("verify.overhead_seconds",
-                             time.perf_counter() - t0)
-            if violations:
-                self.metrics.inc("verify.corruption_detected", layer="device")
-                raise SilentCorruptionError(violations, root=root)
-        self.expected_sum += float(row.sum())
-
-    def finish(self, bc: np.ndarray) -> None:
-        """Partial-BC injection + unit checksum, once per run (called
-        before the undirected halving so the checksum reference and the
-        vector are in the same units)."""
-        self._apply(self.device._sdc_partial_events(), "partial", bc)
-        if self.checker is not None:
-            t0 = time.perf_counter()
-            violations = self.checker.check_partial(bc, self.expected_sum)
-            self.metrics.inc("verify.overhead_seconds",
-                             time.perf_counter() - t0)
-            if violations:
-                self.metrics.inc("verify.corruption_detected", layer="device")
-                raise SilentCorruptionError(violations)
-
-
 @dataclass
 class _Run:
     """One run's shared state: what the per-root loop needs, the trace
@@ -279,7 +169,7 @@ class _Run:
     bc: np.ndarray
     chunk: int
     metrics: object
-    observer: _RunObserver | None
+    observer: RootObserver | None
     source_weights: np.ndarray | None
     target_weights: np.ndarray | None
     trace: RunTrace = field(default_factory=RunTrace)
@@ -309,6 +199,10 @@ class Device:
     #: device.  :class:`repro.resilience.FaultyDevice` sets it per rank
     #: to model stragglers.
     straggler_factor: float = 1.0
+    #: Planned faults (``ActiveFaults``) and their rank; ``None`` on a
+    #: healthy device.  :class:`repro.resilience.FaultyDevice` sets both.
+    faults = None
+    rank: int = -1
 
     def __init__(self, spec: GPUSpec = GTX_TITAN, costs: CostModel = DEFAULT_COSTS):
         self.spec = spec
@@ -321,23 +215,10 @@ class Device:
         overrides it to raise planned :class:`~repro.errors.RankFailure`
         or :class:`~repro.errors.DeviceOutOfMemoryError` faults."""
 
-    # -- silent-corruption hooks (overridden by FaultyDevice) ----------
     def _sdc_pending(self) -> bool:
         """Whether any planned ``sdc`` events target this device."""
-        return False
-
-    def _sdc_events(self, root_pos: int) -> list:
-        """Planned per-root bit-flips for the ``root_pos``-th root of
-        this run (consumed on return)."""
-        return []
-
-    def _sdc_partial_events(self) -> list:
-        """Planned bit-flips against this device's partial BC vector."""
-        return []
-
-    def _sdc_seed(self) -> int:
-        """Seed the SDC victim-selection RNG derives from."""
-        return 0
+        return (self.faults is not None
+                and self.faults.sdc_pending_for(self.rank))
 
     # ------------------------------------------------------------------
     def run_bc(
@@ -489,9 +370,10 @@ class Device:
         verify_policy = VerificationPolicy.coerce(verify)
         observer = None
         if verify_policy.enabled or self._sdc_pending():
-            observer = _RunObserver(self, run_g, verify_policy, metrics)
-            observer.target_weights = target_weights
-            observer.source_weights = source_weights
+            observer = RootObserver(run_g, verify_policy, metrics,
+                                    faults=self.faults, rank=self.rank,
+                                    target_weights=target_weights,
+                                    source_weights=source_weights)
 
         params = {"strategy": strategy, "device": self.spec.name,
                   "num_vertices": int(n), "num_edges": int(g.num_edges),
@@ -522,11 +404,18 @@ class Device:
                    target_weights=target_weights)
         with metrics.span("device.run_bc", strategy=strategy,
                           device=self.spec.name):
-            self._execute(run, strategy, run_roots, alpha=alpha, beta=beta,
-                          n_samps=n_samps, gamma=gamma,
-                          min_frontier=min_frontier, batch_size=batch_size)
-            if observer is not None:
-                observer.finish(run.bc)
+            try:
+                self._execute(run, strategy, run_roots, alpha=alpha,
+                              beta=beta, n_samps=n_samps, gamma=gamma,
+                              min_frontier=min_frontier,
+                              batch_size=batch_size)
+                if observer is not None:
+                    observer.finish(run.bc)
+            except SilentCorruptionError:
+                # No recovery story below the resilient driver: a
+                # poisoned result must not be returned as healthy.
+                metrics.inc("verify.corruption_detected", layer="device")
+                raise
 
         trace, bc = run.trace, run.bc
         makespan, fixed_cycles = trace.makespan_cycles, run.fixed_cycles

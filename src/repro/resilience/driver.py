@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bc.accumulation import dependency_accumulation
-from ..bc.frontier import forward_sweep
+from ..bc.accumulation import root_dependencies
+from ..bc.frontier import group_width
 from ..bc.preprocess import FoldResult, fold_degree_one
 from ..cluster.distributed import partition_roots
 from ..cluster.mpi_sim import SimComm
@@ -54,12 +54,13 @@ from ..errors import (
     ClusterConfigurationError,
     RankFailure,
     RetryExhaustedError,
+    SilentCorruptionError,
 )
 from ..graph.csr import CSRGraph
 from ..gpusim.device import Device
 from ..observability.clock import SpanClock
 from ..observability.registry import NULL_REGISTRY
-from ..verify import RootChecker, VerificationPolicy
+from ..verify import RootChecker, RootObserver, VerificationPolicy
 from .faults import (
     ActiveFaults,
     FaultPlan,
@@ -67,7 +68,6 @@ from .faults import (
     OOM,
     FAIL_STOP,
     SDC,
-    apply_sdc,
 )
 
 __all__ = [
@@ -362,6 +362,9 @@ def resilient_distributed_bc(
         fold_result = fold_degree_one(g)
     folded = fold_result is not None and not fold_result.is_identity
     if folded:
+        # A folded core root stands for its absorbed subtree: its
+        # dependency vector is scaled by that weight before it is
+        # checkpointed (Eq. 3 stays a plain sum).
         run_g = fold_result.core
         target_weights = fold_result.core_weights
         metrics.record("resilience.fold",
@@ -395,19 +398,20 @@ def resilient_distributed_bc(
                        where=inc.where, attempt=inc.attempt,
                        roots_lost=inc.roots_lost)
 
-    def checked(fn, *args, **kwargs):
-        # Every invariant evaluation is timed so the layer's cost is a
-        # first-class observable (verify.overhead_seconds).
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        metrics.inc("verify.overhead_seconds", time.perf_counter() - t0)
-        return out
+    def detected(rank: int, invariant: str, roots_lost: int) -> None:
+        nonlocal corruption_detected
+        corruption_detected += 1
+        record_incident(RankIncident(rank, SDC, invariant, attempt,
+                                     roots_lost))
+        metrics.inc("verify.corruption_detected", layer="driver",
+                    invariant=invariant)
 
-    def apply_site(events, site: str, arr: np.ndarray) -> None:
-        for ev in events:
-            if ev.site == site:
-                apply_sdc(ev, arr, seed=faults.seed)
-                metrics.inc("verify.faults_injected", site=site)
+    def dependencies(roots: np.ndarray, **kwargs):
+        # The one root loop, with folded core roots weighted.
+        return root_dependencies(
+            run_g, roots, target_weights,
+            source_weights=target_weights[roots] if folded else None,
+            **kwargs)
 
     def over_budget() -> bool:
         # Same clock, same expression as the final elapsed_seconds
@@ -484,77 +488,39 @@ def resilient_distributed_bc(
             quarantined: list = []
             with metrics.span("resilience.rank_compute", rank=rank,
                               attempt=attempt):
+                # A root the observer rejects never reaches the partial:
+                # it is quarantined (re-run next round like a crashed
+                # rank's orphan) and the unit resumes after it.
+                observer = RootObserver(
+                    run_g, policy, metrics, faults=faults, rank=rank,
+                    target_weights=target_weights,
+                    source_weights=target_weights if folded else None)
+                width = (1 if faults and faults.sdc_pending_for(rank)
+                         else group_width(run_g))
                 partial = np.zeros(n, dtype=np.float64)
-                expected_sum = 0.0
-                for pos, s in enumerate(roots):
-                    s = int(s)
-                    fwd = forward_sweep(run_g, s)
-                    events = faults.sdc_for_root(rank, pos) if faults else []
-                    # sigma/dist strikes hit before accumulation, as a
-                    # real upset in resident memory would: a sigma flip
-                    # propagates into delta; a dist flip does not
-                    # (accumulation follows the sweep's DAG edges) but
-                    # the invariant checks still see it.
-                    apply_site(events, "sigma", fwd.sigma)
-                    apply_site(events, "dist", fwd.distances)
-                    delta = dependency_accumulation(
-                        run_g, fwd, target_weights=target_weights)
-                    sw = 1.0 if not folded else float(target_weights[s])
-                    if sw != 1.0:
-                        # A folded core root stands for sw original
-                        # sources; its dependency vector is scaled
-                        # before checkpointing (Eq. 3 stays a plain sum).
-                        delta *= sw
-                    apply_site(events, "delta", delta)
-                    if checker is not None and policy.checks_root(s):
-                        violations = checked(checker.check_root, run_g,
-                                             fwd, delta,
-                                             target_weights=target_weights,
-                                             source_weight=sw)
-                        if violations:
-                            # Quarantine: the root's contribution never
-                            # reaches the partial; it is re-run next
-                            # round exactly like a crashed rank's
-                            # orphan.
-                            corruption_detected += 1
-                            quarantined.append(s)
-                            record_incident(RankIncident(
-                                rank, SDC, violations[0].invariant,
-                                attempt, 1))
-                            metrics.inc("verify.corruption_detected",
-                                        layer="driver",
-                                        invariant=violations[0].invariant)
-                            continue
-                    partial += delta
-                    expected_sum += float(delta.sum())
+                while observer.position < roots.size:
+                    try:
+                        for delta in dependencies(
+                                roots[observer.position:],
+                                observer=observer, width=width):
+                            partial += delta
+                    except SilentCorruptionError as err:
+                        quarantined.append(err.root)
+                        detected(rank, err.violations[0].invariant, 1)
                 # Unit-level corruption (the "partial" site) strikes the
-                # accumulated vector just before the checkpoint write.
-                apply_site(faults.sdc_for_partial(rank) if faults else [],
-                           "partial", partial)
-                if checker is not None:
-                    pv = checked(checker.check_partial, partial,
-                                 expected_sum, rank)
-                    if pv:
-                        # The whole unit is suspect — nothing from it may
-                        # reach stable storage.
-                        corruption_detected += 1
-                        good = [int(s) for s in roots
-                                if int(s) not in quarantined]
-                        record_incident(RankIncident(
-                            rank, SDC, pv[0].invariant, attempt,
-                            len(good)))
-                        metrics.inc("verify.corruption_detected",
-                                    layer="driver",
-                                    invariant=pv[0].invariant)
-                        quarantined.extend(good)
-                        partial = None
-            if partial is not None:
-                good = np.asarray(
-                    [int(s) for s in roots if int(s) not in quarantined],
-                    dtype=np.int64)
-                if good.size:
-                    partial /= half
-                    store.commit(rank, good, partial)
+                # accumulated vector just before the checkpoint write;
+                # a failed checksum makes the whole unit suspect, so
+                # nothing from it may reach stable storage.
+                good = [int(s) for s in roots if int(s) not in quarantined]
+                try:
+                    observer.finish(partial)
+                except SilentCorruptionError as err:
+                    detected(rank, err.violations[0].invariant, len(good))
+                    quarantined.extend(good)
+                    good = []
+            if good:
+                partial /= half
+                store.commit(rank, np.asarray(good, dtype=np.int64), partial)
             if quarantined:
                 roots_requarantined += len(quarantined)
                 metrics.inc("resilience.roots_requarantined",
@@ -615,16 +581,16 @@ def resilient_distributed_bc(
         if checker is None:
             break
         expected = float(sum(float(v.sum()) for v in values))
-        if checked(checker.reduce_ok, total, expected):
+        t0 = time.perf_counter()
+        ok = checker.reduce_ok(total, expected)
+        metrics.inc("verify.overhead_seconds", time.perf_counter() - t0)
+        if ok:
             break
-        corruption_detected += 1
         victim = -1
         corruptions = getattr(comm, "corruptions", None)
         if corruptions:
             victim = int(corruptions[-1].get("rank", -1))
-        record_incident(RankIncident(victim, SDC, "reduce", attempt, 0))
-        metrics.inc("verify.corruption_detected", layer="driver",
-                    invariant="reduce")
+        detected(victim, "reduce", 0)
         if reduce_retries >= max_retries:
             # Out of budget: surface the corruption instead of looping —
             # the values carry it and the run is flagged inexact.
@@ -646,12 +612,7 @@ def resilient_distributed_bc(
         sample = rng.choice(orphans, size=k, replace=False)
         with metrics.span("resilience.degrade", samples=k):
             est = np.zeros(n, dtype=np.float64)
-            for s in sample:
-                fwd = forward_sweep(run_g, int(s))
-                delta = dependency_accumulation(
-                    run_g, fwd, target_weights=target_weights)
-                if folded:
-                    delta *= float(target_weights[int(s)])
+            for delta in dependencies(sample):
                 est += delta
         est /= half
         total = total + est * (degraded_roots / k)

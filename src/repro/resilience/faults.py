@@ -766,8 +766,9 @@ class FaultyDevice(Device):
 
     Injects the rank's planned compute faults at the top of
     :meth:`~repro.gpusim.device.Device.run_bc` (via the base class's
-    ``_inject_faults`` hook) and stretches the run's simulated cycles
-    by the rank's straggler factor.
+    ``_inject_faults`` hook), stretches the run's simulated cycles by
+    the rank's straggler factor, and hands the rank's ``sdc`` events to
+    the run's :class:`~repro.verify.RootObserver`.
     """
 
     def __init__(self, rank: int, faults: ActiveFaults,
@@ -784,16 +785,3 @@ class FaultyDevice(Device):
                               roots_done=min(crash.after_roots, roots.size))
         if self.faults.oom_fires(self.rank):
             raise self.faults.injected_oom(self.rank, g.num_vertices * 8)
-
-    # -- silent corruption (consumed by Device.run_bc's SDC hooks) -----
-    def _sdc_pending(self) -> bool:
-        return self.faults.sdc_pending_for(self.rank)
-
-    def _sdc_events(self, root_pos: int) -> list:
-        return self.faults.sdc_for_root(self.rank, root_pos)
-
-    def _sdc_partial_events(self) -> list:
-        return self.faults.sdc_for_partial(self.rank)
-
-    def _sdc_seed(self) -> int:
-        return self.faults.seed

@@ -24,10 +24,12 @@ Brandes's structure makes those checks cheap (per-root ABFT):
 Consumers: :meth:`repro.gpusim.Device.run_bc` (raises
 :class:`~repro.errors.SilentCorruptionError` on detection) and
 :func:`repro.resilience.resilient_distributed_bc` (quarantines and
-recomputes corrupted roots instead of raising).
+recomputes corrupted roots instead of raising), through one
+:class:`RootObserver`.
 """
 
 from .invariants import RootChecker, Violation, expected_delta_checksum
+from .observer import RootObserver
 from .policy import MODES, OFF, PARANOID, SAMPLED, VerificationPolicy
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "MODES",
     "VerificationPolicy",
     "RootChecker",
+    "RootObserver",
     "Violation",
     "expected_delta_checksum",
 ]

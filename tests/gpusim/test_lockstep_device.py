@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.bc import engine, frontier
+from repro.bc import accumulation, engine, frontier
 from repro.errors import SilentCorruptionError
 from repro.graph.build import from_edges
 from repro.graph.generators import kronecker_graph, road_network, watts_strogatz
@@ -130,14 +130,14 @@ def test_planned_bit_flips_run_one_root_at_a_time(monkeypatch):
 def test_a_corrupt_root_in_a_group_fails_at_its_turn(monkeypatch, verify):
     """A group's checks run together, but a root that fails them raises
     at its own turn: later roots of the group are never charged."""
-    original = engine._accumulate
+    original = accumulation.accumulate_group
 
     def corrupting(grp, target_weights):
         delta = original(grp, target_weights)
         delta[2] += 1.0
         return delta
 
-    monkeypatch.setattr(engine, "_accumulate", corrupting)
+    monkeypatch.setattr(accumulation, "accumulate_group", corrupting)
     g = GRAPHS["small_sw"]()
     roots = np.arange(0, 40, 5)
     metrics = MetricsRegistry()
