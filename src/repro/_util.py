@@ -37,7 +37,8 @@ def sorted_unique(a) -> np.ndarray:
     return a[keep]
 
 
-def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def concat_ranges(starts: np.ndarray, counts: np.ndarray,
+                  ends: np.ndarray | None = None) -> np.ndarray:
     """Return ``concatenate([arange(s, s+c) for s, c in zip(starts, counts)])``.
 
     Each output element is its range's start plus its offset within the
@@ -51,6 +52,8 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     starts, counts:
         Equal-shape integer arrays. ``counts`` entries may be zero;
         negative entries raise ``ValueError``.
+    ends:
+        Optional ``np.add.accumulate(counts)``, when the caller has it.
 
     Returns
     -------
@@ -61,7 +64,8 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if starts.shape != counts.shape:
         raise ValueError("starts and counts must have the same shape")
     starts, counts = starts.ravel(), counts.ravel()
-    ends = np.add.accumulate(counts)
+    if ends is None:
+        ends = np.add.accumulate(counts)
     total = int(ends[-1]) if ends.size else 0
     return (starts - (ends - counts)).repeat(counts) + np.arange(total)
 

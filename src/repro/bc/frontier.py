@@ -10,6 +10,17 @@ to ``np.add.at``).  The sweep also keeps each level's shortest-path DAG
 edges, so the backward stage (:mod:`repro.bc.accumulation`) need not
 gather the adjacency lists a second time.
 
+A level is scanned from whichever side inspects fewer edges (Beamer et
+al.'s direction-optimizing BFS): top-down over the frontier's
+adjacency, or, once the unreached side is the smaller, bottom-up over
+the adjacency of every unreached vertex, looking for neighbours on the
+frontier.  Bottom-up runs only on canonical CSR
+(:meth:`~repro.graph.csr.CSRGraph.canonical`), where one sort puts its
+DAG edges in top-down order, so both directions give the same bytes
+(DESIGN section 5, "Direction-optimizing sweep").  The executor's
+direction is invisible to the cost model, which charges Algorithm 2's
+top-down work either way.
+
 All strategy variants produce *identical* values — they differ in how
 threads are assigned to this work, which is what the cost model (in
 :mod:`repro.gpusim.cost`) charges for.  Literal re-implementations of
@@ -222,6 +233,38 @@ def _rescale(sigma: np.ndarray, q_next: np.ndarray, rows, k: int):
     return out
 
 
+def _bottom_up_valid(g: CSRGraph, k: int) -> bool:
+    """Whether a ``k``-root sweep of ``g`` may scan levels bottom-up:
+    ``g`` is canonical CSR and a packed ``(owner, succ)`` sort key of
+    :func:`_bottom_up` fits in int64."""
+    return 2 * (k * g.num_vertices).bit_length() <= 63 and g.canonical()
+
+
+def _bottom_up(g: CSRGraph, d: np.ndarray, depth: int, frontier: np.ndarray,
+               k: int):
+    """One level's DAG edges found bottom-up: every unreached key scans
+    its adjacency for neighbours at ``depth``.  Returns ``(owner,
+    succ)`` in top-down order: by owner, then by adjacency position,
+    which on canonical CSR is ascending ``succ``."""
+    n = g.num_vertices
+    unreached = np.flatnonzero(d == UNREACHED)
+    verts = unreached if k == 1 else unreached % n
+    counts = g.indptr[verts + 1] - g.indptr[verts]
+    nbrs = g.adj[concat_ranges(g.indptr[verts], counts)]
+    if k > 1:
+        nbrs += (unreached - verts).repeat(counts)
+    hit = np.flatnonzero(d[nbrs] == depth)
+    pos = np.empty(k * n, dtype=np.int64)
+    pos[frontier] = np.arange(frontier.size)
+    # Hits come successor-major; one sort of packed ``owner << shift |
+    # succ`` keys puts them in top-down order (see _bottom_up_valid).
+    shift = (k * n).bit_length()
+    keys = pos[nbrs.take(hit)] << shift
+    keys |= unreached.repeat(counts).take(hit)
+    keys.sort()
+    return keys >> shift, keys & ((1 << shift) - 1)
+
+
 def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
     """Run the shortest-path calculation stage from every root of
     ``sources`` in lockstep, one level of all roots per step.
@@ -231,6 +274,13 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
     vertex`` keys; each row's values, DAG edges and rescaling factors
     are byte-identical to a one-root sweep from that root.  With one
     root the keys are the vertex ids and no key arithmetic is done.
+
+    Each level scans whichever side inspects fewer edges: the
+    frontier's adjacency (top-down) or, on a canonical graph
+    (:meth:`~repro.graph.csr.CSRGraph.canonical`), that of every
+    unreached key (bottom-up, :func:`_bottom_up`), which it picks when
+    ``unvisited_edges + k * n < frontier_edges``.  Both give the same
+    DAG edges in the same order.
 
     ``metrics`` (optional :class:`~repro.observability.MetricsRegistry`)
     records each root's ``frontier.*`` totals, in root order.
@@ -247,8 +297,11 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
         raise IndexError(f"source {int(sources[bad][0])} out of range [0, {n})")
     indptr, adj = g.indptr, g.adj
     degree = indptr[1:] - indptr[:-1]
-    d = np.full(k * n, UNREACHED, dtype=np.int64)
-    sigma = np.zeros(k * n, dtype=np.float64)
+    kn = k * n
+    bottom_up = _bottom_up_valid(g, k)
+    unvisited = k * adj.size  # edges of the still-unreached keys
+    d = np.full(kn, UNREACHED, dtype=np.int64)
+    sigma = np.zeros(kn, dtype=np.float64)
     verts = sources
     rows = None if k == 1 else np.arange(k, dtype=np.int64)
     frontier = sources if rows is None else sources + rows * n
@@ -260,22 +313,33 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
     depth = 0
     while True:
         counts = degree[verts]
-        owner = np.arange(frontier.size).repeat(counts)
-        nbrs = adj[concat_ranges(indptr[verts], counts)]
-        if rows is not None:
-            nbrs += (rows * n).repeat(counts)
-        # Level-synchronous: no vertex is at depth + 1 yet, so the
-        # still-unreached neighbours are exactly the successors the
-        # backward stage would find (the DAG edges into depth + 1).
-        hit = d[nbrs] == UNREACHED
-        succ = nbrs[hit]
-        owner = owner[hit]
+        ends = np.add.accumulate(counts)
+        frontier_edges = int(ends[-1])
+        unvisited -= frontier_edges
+        if bottom_up and unvisited + kn < frontier_edges:
+            owner, succ = _bottom_up(g, d, depth, frontier, k)
+        else:
+            nbrs = adj[concat_ranges(indptr[verts], counts, ends)]
+            if rows is not None:
+                nbrs += (rows * n).repeat(counts)
+            # Level-synchronous: no vertex is at depth + 1 yet, so the
+            # still-unreached neighbours are exactly the successors the
+            # backward stage would find (the DAG edges into depth + 1).
+            hit = np.flatnonzero(d[nbrs] == UNREACHED)
+            succ = nbrs.take(hit)
+            owner = np.arange(frontier.size).repeat(counts).take(hit)
         dag.append((owner, succ))
-        # Discovery: first touch sets the depth (atomicCAS, line 5).
-        q_next = sorted_unique(succ)
-        if q_next.size == 0:
+        if succ.size == 0:
             break
-        d[q_next] = depth + 1
+        # Discovery: first touch sets the depth (atomicCAS, line 5).
+        # A successor list longer than an eighth of the keys is cheaper
+        # to mark and scan densely than to sort.
+        if succ.size > kn >> 3:
+            d[succ] = depth + 1
+            q_next = np.flatnonzero(d == depth + 1)
+        else:
+            q_next = sorted_unique(succ)
+            d[q_next] = depth + 1
         # Path counting over the DAG edges (atomicAdd, line 9).
         np.add.at(sigma, succ, sigma[frontier][owner])
         if rows is None:

@@ -103,7 +103,9 @@ def from_edges(
         edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     counts = np.bincount(edges[:, 0], minlength=n).astype(np.int64)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return CSRGraph(indptr, edges[:, 1].copy(), undirected=undirected, name=name)
+    g = CSRGraph(indptr, edges[:, 1].copy(), undirected=undirected, name=name)
+    # Symmetrised here and sorted by (source, target) above.
+    return g._mark_canonical() if undirected and not already_symmetric else g
 
 
 def from_networkx(nxg, name: str = "") -> CSRGraph:
@@ -169,7 +171,8 @@ def induced_subgraph(g: CSRGraph, vertices: Sequence[int]) -> CSRGraph:
     increasing and loop-free (every graph :func:`from_edges` builds),
     the CSR is built from them directly; otherwise the edges go through
     :func:`from_edges`, which sorts, drops repeats and self loops.
-    Both give the same bytes.
+    Both give the same bytes, canonical (:meth:`CSRGraph.canonical`)
+    when ``g`` is.
     """
     keep = sorted_unique(np.asarray(vertices, dtype=np.int64))
     if keep.size and (keep[0] < 0 or keep[-1] >= g.num_vertices):
@@ -182,14 +185,16 @@ def induced_subgraph(g: CSRGraph, vertices: Sequence[int]) -> CSRGraph:
     src, dst = src[mask], dst[mask]
     same_row = src[1:] == src[:-1]
     if np.any(src == dst) or np.any(same_row & (dst[1:] <= dst[:-1])):
-        return from_edges(
+        sub = from_edges(
             np.column_stack([src, dst]), num_vertices=keep.size,
             undirected=g.undirected, dedupe=True, name=g.name,
             already_symmetric=True,
         )
-    counts = np.bincount(src, minlength=keep.size).astype(np.int64)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return CSRGraph(indptr, dst, undirected=g.undirected, name=g.name)
+    else:
+        counts = np.bincount(src, minlength=keep.size).astype(np.int64)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        sub = CSRGraph(indptr, dst, undirected=g.undirected, name=g.name)
+    return sub._mark_canonical() if g.canonical() else sub
 
 
 def relabel(g: CSRGraph, permutation: Sequence[int]) -> CSRGraph:

@@ -126,6 +126,33 @@ class CSRGraph:
             object.__setattr__(self, "_digest", cached)
         return cached
 
+    def canonical(self) -> bool:
+        """Whether this is the canonical CSR of an undirected graph:
+        :attr:`undirected`, every row non-decreasing and the adjacency
+        its own transpose (each directed edge ``u -> v`` is matched by
+        a ``v -> u``, duplicates included).
+
+        The forward sweep may scan such a graph bottom-up and still
+        reproduce the top-down sweep's bytes (DESIGN section 5,
+        "Direction-optimizing sweep").  ``from_edges`` on undirected
+        edges and ``induced_subgraph`` of a canonical graph mark their
+        output when they build it; any other graph is checked once (an
+        O(m) row scan and one sort of ``m`` edge keys) and the answer
+        is cached like :meth:`digest`.
+        """
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            cached = (self.undirected and _rows_sorted(self)
+                      and _symmetric(self, rows_sorted=True))
+            object.__setattr__(self, "_canonical", cached)
+        return cached
+
+    def _mark_canonical(self) -> "CSRGraph":
+        """Record that a builder produced canonical CSR (see
+        :meth:`canonical`); returns ``self``."""
+        object.__setattr__(self, "_canonical", True)
+        return self
+
     def neighbors(self, v: int) -> np.ndarray:
         """Read-only adjacency slice of vertex ``v``."""
         v = int(v)
@@ -182,8 +209,36 @@ class CSRGraph:
 
     def with_name(self, name: str) -> "CSRGraph":
         """Return a copy of this graph carrying a different label."""
-        return CSRGraph(self.indptr, self.adj, undirected=self.undirected, name=name)
+        g = CSRGraph(self.indptr, self.adj, undirected=self.undirected, name=name)
+        if "_canonical" in self.__dict__:
+            object.__setattr__(g, "_canonical", self._canonical)
+        return g
 
     def memory_footprint_bytes(self) -> int:
         """Bytes needed to hold the CSR arrays (what a device copy costs)."""
         return int(self.indptr.nbytes + self.adj.nbytes)
+
+
+def _rows_sorted(g: CSRGraph) -> bool:
+    """Whether every adjacency row of ``g`` is non-decreasing."""
+    adj = g.adj
+    if adj.size < 2:
+        return True
+    # A descent is allowed only where a new row starts.
+    descents = np.flatnonzero(adj[1:] < adj[:-1]) + 1
+    return bool(np.all(np.isin(descents, g.indptr)))
+
+
+def _symmetric(g: CSRGraph, rows_sorted: bool) -> bool:
+    """Whether the adjacency of ``g`` is its own transpose, as a
+    multiset of directed edges: the sorted ``src * n + dst`` keys equal
+    the sorted ``dst * n + src`` keys.  With ``rows_sorted`` the former
+    are sorted already."""
+    n = g.num_vertices
+    src = g.edge_sources()
+    forward = src * n + g.adj
+    if not rows_sorted:
+        forward.sort()
+    backward = g.adj * n + src
+    backward.sort()
+    return bool(np.array_equal(forward, backward))

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import GraphFormatError, GraphStructureError
 from .build import from_edges
-from .csr import CSRGraph
+from .csr import CSRGraph, _symmetric
 
 __all__ = [
     "read_snap_edgelist",
@@ -305,7 +305,8 @@ def read_csr_npz(path, name: str = "") -> CSRGraph:
     optional ``undirected``/``name`` scalars, as written by
     :func:`write_csr_npz`).  The CSR structure is validated before the
     graph is returned — non-monotone offsets, ``indptr``/``adj`` length
-    mismatches, and out-of-range adjacency targets all raise
+    mismatches, out-of-range adjacency targets and an ``undirected``
+    payload whose adjacency is not symmetric all raise
     :class:`~repro.errors.GraphFormatError` with the file named, rather
     than surfacing later as an index error inside a traversal kernel.
     """
@@ -331,10 +332,17 @@ def read_csr_npz(path, name: str = "") -> CSRGraph:
             f"{indptr.dtype}/{adj.dtype}"
         )
     try:
-        return CSRGraph(indptr, adj, undirected=undirected,
-                        name=name or stored_name)
+        g = CSRGraph(indptr, adj, undirected=undirected,
+                     name=name or stored_name)
     except GraphStructureError as exc:
         raise GraphFormatError(f"{where}: invalid CSR payload: {exc}") from exc
+    # canonical() caches the answer for the sweep; a payload that fails
+    # it only for unsorted rows is still a valid undirected graph.
+    if g.undirected and not g.canonical() and not _symmetric(g, rows_sorted=False):
+        raise GraphFormatError(
+            f"{where}: invalid CSR payload: undirected adjacency is not "
+            f"symmetric")
+    return g
 
 
 def write_csr_npz(g: CSRGraph, path) -> None:

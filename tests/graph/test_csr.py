@@ -117,3 +117,73 @@ class TestDerived:
         g2 = fig1.with_name("renamed")
         assert g2.name == "renamed"
         assert np.array_equal(g2.adj, fig1.adj)
+
+
+class TestCanonical:
+    """``CSRGraph.canonical``: undirected, symmetric, rows sorted."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        from repro.graph import csr
+
+        calls = []
+        real = csr._symmetric
+
+        def spy(g, rows_sorted):
+            calls.append(g)
+            return real(g, rows_sorted)
+
+        monkeypatch.setattr(csr, "_symmetric", spy)
+        return calls
+
+    def test_hand_built_canonical(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        # Path 0 - 1 - 2 with a repeated edge 1 - 2.
+        g = CSRGraph(np.array([0, 1, 4, 6]), np.array([1, 0, 2, 2, 1, 1]))
+        assert g.canonical() and g.canonical()
+        assert len(calls) == 1
+
+    def test_unsorted_rows(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        g = CSRGraph(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
+        assert not g.canonical() and not g.canonical()
+        assert calls == []  # rejected by the row scan alone
+
+    def test_asymmetric(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        # Sorted rows: 0 -> {1, 2}, nothing back.
+        g = CSRGraph(np.array([0, 2, 2, 2]), np.array([1, 2]))
+        assert not g.canonical() and not g.canonical()
+        assert len(calls) == 1
+
+    def test_directed_never_canonical(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        g = from_edges([(0, 1), (1, 0)], undirected=False)
+        assert not g.canonical()
+        assert calls == []
+
+    def test_builders_mark_their_output(self, monkeypatch, small_kron,
+                                        small_road):
+        from repro.bc.preprocess import fold_degree_one
+        from repro.graph.build import induced_subgraph
+
+        calls = self._counted(monkeypatch)
+        g = from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 3)],
+                       num_vertices=6)
+        assert g.canonical()
+        assert induced_subgraph(g, [0, 2, 3, 5]).canonical()
+        assert g.with_name("x").canonical()
+        for big in (small_kron, small_road):
+            fold = fold_degree_one(big)
+            assert fold.rounds > 0 and fold.core.canonical()
+        assert calls == []  # known at build time, never checked
+
+    def test_checked_builds_are_checked_once(self, monkeypatch):
+        from repro.graph.build import induced_subgraph
+
+        calls = self._counted(monkeypatch)
+        g = from_edges([(0, 1), (1, 0), (1, 2), (2, 1)],
+                       already_symmetric=True)
+        sub = induced_subgraph(g, [1, 2])
+        assert sub.canonical() and g.canonical()
+        assert calls == [g]

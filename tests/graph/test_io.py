@@ -201,6 +201,26 @@ class TestCsrNpz:
             read_csr_npz(str(path))
         assert "oob.npz" in str(err.value)
 
+    def test_asymmetric_undirected(self, tmp_path):
+        # Two stored edges, 0 -> 1 and 0 -> 2, neither stored back.
+        path = tmp_path / "asym.npz"
+        np.savez(path, indptr=np.array([0, 2, 2, 2]), adj=np.array([1, 2]),
+                 undirected=np.bool_(True))
+        with pytest.raises(GraphFormatError, match="not symmetric") as err:
+            read_csr_npz(str(path))
+        assert "asym.npz" in str(err.value)
+
+    def test_asymmetric_directed_and_unsorted_symmetric_load(self, tmp_path):
+        path = tmp_path / "ok.npz"
+        np.savez(path, indptr=np.array([0, 2, 2, 2]), adj=np.array([1, 2]),
+                 undirected=np.bool_(False))
+        assert read_csr_npz(str(path)).num_edges == 2
+        # Undirected with the row 0 -> {2, 1} out of order: still valid.
+        np.savez(path, indptr=np.array([0, 2, 3, 4]),
+                 adj=np.array([2, 1, 0, 0]))
+        g = read_csr_npz(str(path))
+        assert g.num_edges == 2 and not g.canonical()
+
     def test_non_integer_dtype(self, tmp_path):
         path = tmp_path / "float.npz"
         np.savez(path, indptr=np.array([0.0, 1.0]), adj=np.array([0.5]))

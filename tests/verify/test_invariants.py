@@ -151,3 +151,21 @@ def test_metrics_counters_flow(fig1):
     checks = [c for c in counters if c["name"] == "verify.checks"]
     violations = [c for c in counters if c["name"] == "verify.violations"]
     assert checks and violations
+
+
+@pytest.mark.parametrize("population", [1, 7, 64, 65, 900, 12000])
+def test_cached_sample_positions_are_the_seeded_draw(population):
+    """The sampled suite's vertex sample is the draw a generator seeded
+    with ``[seed, root]`` makes from the reached vertices; the cached
+    positions reproduce it for any array of that size."""
+    from repro.verify.invariants import _sample_positions
+
+    reached = np.arange(population) * 3 + 1
+    size = min(64, population)
+    for seed, root in ((0, 0), (0, 17), (5, 17), (2, 11999)):
+        want = np.random.default_rng([seed, root]).choice(
+            reached, size=size, replace=False)
+        got = reached[_sample_positions(seed, root, population, size)]
+        assert got.tobytes() == want.tobytes()
+        again = _sample_positions(seed, root, population, size)
+        assert not again.flags.writeable
