@@ -1,17 +1,19 @@
-"""Per-root execution engine: values plus one charge call per root.
+"""Per-root execution engine: values plus columnar charging per group.
 
 One call to :func:`run_roots` performs the full Brandes computation for
 a list of sources (shortest-path stage then dependency accumulation),
 accumulates each root's dependencies into a shared ``bc`` array in
 root order, and returns one :class:`~repro.gpusim.trace.RootTrace` per
-root, charged by :func:`repro.gpusim.charge.charge` from the root's
-frontier profile under the strategy the policy selected for each
-iteration.  The values come from the executor's one root loop,
-:func:`~repro.bc.accumulation.root_dependencies` (lockstep groups of
-roots), with charging as its per-root forward hook; everything per
-root — charging, observer calls, ``bc +=`` — runs root by root, so
-traces, decision records and ``bc`` bytes do not depend on the group
-width.  :func:`run_root` is the one-root case.
+root, charged from the root's frontier profile under the strategy the
+policy selected for each iteration.  The values come from the
+executor's one root loop, :func:`~repro.bc.accumulation.root_dependencies`
+(lockstep groups of roots), with charging as its per-root forward hook:
+a group's roots are decided and costed together
+(:func:`repro.gpusim.charge.charge_rows`), and everything else per root
+— recording its metrics and decision block
+(:func:`repro.gpusim.charge.record_root`), observer calls, ``bc +=`` —
+runs root by root, so traces, decision records and ``bc`` bytes do not
+depend on the group width.  :func:`run_root` is the one-root case.
 
 Every strategy computes identical values — the strategies differ only
 in the thread-to-work assignment being costed — so correctness is
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..gpusim.charge import FrontierProfile, charge
+from ..gpusim.charge import FrontierProfile, charge_rows, record_root
 from ..gpusim.cost import CostModel
 from ..gpusim.trace import RootTrace
 from ..observability.registry import NULL_REGISTRY
@@ -43,21 +45,31 @@ __all__ = ["run_root", "run_roots"]
 
 
 class _Charger:
-    """:func:`run_roots`' observer: charges each root, then hands it to
-    the run's own observer, so decision records precede any corruption
-    that observer raises and no later root is charged after it."""
+    """:func:`run_roots`' observer: charges each group's roots at once,
+    then records each root at its own turn and hands it to the run's
+    own observer, so decision records precede any corruption that
+    observer raises and no later root is recorded after it."""
 
-    def __init__(self, g: CSRGraph, observer, charge_root):
+    def __init__(self, g: CSRGraph, observer, policy: Policy,
+                 costs: CostModel, chunk: int, device_chunk: int | None,
+                 metrics):
         self.g = g
         self.observer = observer
-        self.charge_root = charge_root
+        self.policy = policy
+        self.costs = costs
+        self.chunk = chunk
+        self.device_chunk = device_chunk
+        self.metrics = metrics
         self.traces: list = []
-        self._profiles: list = []
+        self._rows: list = []
 
     def after_forward(self, grp, r: int) -> None:
         if r == 0:  # a new group
-            self._profiles = FrontierProfile.of_group(self.g, grp)
-        self.traces.append(self.charge_root(self._profiles[r]))
+            self._rows = charge_rows(FrontierProfile.of_group(self.g, grp),
+                                     self.policy, self.costs, self.chunk,
+                                     self.device_chunk)
+        self.traces.append(record_root(self._rows[r], self.policy,
+                                       self.metrics))
         if self.observer is not None:
             self.observer.after_forward(grp, r)
 
@@ -120,9 +132,8 @@ def run_roots(
     """
     if metrics is None:
         metrics = NULL_REGISTRY
-    charger = _Charger(g, observer, lambda profile: charge(
-        profile, policy, costs, chunk, device_chunk=device_chunk,
-        metrics=metrics))
+    charger = _Charger(g, observer, policy, costs, chunk, device_chunk,
+                       metrics)
     for delta in root_dependencies(g, sources, target_weights,
                                    observer=charger,
                                    source_weights=source_weights,

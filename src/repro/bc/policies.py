@@ -2,22 +2,29 @@
 
 A policy decides, for every BFS iteration of every root, whether the
 level is processed with the work-efficient, edge-parallel or
-vertex-parallel thread assignment.  :func:`repro.gpusim.charge.charge`
-asks for an initial strategy, then calls :meth:`decide` after each
-completed level with the current and next frontier sizes — exactly the
-information Algorithm 4 uses.
+vertex-parallel thread assignment.  Its rule is a function of the
+current strategy and the current and next frontier sizes — exactly the
+information Algorithm 4 uses — and each policy states it twice:
 
-Every decision is also available as an auditable record: :meth:`decide`
-returns a :class:`Decision` carrying the chosen strategy *plus* the
-exact inputs and threshold comparison that produced it — what the
-decision-trace subsystem (``repro.trace/v1``) serialises so a run can
-later answer "why edge-parallel at depth 3?".
+* :meth:`Policy.decide` takes one decision and returns it as an
+  auditable :class:`Decision`: the chosen strategy *plus* the exact
+  inputs and threshold comparison that produced it — what the
+  decision-trace subsystem (``repro.trace/v1``) serialises so a run can
+  later answer "why edge-parallel at depth 3?".  This is the one place
+  each rule's audit text is defined.
+* :meth:`Policy.decide_levels` returns the strategy of every depth of
+  a root from its whole frontier-size series in one array pass — what
+  :func:`repro.gpusim.charge.charge_rows` costs.  Level ``d + 1`` runs
+  ``decide(strategy[d], sizes[d], sizes[d + 1]).strategy``, so
+  replaying :meth:`decide` over the series gives the same strategies.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..errors import StrategyError
 
@@ -42,6 +49,9 @@ GPU_FAN = "gpu-fan"
 BATCHED = "batched"
 
 _KNOWN = {WORK_EFFICIENT, EDGE_PARALLEL, VERTEX_PARALLEL, GPU_FAN}
+
+#: Code 0/1 -> strategy, for the two-way adaptive rules.
+_WE_EP = np.array([WORK_EFFICIENT, EDGE_PARALLEL])
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,13 @@ class Policy(ABC):
         :class:`Decision`, given the just-finished level's frontier
         length and the upcoming frontier length."""
 
+    @abstractmethod
+    def decide_levels(self, sizes) -> np.ndarray:
+        """The strategy of every depth of a root whose frontier sizes
+        are ``sizes`` (one per depth): :meth:`initial` at depth 0, and
+        at depth ``d + 1`` the strategy :meth:`decide` picks after
+        depth ``d``.  A string array, one entry per depth."""
+
     def initial_decision(self) -> Decision:
         """The first iteration's strategy as an auditable record."""
         return Decision(strategy=self.initial(), policy=self.kind,
@@ -105,6 +122,9 @@ class FixedPolicy(Policy):
             rule=f"fixed: {self.strategy}",
             inputs={"q_curr": int(q_curr_len), "q_next": int(q_next_len)},
         )
+
+    def decide_levels(self, sizes) -> np.ndarray:
+        return np.full(len(sizes), self.strategy)
 
 
 class HybridPolicy(Policy):
@@ -162,6 +182,18 @@ class HybridPolicy(Policy):
                  f"q_next={q_next} <= beta={self.beta}: work-efficient",
         )
 
+    def decide_levels(self, sizes) -> np.ndarray:
+        # Level d + 1 takes the choice of the last switch (a change
+        # beyond alpha) at or before level d; none yet keeps the start.
+        sizes = np.asarray(sizes, dtype=np.int64)
+        nxt = sizes[1:]
+        switch = np.abs(nxt - sizes[:-1]) > self.alpha
+        last = np.maximum.accumulate(
+            np.where(switch, np.arange(nxt.size), -1))
+        codes = np.zeros(sizes.size, dtype=np.intp)
+        codes[1:] = np.where(last >= 0, (nxt > self.beta)[last], 0)
+        return _WE_EP[codes]
+
 
 class FrontierGuardPolicy(Policy):
     """Edge-parallel with the sampling method's per-iteration guard.
@@ -207,6 +239,11 @@ class FrontierGuardPolicy(Policy):
                  f"{self.min_frontier}: work-efficient",
         )
 
+    def decide_levels(self, sizes) -> np.ndarray:
+        guarded = np.asarray(sizes, dtype=np.int64) >= self.min_frontier
+        guarded[:1] = False  # the first frontier is just the root
+        return _WE_EP[guarded.astype(np.intp)]
+
 
 class BatchedPolicy(Policy):
     """One frontier-matrix batch of the ``batched`` device strategy: it
@@ -237,3 +274,6 @@ class BatchedPolicy(Policy):
         return Decision(strategy=BATCHED, policy=self.kind,
                         rule="batch advances one frontier-matrix step",
                         inputs={"batch_roots": self.batch_roots})
+
+    def decide_levels(self, sizes) -> np.ndarray:
+        return np.full(len(sizes), BATCHED)

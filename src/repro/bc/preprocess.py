@@ -112,6 +112,12 @@ class FoldResult:
     rounds: int = 0
     _digest: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        # Shared by every caller of the graph's cached fold.
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
     @property
     def num_folded(self) -> int:
         return int(self.original.num_vertices - self.core_vertices.size)
@@ -188,6 +194,11 @@ def _components(g: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
 def fold_degree_one(g: CSRGraph) -> FoldResult:
     """Iteratively peel pendant vertices; exact by construction.
 
+    The fold is a function of the immutable graph, so it is computed
+    once per :class:`~repro.graph.csr.CSRGraph` instance and cached on
+    it (like :meth:`~repro.graph.csr.CSRGraph.digest`); its arrays are
+    read-only.
+
     Each round removes every vertex with exactly one surviving
     neighbour (self-loops ignored — they never carry a shortest path).
     Two adjacent pendants (a residual ``K2``) are resolved
@@ -197,6 +208,14 @@ def fold_degree_one(g: CSRGraph) -> FoldResult:
 
     Directed graphs return the identity fold.
     """
+    cached = g.__dict__.get("_fold")
+    if cached is None:
+        cached = _fold(g)
+        object.__setattr__(g, "_fold", cached)
+    return cached
+
+
+def _fold(g: CSRGraph) -> FoldResult:
     n = g.num_vertices
     if n == 0 or not g.undirected:
         return _identity_fold(g)

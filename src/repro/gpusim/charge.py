@@ -1,18 +1,37 @@
-"""Strategy charging: one traversal profile plus one policy -> a trace.
+"""Strategy charging: traversal profiles plus one policy -> traces.
 
 Every strategy computes identical values; they differ only in how
 threads are assigned to frontier work.  So a traversal is executed
 once, described by a value-free :class:`FrontierProfile` (per forward
 depth: frontier size, edge frontier and, for per-root traversals, the
-frontier's vertex ids and degrees), and :func:`charge` replays the
-policy over those sizes, then charges each strategy's levels in one
-array call of its :class:`CostModel` kernel.  This is the only caller
-of the :class:`CostModel` kernels.
+frontier's vertex ids and degrees), and charged in array form:
+
+* :func:`charge_rows` takes the profiles of a lockstep group's roots,
+  asks :meth:`Policy.decide_levels` for each root's strategies, and
+  charges each strategy's levels across all roots in one array call of
+  its :class:`CostModel` kernel (this is the only caller of those
+  kernels).  It returns each root's levels as
+  :class:`~repro.gpusim.trace.LevelColumns` and records nothing.
+* :func:`record_root`, called at each root's own turn in the root
+  loop, makes the root's :class:`~repro.gpusim.trace.RootTrace` (its
+  :class:`~repro.gpusim.trace.LevelTrace` list is built on first read)
+  and records its metrics: every per-level ``engine.*`` series updated
+  once, and one deferred block of ``decision.initial``/``decision.step``
+  audit records, which :meth:`Policy.decide` builds only if the
+  registry's events are read
+  (:meth:`~repro.observability.MetricsRegistry.defer`).
+* :func:`charge` is the one-root composition of the two.
+
+Traces, counters, histograms and events are those of a level-by-level
+replay (``tests/gpusim/test_charge_equivalence.py`` keeps that loop as
+the reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -26,11 +45,10 @@ from ..bc.policies import (
     Policy,
 )
 from ..errors import StrategyError
-from ..observability.registry import NULL_REGISTRY
 from .cost import CostModel
-from .trace import LevelTrace, RootTrace
+from .trace import LevelColumns, RootTrace
 
-__all__ = ["FrontierProfile", "charge"]
+__all__ = ["FrontierProfile", "charge", "charge_rows", "record_root"]
 
 
 @dataclass(frozen=True)
@@ -98,41 +116,17 @@ class FrontierProfile:
         return profiles
 
 
-def _replay(policy: Policy, root: int, sizes: list, metrics) -> list:
-    """The strategy of every forward depth, recording the policy's
-    ``decision.initial``/``decision.step`` audit records."""
-    decision = policy.initial_decision()
-    metrics.record("decision.initial", root=root, applies_to_depth=0,
-                   strategy=decision.strategy, policy=decision.policy,
-                   rule=decision.rule, **decision.inputs)
-    strategy = decision.strategy
-    strategies = []
-    for depth, size in enumerate(sizes):
-        strategies.append(strategy)
-        q_next = sizes[depth + 1] if depth + 1 < len(sizes) else 0
-        decision = policy.decide(strategy, size, q_next)
-        if q_next > 0:
-            # The decision taken after level `depth` governs level
-            # `depth + 1`; the final (never-applied) evaluation after the
-            # last level is not recorded.
-            metrics.record("decision.step", root=root, depth=depth,
-                           applies_to_depth=depth + 1, previous=strategy,
-                           strategy=decision.strategy,
-                           policy=decision.policy, rule=decision.rule,
-                           **decision.inputs)
-        strategy = decision.strategy
-    return strategies
-
-
-def _kernel_cycles(strategy: str, profile: FrontierProfile, depths: list,
+def _kernel_cycles(strategy: str, profile: FrontierProfile, depths,
                    costs: CostModel, chunk: int,
                    device_chunk: int | None) -> tuple:
-    """Forward and backward cycles of ``depths`` under ``strategy``."""
+    """Forward and backward cycles of ``depths`` (an index array, or
+    ``slice(None)`` for every depth) under ``strategy``."""
     m = profile.num_directed_edges
+    sizes = np.asarray(profile.sizes, dtype=np.int64)
     if strategy in (WORK_EFFICIENT, VERTEX_PARALLEL):
-        sizes = np.asarray(profile.sizes, dtype=np.int64)
-        starts = np.cumsum(sizes) - sizes
-        rows = concat_ranges(starts[depths], sizes[depths])
+        rows = (depths if isinstance(depths, slice) else
+                concat_ranges((np.cumsum(sizes) - sizes)[depths],
+                              sizes[depths]))
         if strategy == WORK_EFFICIENT:
             return costs.we_levels(profile.degrees[rows], sizes[depths], chunk)
         return costs.vp_levels(profile.num_vertices, profile.ids[rows],
@@ -149,63 +143,149 @@ def _kernel_cycles(strategy: str, profile: FrontierProfile, depths: list,
     return costs.batched_levels(edges, device_chunk)
 
 
-def _instrument(metrics, levels: list) -> None:
-    """The per-level ``engine.*`` series, in level order, through
-    instruments resolved once per root."""
-    resolved = {}
-    frontier_size = metrics.histogram("engine.frontier_size", stage="forward")
-    for lv in levels:
-        series = resolved.get((lv.stage, lv.strategy))
-        if series is None:
-            series = resolved[lv.stage, lv.strategy] = (
-                metrics.counter("engine.levels", stage=lv.stage,
-                                strategy=lv.strategy),
-                metrics.counter("engine.frontier_vertices", stage=lv.stage),
-                metrics.counter("engine.frontier_edges", stage=lv.stage),
-                metrics.counter("engine.cycles", stage=lv.stage,
-                                strategy=lv.strategy))
-        count, vertices, edges, cycles = series
-        count.inc()
-        vertices.inc(lv.frontier_size)
-        edges.inc(lv.edge_frontier)
-        cycles.inc(lv.cycles)
-        if lv.stage == "forward":
-            frontier_size.observe(lv.frontier_size)
+def charge_rows(profiles: list, policy: Policy, costs: CostModel, chunk: int,
+                device_chunk: int | None = None) -> list:
+    """Decide and cost every level of ``profiles`` (the rows of one
+    lockstep group, or any traversals of one graph); returns one
+    :class:`~repro.gpusim.trace.LevelColumns` per profile, in order.
+
+    Each row's strategies come from one :meth:`Policy.decide_levels`
+    call; then each strategy's levels, across all rows, are charged
+    (forward and backward) in one array call of its
+    :class:`CostModel` kernel.  Records nothing: :func:`record_root`
+    does, at each root's own turn.  ``device_chunk`` is the
+    whole-device concurrency the ``gpu-fan`` and ``batched`` kernels
+    cooperate across.
+    """
+    counts = [len(p.sizes) for p in profiles]
+    decided = [policy.decide_levels(p.sizes) for p in profiles]
+    strategy = np.concatenate(decided) if decided else np.empty(0, dtype=str)
+    forward = np.empty(strategy.size)
+    backward = np.empty(strategy.size)
+    kinds = list(dict.fromkeys(strategy.tolist()))
+    if kinds:
+        # The rows' levels, one after another, as one profile.
+        first = profiles[0]
+        per_vertex = first.ids is not None
+        stacked = FrontierProfile(
+            root=first.root,
+            sizes=np.fromiter(chain.from_iterable(p.sizes for p in profiles),
+                              dtype=np.int64, count=strategy.size),
+            edges=np.fromiter(chain.from_iterable(p.edges for p in profiles),
+                              dtype=np.int64, count=strategy.size),
+            ids=(np.concatenate([p.ids for p in profiles]) if per_vertex
+                 else None),
+            degrees=(np.concatenate([p.degrees for p in profiles])
+                     if per_vertex else None),
+            num_vertices=first.num_vertices,
+            num_directed_edges=first.num_directed_edges)
+        for kind in kinds:
+            depths = (slice(None) if len(kinds) == 1
+                      else np.flatnonzero(strategy == kind))
+            forward[depths], backward[depths] = _kernel_cycles(
+                kind, stacked, depths, costs, chunk, device_chunk)
+    strategy = strategy.tolist()
+    forward, backward = forward.tolist(), backward.tolist()
+    out = []
+    lo = 0
+    for p, count in zip(profiles, counts):
+        hi = lo + count
+        out.append(LevelColumns(p.root, strategy[lo:hi],
+                                [int(size) for size in p.sizes],
+                                [int(ef) for ef in p.edges],
+                                forward[lo:hi], backward[lo:hi]))
+        lo = hi
+    return out
+
+
+def _decision_records(policy: Policy, columns: LevelColumns) -> list:
+    """A root's ``decision.initial``/``decision.step`` audit records:
+    :meth:`Policy.decide` replayed over its levels."""
+    root, sizes, strategies = columns.root, columns.size, columns.strategy
+    decision = policy.initial_decision()
+    events = [{"event": "decision.initial", "root": root,
+               "applies_to_depth": 0, "strategy": decision.strategy,
+               "policy": decision.policy, "rule": decision.rule,
+               **decision.inputs}]
+    # The decision taken after level `depth` governs level `depth + 1`;
+    # the final (never-applied) evaluation after the last level, and
+    # any toward an empty level, are not recorded.
+    for depth in range(len(sizes) - 1):
+        q_next = sizes[depth + 1]
+        if q_next > 0:
+            previous = strategies[depth]
+            decision = policy.decide(previous, sizes[depth], q_next)
+            events.append({"event": "decision.step", "root": root,
+                           "depth": depth, "applies_to_depth": depth + 1,
+                           "previous": previous,
+                           "strategy": decision.strategy,
+                           "policy": decision.policy, "rule": decision.rule,
+                           **decision.inputs})
+    return events
+
+
+def _by_strategy(strategies: list, values: list) -> dict:
+    """``{strategy: values of its levels, in order}``."""
+    if len(set(strategies)) == 1:
+        return {strategies[0]: values}
+    out: dict = {}
+    for strategy, value in zip(strategies, values):
+        out.setdefault(strategy, []).append(value)
+    return out
+
+
+def record_root(columns: LevelColumns, policy: Policy,
+                metrics=None) -> RootTrace:
+    """One charged root's trace, recording its metrics: each per-level
+    ``engine.*`` series updated once, and one deferred block of its
+    ``decision.initial``/``decision.step`` records.
+
+    Call it at the root's own turn in the root loop, so that a root
+    whose verification fails stops every later root's records.  The
+    series get exactly the additions a level-by-level loop makes: the
+    cycle counters add each level's cycles in trace order (forward by
+    depth, then backward deepest first); the counts, vertex and edge
+    totals are integer-valued, so one exact addition of a root's total
+    stands for its per-level ones.
+    """
+    trace = RootTrace.from_columns(columns)
+    if metrics is None or not metrics.enabled:
+        return trace
+    metrics.defer(partial(_decision_records, policy, columns))
+    size, edges, strategy = columns.size, columns.edges, columns.strategy
+    depth = len(size)
+    if depth == 0:
+        return trace
+    inner = slice(1, depth - 1)
+    for stage, strategies, cycles, sizes, edge_frontier in (
+            ("forward", strategy, columns.forward, size, edges),
+            ("backward", strategy[inner][::-1], columns.backward_cycles(),
+             size[inner], edges[inner])):
+        if not cycles:
+            continue
+        metrics.counter("engine.frontier_vertices", stage=stage).inc(
+            sum(sizes))
+        metrics.counter("engine.frontier_edges", stage=stage).inc(
+            sum(edge_frontier))
+        for name, values in _by_strategy(strategies, cycles).items():
+            metrics.counter("engine.levels", stage=stage,
+                            strategy=name).inc(len(values))
+            metrics.counter("engine.cycles", stage=stage,
+                            strategy=name).inc_all(values)
+    metrics.histogram("engine.frontier_size", stage="forward").observe_all(
+        size)
+    return trace
 
 
 def charge(profile: FrontierProfile, policy: Policy, costs: CostModel,
            chunk: int, device_chunk: int | None = None,
            metrics=None) -> RootTrace:
-    """Charge one traversal under ``policy``.
+    """Charge one traversal under ``policy``: :func:`charge_rows` of
+    one row, recorded by :func:`record_root`.
 
-    Replays ``policy.decide`` once per forward level over the profile's
-    frontier sizes (emitting the ``decision.initial``/``decision.step``
-    audit records), charges every forward level and its mirrored
-    backward level (depths ``max_depth - 1`` down to 1, deepest first)
-    under the decided strategy, and emits the per-level ``engine.*``
-    series.  ``device_chunk`` is the whole-device concurrency the
-    ``gpu-fan`` and ``batched`` kernels cooperate across.
+    Every forward level is charged, and its mirrored backward level
+    (depths ``max_depth - 1`` down to 1, deepest first), under the
+    strategy :meth:`Policy.decide_levels` picks for its depth.
     """
-    if metrics is None:
-        metrics = NULL_REGISTRY
-    sizes = [int(size) for size in profile.sizes]
-    edges = [int(ef) for ef in profile.edges]
-    strategies = _replay(policy, profile.root, sizes, metrics)
-    by_strategy: dict = {}
-    for depth, strategy in enumerate(strategies):
-        by_strategy.setdefault(strategy, []).append(depth)
-    forward = np.empty(len(strategies))
-    backward = np.empty(len(strategies))
-    for strategy, depths in by_strategy.items():
-        forward[depths], backward[depths] = _kernel_cycles(
-            strategy, profile, depths, costs, chunk, device_chunk)
-    forward, backward = forward.tolist(), backward.tolist()
-    levels = [LevelTrace(depth, "forward", strategies[depth], sizes[depth],
-                         edges[depth], forward[depth])
-              for depth in range(len(sizes))]
-    levels += [LevelTrace(depth, "backward", strategies[depth], sizes[depth],
-                          edges[depth], backward[depth])
-               for depth in range(len(sizes) - 2, 0, -1)]
-    if metrics.enabled and levels:
-        _instrument(metrics, levels)
-    return RootTrace(root=profile.root, levels=levels)
+    (columns,) = charge_rows([profile], policy, costs, chunk, device_chunk)
+    return record_root(columns, policy, metrics)

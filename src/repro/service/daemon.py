@@ -152,7 +152,6 @@ class BCService:
                 self.journal.append("requeue", job_id=job_id,
                                     reason="recovered")
         self._graphs: dict = {}
-        self._fold_digests: dict = {}
         self._next_id = 1 + max(
             (int(j[1:]) for j in self.jobs if j.startswith("j")
              and j[1:].isdigit()), default=0)
@@ -193,19 +192,15 @@ class BCService:
             self.metrics.inc("service.graphs_loaded")
         return g
 
-    def _fold_digest(self, g, spec: JobSpec) -> str | None:
+    @staticmethod
+    def _fold_digest(g, spec: JobSpec) -> str | None:
         """The job's fold digest (a result-key determinant), or ``None``
-        for unfolded jobs; computed once per distinct graph."""
+        for unfolded jobs; the fold is cached on the graph."""
         if not spec.fold:
             return None
-        gd = g.digest()
-        d = self._fold_digests.get(gd)
-        if d is None:
-            from ..bc.preprocess import fold_degree_one
+        from ..bc.preprocess import fold_degree_one
 
-            d = fold_degree_one(g).digest()
-            self._fold_digests[gd] = d
-        return d
+        return fold_degree_one(g).digest()
 
     def _tenant_live(self, tenant: str) -> int:
         return sum(1 for j in self.jobs.values()

@@ -71,7 +71,9 @@ class RootObserver:
         self.expected_sum = 0.0
         self._events: list = []
         self._group = None
-        self._passed: dict = {}
+        self._checked: list = []
+        self._sums: list = []
+        self._passed: dict | None = None
 
     def _apply(self, events, site: str, arr: np.ndarray) -> None:
         hits = [ev for ev in events if ev.site == site]
@@ -91,41 +93,52 @@ class RootObserver:
             self._apply(self._events, "sigma", fwd.sigma)
             self._apply(self._events, "dist", fwd.distances)
 
+    def _new_group(self, grp, delta: np.ndarray) -> None:
+        """Per-group state, once per group: which rows the policy
+        checks and every row's dependency sum."""
+        self._group = grp
+        self._checked = (self.policy.checks_roots(grp.sources.tolist())
+                         if self.checker is not None else [False] * grp.size)
+        self._sums = delta.sum(axis=1).tolist()
+        self._passed = None
+
     def _group_passed(self, grp, delta: np.ndarray) -> dict:
         """:meth:`RootChecker.rows_pass` over the group's checked rows,
         once per group."""
-        if grp is not self._group:
-            rows = [r for r, s in enumerate(grp.sources.tolist())
-                    if self.policy.checks_root(s)]
-            self._group = grp
+        if self._passed is None:
+            rows = [r for r, checked in enumerate(self._checked) if checked]
             self._passed = self.checker.rows_pass(
                 self.g, grp, delta, rows, self.target_weights,
                 self.source_weights)
         return self._passed
 
     def after_accumulation(self, grp, r: int, delta: np.ndarray) -> None:
+        if grp is not self._group:
+            self._new_group(grp, delta)
         events, self._events = self._events, []
-        row = delta[r]
-        self._apply(events, "delta", row)
+        if events:
+            self._apply(events, "delta", delta[r])
         self.position += 1
-        root = int(grp.sources[r])
-        if self.checker is not None and self.policy.checks_root(root):
+        if self._checked[r]:
             t0 = time.perf_counter()
             passed = None if events else self._group_passed(grp, delta).get(r)
             if passed is not None:
                 self.checker.count(passed)
                 violations = []
             else:
+                root = int(grp.sources[r])
                 sw = (1.0 if self.source_weights is None
                       else float(self.source_weights[root]))
                 violations = self.checker.check_root(
-                    self.g, grp.row(r), row,
+                    self.g, grp.row(r), delta[r],
                     target_weights=self.target_weights, source_weight=sw)
             self.metrics.inc("verify.overhead_seconds",
                              time.perf_counter() - t0)
             if violations:
-                raise SilentCorruptionError(violations, root=root)
-        self.expected_sum += float(row.sum())
+                raise SilentCorruptionError(violations,
+                                            root=int(grp.sources[r]))
+        # A bit-flip struck this row after the group's sums were taken.
+        self.expected_sum += float(delta[r].sum()) if events else self._sums[r]
 
     def finish(self, partial: np.ndarray) -> None:
         """Partial-BC injection + unit checksum, once per run, over the

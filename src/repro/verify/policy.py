@@ -106,9 +106,12 @@ class VerificationPolicy:
     def checks_root(self, root: int) -> bool:
         """Deterministically decide whether ``root`` gets the per-root
         invariant suite under this policy."""
-        if self.mode == OFF:
-            return False
-        if self.mode == PARANOID:
-            return True
-        h = ((int(root) + 1) * _HASH_MULT) ^ (self.seed * 97)
-        return (h % self.root_period) == 0
+        return self.checks_roots([root])[0]
+
+    def checks_roots(self, roots) -> list:
+        """:meth:`checks_root` of each of ``roots``, in one call."""
+        if self.mode != SAMPLED:
+            return [self.mode == PARANOID] * len(roots)
+        salt, period = self.seed * 97, self.root_period
+        return [((int(root) + 1) * _HASH_MULT ^ salt) % period == 0
+                for root in roots]

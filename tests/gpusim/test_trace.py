@@ -1,8 +1,19 @@
 """Unit tests for trace containers."""
 
 import numpy as np
+import pytest
 
+from repro.bc.frontier import forward_sweep
+from repro.bc.policies import (
+    EDGE_PARALLEL,
+    FixedPolicy,
+    FrontierGuardPolicy,
+    HybridPolicy,
+)
+from repro.gpusim.charge import FrontierProfile, charge
+from repro.gpusim.cost import CostModel
 from repro.gpusim.trace import LevelTrace, RootTrace, RunTrace
+from repro.graph.build import from_edges
 
 
 def _lv(depth, stage, strategy="work-efficient", f=1, ef=2, cycles=10.0):
@@ -55,3 +66,61 @@ class TestRunTrace:
             run.roots.append(rt)
         assert run.total_root_cycles == 30
         assert run.max_depths().tolist() == [0, 0, 0]
+
+
+class TestColumnarRootTrace:
+    """A trace built from columns reads like the eager list of levels."""
+
+    @staticmethod
+    def _charged(policy):
+        # Hubs joined by fans of leaves: wide uneven levels, so hybrid
+        # switches both ways; plus an isolated vertex (a one-level root).
+        edges, hub, nxt = [], 0, 1
+        for _ in range(4):
+            leaves = list(range(nxt, nxt + 30))
+            nxt += 30
+            edges += [(hub, leaf) for leaf in leaves]
+            edges += [(leaf, nxt) for leaf in leaves[:10]]
+            hub = nxt
+            nxt += 1
+        g = from_edges(edges, num_vertices=nxt + 1)
+        policy = {"hybrid": HybridPolicy(alpha=1, beta=2),
+                  "guard": FrontierGuardPolicy(min_frontier=3),
+                  "fixed": FixedPolicy(EDGE_PARALLEL)}[policy]
+        return [charge(FrontierProfile.of_sweep(g, forward_sweep(g, r)),
+                       policy, CostModel(), 4)
+                for r in (0, 1, 31, nxt)]
+
+    @staticmethod
+    def _reads(rt):
+        return (rt.cycles, rt.max_depth, rt.vertex_frontier_sizes().tolist(),
+                rt.edge_frontier_sizes().tolist(),
+                rt.forward_cycles().tolist(), rt.strategy_by_depth(),
+                rt.strategies_used())
+
+    @pytest.mark.parametrize("policy", ["hybrid", "guard", "fixed"])
+    def test_lazy_equals_eager(self, policy):
+        lazy_traces = self._charged(policy)
+        for lazy, built in zip(lazy_traces, self._charged(policy)):
+            eager = RootTrace(root=built.root, levels=list(built.levels))
+            # Read from the columns first, then from the built levels.
+            assert self._reads(lazy) == self._reads(eager)
+            assert repr(lazy) == repr(eager)
+            assert lazy == eager
+            assert self._reads(lazy) == self._reads(eager)
+            assert [type(getattr(lv, f)) for lv in lazy.levels
+                    for f in ("depth", "frontier_size", "edge_frontier",
+                              "cycles", "strategy")] == \
+                [t for _ in lazy.levels
+                 for t in (int, int, int, float, str)]
+        assert {s for rt in lazy_traces
+                for s in rt.strategies_used()} >= (
+            {"work-efficient", "edge-parallel"} if policy != "fixed"
+            else {"edge-parallel"})
+
+    def test_add_after_columns(self):
+        (rt, *_) = self._charged("hybrid")
+        depth = rt.max_depth
+        rt.add(_lv(depth + 1, "forward", cycles=5.0))
+        assert rt.max_depth == depth + 1
+        assert rt.levels[-1].cycles == 5.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -41,6 +42,44 @@ def test_put_is_idempotent_bytes(tmp_path):
     first = open(p, "rb").read()
     cache.put(key, np.array([1.0]), {"exact": True})
     assert open(p, "rb").read() == first
+
+
+def _reference_entry(key, values, meta):
+    """The entry text as ``put`` first wrote it: the body canonicalised
+    once for its checksum and again, checksum included, for the file."""
+    def canonical(payload):
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    body = {
+        "schema": "repro.result/v1",
+        "key": str(key),
+        "meta": dict(meta),
+        "values": [float(v) for v in np.asarray(values, dtype=np.float64)],
+    }
+    doc = dict(body)
+    doc["checksum"] = hashlib.sha256(
+        canonical(body).encode("utf-8")).hexdigest()
+    return canonical(doc) + "\n"
+
+
+def test_put_bytes_match_the_two_pass_encoding(tmp_path):
+    cache = ResultCache(tmp_path)
+    cases = [
+        (np.array([0.0, 1.5, 2.25]), {"exact": True, "job_id": "j1"}),
+        (np.array([]), {}),
+        (np.array([-0.0, 1e300, 5e-324, 0.1 + 0.2, 123456789.0]),
+         {"zz": [1, 2.5, None], "aa": {"b": "ü", "a": False}}),
+        (np.arange(7, dtype=np.int64), {"strategy": "hybrid", "roots": 7}),
+        (np.array([np.inf, -np.inf, np.nan]), {"degraded": "overload"}),
+    ]
+    for i, (values, meta) in enumerate(cases):
+        key = result_key("g" * 64, "sampling", [i], i)
+        with open(cache.put(key, values, meta), encoding="utf-8") as fh:
+            assert fh.read() == _reference_entry(key, values, meta)
+        if np.isfinite(values).all():
+            got, got_meta = cache.get(key)
+            np.testing.assert_array_equal(got, values)
+            assert got_meta == meta
 
 
 def test_corrupt_entry_is_evicted_not_served(tmp_path):
