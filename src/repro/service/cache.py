@@ -16,6 +16,28 @@ gives in-flight data.  Writes go through a temp file + ``os.replace``
 faults and simulated crashes strike them) so a crash can leave at most
 a stray temp file, never a half-written entry at the final path.
 
+An entry's bytes have one layout, which :meth:`ResultCache.put` writes
+and one load-and-verify routine reads (``get`` and ``verify`` both go
+through it)::
+
+    {"checksum":"<64 hex>",<canonical body without its "{">\n
+
+The body is the canonical JSON (:func:`~repro.service.jobs.
+canonical_json`) of ``schema``, ``key``, ``meta`` and ``values``, and
+the checksum is the SHA-256 of its UTF-8 bytes; because ``"checksum"``
+sorts before every body key, the whole entry is also the canonical
+document of body plus checksum.  The read decodes the file strictly as
+UTF-8 and parses it (failure: evicted as ``unreadable``), checks
+``schema`` and ``key``, then hashes ``"{"`` plus the stored bytes after
+the layout's head, without the trailing newline, and compares that
+with the stored hex (mismatch or any other layout: ``checksum``).  No
+body is ever re-serialised on the read path.  This accepts a subset of
+what re-serialising the parsed document would: an entry ``put`` wrote
+hashes identically either way, and the only extra rejection is a file
+that is valid JSON with a right semantic checksum but not in the
+canonical layout — something ``put`` never writes, so it is evicted
+and recomputed like any other damaged entry.
+
 With ``max_bytes`` set the cache is an **LRU under a byte budget**:
 
 * every put/get refreshes the entry's recency; on restart the order is
@@ -42,15 +64,21 @@ import numpy as np
 
 from ..errors import StorageFullError
 from ..observability.registry import NULL_REGISTRY
+from .jobs import canonical_json
 from .storage import ServiceStorage
 
 __all__ = ["RESULT_SCHEMA", "ResultCache", "result_key"]
 
 RESULT_SCHEMA = "repro.result/v1"
 
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# An entry's layout: _HEAD, the body's SHA-256 as 64 hex digits, _SEP,
+# the canonical body after its opening brace, a newline.
+_HEAD = '{"checksum":"'
+_SEP = '",'
+_SEP_AT = len(_HEAD) + 64
+_BODY_AT = _SEP_AT + len(_SEP)
+_HEAD_BYTES = _HEAD.encode("ascii")
+_SEP_BYTES = _SEP.encode("ascii")
 
 
 def result_key(graph_digest: str, strategy: str, roots, seed: int,
@@ -69,7 +97,7 @@ def result_key(graph_digest: str, strategy: str, roots, seed: int,
     """
     roots = np.asarray(roots, dtype=np.int64)
     h = hashlib.sha256()
-    h.update(_canonical({
+    h.update(canonical_json({
         "graph": str(graph_digest),
         "strategy": str(strategy),
         "seed": int(seed),
@@ -125,9 +153,10 @@ class ResultCache:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
     @staticmethod
-    def _checksum(body_text: str) -> str:
-        """SHA-256 of an entry's canonical body text (no checksum key)."""
-        return hashlib.sha256(body_text.encode("utf-8")).hexdigest()
+    def _checksum(body: bytes) -> str:
+        """SHA-256 hex of an entry's canonical body bytes (no checksum
+        key)."""
+        return hashlib.sha256(body).hexdigest()
 
     # -- budget accounting ---------------------------------------------
     @property
@@ -198,12 +227,13 @@ class ResultCache:
             "meta": dict(meta),
             "values": np.asarray(values, dtype=np.float64).tolist(),
         }
-        body_text = _canonical(body)
+        body_text = canonical_json(body)
         # The canonical document is the body plus its checksum; the
         # splice below is that document only while "checksum" sorts
         # before every body key.
         assert "checksum" < min(body)
-        text = f'{{"checksum":"{self._checksum(body_text)}",{body_text[1:]}\n'
+        checksum = self._checksum(body_text.encode("utf-8"))
+        text = f"{_HEAD}{checksum}{_SEP}{body_text[1:]}\n"
         path = self.path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         try:
@@ -235,21 +265,13 @@ class ResultCache:
         evicted under the byte budget, or failed verification and was
         evicted (counted under ``service.cache.corrupt_evicted``).
         """
-        path = self.path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
+        doc, fault = self._load(key)
+        if fault == "missing":
             self.metrics.inc("service.cache.misses")
             self._sizes.pop(key, None)
             return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            # UnicodeDecodeError: a flipped bit can land mid-multibyte
-            # sequence, so the blob dies before JSON even sees it.
-            self._evict(key, "unreadable")
-            return None
-        if not self._intact(doc, key):
-            self._evict(key, "checksum")
+        if fault is not None:
+            self._evict(key, fault)
             return None
         values = np.asarray(doc["values"], dtype=np.float64)
         self._touch(key)
@@ -258,24 +280,38 @@ class ResultCache:
 
     def verify(self, key: str) -> bool:
         """Whether the entry exists and passes its checksum (no evict)."""
-        path = self.path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return False
-        return self._intact(doc, key)
+        return self._load(key)[1] is None
 
-    def _intact(self, doc, key: str) -> bool:
-        if not isinstance(doc, dict) or doc.get("schema") != RESULT_SCHEMA:
-            return False
-        if doc.get("key") != key or "checksum" not in doc:
-            return False
-        body = {k: v for k, v in doc.items() if k != "checksum"}
+    def _load(self, key: str):
+        """Read and verify one entry: ``(doc, None)``, or ``(None,
+        fault)`` with ``fault`` one of ``"missing"``, ``"unreadable"``
+        (I/O error, bad UTF-8, not JSON) or ``"checksum"`` (wrong
+        schema or key, not in the layout :meth:`put` writes, or the
+        stored body does not hash to the stored checksum)."""
         try:
-            return self._checksum(_canonical(body)) == doc["checksum"]
-        except (TypeError, ValueError):
-            return False
+            with open(self.path(key), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return None, "missing"
+        except OSError:
+            return None, "unreadable"
+        try:
+            # A flipped bit can land mid-multibyte sequence, so the
+            # blob dies before JSON even sees it.
+            doc = json.loads(data.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            return None, "unreadable"
+        if (not isinstance(doc, dict) or doc.get("schema") != RESULT_SCHEMA
+                or doc.get("key") != key):
+            return None, "checksum"
+        if not (data.startswith(_HEAD_BYTES)
+                and data[_SEP_AT:_BODY_AT] == _SEP_BYTES
+                and data.endswith(b"\n")):
+            return None, "checksum"
+        body = b"{" + data[_BODY_AT:-1]
+        if self._checksum(body).encode("ascii") != data[len(_HEAD):_SEP_AT]:
+            return None, "checksum"
+        return doc, None
 
     def _evict(self, key: str, reason: str) -> None:
         try:

@@ -24,6 +24,8 @@ because results are content-addressed).
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, fields, replace
 
 from ..errors import FaultSpecError, JobSpecError
@@ -40,6 +42,7 @@ __all__ = [
     "JobSpec",
     "JobRecord",
     "legal_transition",
+    "canonical_json",
 ]
 
 PENDING = "pending"
@@ -50,6 +53,17 @@ CANCELLED = "cancelled"
 SHED = "shed"
 STATES = (PENDING, RUNNING, DONE, FAILED, CANCELLED, SHED)
 TERMINAL_STATES = (DONE, FAILED, CANCELLED, SHED)
+
+
+def canonical_json(payload) -> str:
+    """The service's one canonical JSON text: sorted keys, no spaces.
+
+    Content keys, result-cache entries and journal records are all
+    hashed or checksummed over this text, so their bytes are fixed by
+    the payload alone.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
 
 #: Legal state transitions (from -> allowed targets).  ``SHED`` has no
 #: incoming edge here because shed jobs are refused at admission and
@@ -159,13 +173,10 @@ class JobSpec:
         the client derives idempotent job ids from it: a retried submit
         can never enqueue the same work twice.
         """
-        import hashlib
-        import json
-
         payload = {k: v for k, v in self.to_dict().items()
                    if k not in ("job_id", "tenant")}
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return hashlib.sha256(
+            canonical_json(payload).encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict:
         return {

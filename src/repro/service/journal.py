@@ -92,6 +92,7 @@ from .jobs import (
     SHED,
     JobRecord,
     JobSpec,
+    canonical_json,
     legal_transition,
 )
 from .storage import ServiceStorage
@@ -134,7 +135,7 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED, SHED)
 
 def encode_record(record: dict) -> str:
     """One journal line: crc32 of the canonical JSON body, then the body."""
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    body = canonical_json(record)
     if "\n" in body:
         raise ValueError("journal record bodies must be single-line")
     return f"{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x} {body}\n"
