@@ -308,7 +308,8 @@ def build_service_parser() -> argparse.ArgumentParser:
                                 "result from the cache")
     res_p.add_argument("job_id")
     res_p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the full repro.result/v1 values here")
+                       help="write a JSON export (repro.result/v1: key, "
+                            "meta, values) here; not the cache layout")
 
     jour_p = sub.add_parser("journal", parents=[common],
                             help="inspect the on-disk journal chain")
@@ -767,6 +768,8 @@ def _service_main(argv) -> int:
             return 1
         values, meta = hit
         if args.out:
+            # A JSON export for readers of the values, not the binary
+            # cache entry (repro.result/v2).
             _write_report(args.out, {
                 "schema": "repro.result/v1", "key": job.result_key,
                 "meta": meta, "values": [float(v) for v in values]})

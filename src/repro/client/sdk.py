@@ -140,8 +140,8 @@ class SpoolTransport:
         os.makedirs(self.spool_dir, exist_ok=True)
         self._ticket_n += 1
         name = f"t{self._ticket_n:06d}-{spec.job_id}.json"
-        body = json.dumps({"op": "submit", "job": spec.to_dict()},
-                          sort_keys=True) + "\n"
+        body = (json.dumps({"op": "submit", "job": spec.to_dict()},
+                           sort_keys=True) + "\n").encode("utf-8")
         self.storage.replace_atomic(os.path.join(self.spool_dir, name),
                                     body, "spool")
         return spec.job_id

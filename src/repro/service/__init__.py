@@ -10,7 +10,8 @@ duplicating work.  Layers, bottom up:
 * :mod:`~repro.service.journal` — the checksummed write-ahead journal
   (``repro.job/v1``) and its crash-replay semantics;
 * :mod:`~repro.service.cache` — content-addressed, checksum-verified
-  result materialisation (``repro.result/v1``);
+  result materialisation (``repro.result/v2``: a JSON header, then the
+  values as raw float64);
 * :mod:`~repro.service.admission` — bounded queue, tenant quotas,
   load-shedding and overload degradation policy;
 * :mod:`~repro.service.scheduler` — fault-hardened execution: retries

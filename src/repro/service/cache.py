@@ -6,8 +6,8 @@ state — so repeated queries are free and recomputation after a crash is
 idempotent: the same job always lands on the same path with the same
 bytes.
 
-Every entry (schema ``repro.result/v1``) embeds a SHA-256 checksum of
-its canonical body.  :meth:`ResultCache.get` re-verifies it on every
+Every entry (schema ``repro.result/v2``) embeds a SHA-256 checksum of
+its header and values.  :meth:`ResultCache.get` re-verifies it on every
 read: an entry that rotted at rest (bit-flip, partial write outside the
 atomic rename path, manual tampering) is **evicted and recomputed**,
 never served — the same never-silently-wrong contract the ABFT layer
@@ -18,25 +18,37 @@ a stray temp file, never a half-written entry at the final path.
 
 An entry's bytes have one layout, which :meth:`ResultCache.put` writes
 and one load-and-verify routine reads (``get`` and ``verify`` both go
-through it)::
+through it): a one-line JSON header, then the values as raw
+little-endian float64::
 
-    {"checksum":"<64 hex>",<canonical body without its "{">\n
+    {"checksum":"<64 hex>",<canonical header body without its "{">\n
+    <8 * count value bytes>
 
-The body is the canonical JSON (:func:`~repro.service.jobs.
-canonical_json`) of ``schema``, ``key``, ``meta`` and ``values``, and
-the checksum is the SHA-256 of its UTF-8 bytes; because ``"checksum"``
-sorts before every body key, the whole entry is also the canonical
-document of body plus checksum.  The read decodes the file strictly as
-UTF-8 and parses it (failure: evicted as ``unreadable``), checks
-``schema`` and ``key``, then hashes ``"{"`` plus the stored bytes after
-the layout's head, without the trailing newline, and compares that
-with the stored hex (mismatch or any other layout: ``checksum``).  No
-body is ever re-serialised on the read path.  This accepts a subset of
-what re-serialising the parsed document would: an entry ``put`` wrote
-hashes identically either way, and the only extra rejection is a file
-that is valid JSON with a right semantic checksum but not in the
-canonical layout — something ``put`` never writes, so it is evicted
-and recomputed like any other damaged entry.
+The header body is the canonical JSON (:func:`~repro.service.jobs.
+canonical_json`) of ``schema``, ``key``, ``meta`` and ``count``, and
+the checksum is the SHA-256 of ``"{"`` plus every stored byte after
+the 79-byte head — the header body, its newline and the value bytes, in
+one contiguous slice.  Because ``"checksum"`` sorts before every header
+key, the header line is also the canonical document of header plus
+checksum; canonical JSON never contains a raw newline, so the first
+newline always ends it.  Values are neither printed nor parsed: the
+write is ``tobytes`` and the read ``frombuffer``, so every float64 —
+NaN payloads, ±inf, −0.0 and subnormals included — round-trips
+bit-exactly.
+
+The read decodes only the header, strictly as UTF-8, and classifies a
+bad entry as ``unreadable`` when its bytes cannot be decoded in this
+layout — no newline (empty, or cut mid-header), a header that is not
+UTF-8 JSON, or value bytes that are not whole float64s (cut
+mid-value) — and as ``checksum`` when they decode but are not what
+``put`` wrote for this key: wrong schema or key, a ``count`` that
+disagrees with the value bytes, a head not in the canonical layout, or
+a stored checksum the bytes do not hash to.  No header is ever
+re-serialised on the read path, so a header re-dumped in any other
+JSON spelling is rejected even when it means the same thing — ``put``
+never writes one, and it is evicted and recomputed like any other
+damaged entry.  An entry in an older schema (``repro.result/v1``, the
+JSON layout) fails the schema check the same way.
 
 With ``max_bytes`` set the cache is an **LRU under a byte budget**:
 
@@ -69,16 +81,16 @@ from .storage import ServiceStorage
 
 __all__ = ["RESULT_SCHEMA", "ResultCache", "result_key"]
 
-RESULT_SCHEMA = "repro.result/v1"
+RESULT_SCHEMA = "repro.result/v2"
 
-# An entry's layout: _HEAD, the body's SHA-256 as 64 hex digits, _SEP,
-# the canonical body after its opening brace, a newline.
-_HEAD = '{"checksum":"'
-_SEP = '",'
+# An entry's head: _HEAD, the SHA-256 as 64 hex digits, _SEP.  The
+# canonical header body after its opening brace, a newline and the
+# value bytes follow; the checksum covers "{" plus all of them.
+_HEAD = b'{"checksum":"'
+_SEP = b'",'
 _SEP_AT = len(_HEAD) + 64
 _BODY_AT = _SEP_AT + len(_SEP)
-_HEAD_BYTES = _HEAD.encode("ascii")
-_SEP_BYTES = _SEP.encode("ascii")
+_VALUE = np.dtype("<f8")
 
 
 def result_key(graph_digest: str, strategy: str, roots, seed: int,
@@ -110,7 +122,7 @@ def result_key(graph_digest: str, strategy: str, roots, seed: int,
 
 
 class ResultCache:
-    """Directory of checksummed ``repro.result/v1`` entries.
+    """Directory of checksummed ``repro.result/v2`` entries.
 
     ``max_bytes=None`` (default) disables the budget — the cache only
     grows, exactly the original behaviour.
@@ -149,14 +161,19 @@ class ResultCache:
             self._sizes[key] = size
 
     def path(self, key: str) -> str:
-        """Entry path; two-char fan-out keeps directories small."""
+        """Entry path; two-char fan-out keeps directories small.  The
+        ``.json`` name predates the binary layout and is kept so an
+        older service's entries are found, failed and evicted."""
         return os.path.join(self.root, key[:2], f"{key}.json")
 
     @staticmethod
-    def _checksum(body: bytes) -> str:
-        """SHA-256 hex of an entry's canonical body bytes (no checksum
-        key)."""
-        return hashlib.sha256(body).hexdigest()
+    def _checksum(*chunks) -> bytes:
+        """An entry's stored checksum: the SHA-256 hex digits, as ASCII,
+        of ``chunks`` — ``"{"`` plus every byte after the head."""
+        h = hashlib.sha256()
+        for chunk in chunks:
+            h.update(chunk)
+        return h.hexdigest().encode("ascii")
 
     # -- budget accounting ---------------------------------------------
     @property
@@ -221,30 +238,31 @@ class ResultCache:
         cache evicts LRU unpinned entries and retries once, then raises
         :class:`StorageFullError` with nothing half-written.
         """
-        body = {
+        values = np.ascontiguousarray(values, _VALUE)
+        header = {
             "schema": RESULT_SCHEMA,
             "key": str(key),
             "meta": dict(meta),
-            "values": np.asarray(values, dtype=np.float64).tolist(),
+            "count": values.size,
         }
-        body_text = canonical_json(body)
-        # The canonical document is the body plus its checksum; the
-        # splice below is that document only while "checksum" sorts
-        # before every body key.
-        assert "checksum" < min(body)
-        checksum = self._checksum(body_text.encode("utf-8"))
-        text = f"{_HEAD}{checksum}{_SEP}{body_text[1:]}\n"
+        payload = values.tobytes()
+        body = canonical_json(header).encode("utf-8")
+        # The header line is the canonical document of header plus
+        # checksum only while "checksum" sorts before every header key.
+        assert "checksum" < min(header)
+        checksum = self._checksum(body, b"\n", payload)
+        data = b"".join((_HEAD, checksum, _SEP, body[1:], b"\n", payload))
         path = self.path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         try:
-            self.storage.replace_atomic(path, text, "cache")
+            self.storage.replace_atomic(path, data, "cache")
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
                 raise
             self.metrics.inc("service.cache.enospc")
-            self.evict_lru(want_free=len(text.encode("utf-8")))
+            self.evict_lru(want_free=len(data))
             try:
-                self.storage.replace_atomic(path, text, "cache")
+                self.storage.replace_atomic(path, data, "cache")
             except OSError as exc2:
                 if exc2.errno != errno.ENOSPC:
                     raise
@@ -252,7 +270,7 @@ class ResultCache:
                                        attempts=2) from exc2
         if key in self._sizes:
             del self._sizes[key]
-        self._sizes[key] = len(text.encode("utf-8"))
+        self._sizes[key] = len(data)
         self.metrics.inc("service.cache.writes")
         if self.max_bytes is not None:
             self.evict_lru()
@@ -265,7 +283,7 @@ class ResultCache:
         evicted under the byte budget, or failed verification and was
         evicted (counted under ``service.cache.corrupt_evicted``).
         """
-        doc, fault = self._load(key)
+        entry, fault = self._load(key)
         if fault == "missing":
             self.metrics.inc("service.cache.misses")
             self._sizes.pop(key, None)
@@ -273,21 +291,22 @@ class ResultCache:
         if fault is not None:
             self._evict(key, fault)
             return None
-        values = np.asarray(doc["values"], dtype=np.float64)
         self._touch(key)
         self.metrics.inc("service.cache.hits")
-        return values, dict(doc["meta"])
+        return entry
 
     def verify(self, key: str) -> bool:
         """Whether the entry exists and passes its checksum (no evict)."""
         return self._load(key)[1] is None
 
     def _load(self, key: str):
-        """Read and verify one entry: ``(doc, None)``, or ``(None,
-        fault)`` with ``fault`` one of ``"missing"``, ``"unreadable"``
-        (I/O error, bad UTF-8, not JSON) or ``"checksum"`` (wrong
-        schema or key, not in the layout :meth:`put` writes, or the
-        stored body does not hash to the stored checksum)."""
+        """Read and verify one entry: ``((values, meta), None)``, or
+        ``(None, fault)`` with ``fault`` one of ``"missing"``,
+        ``"unreadable"`` (I/O error, no header newline, a header that
+        is not UTF-8 JSON, value bytes that are not whole float64s) or
+        ``"checksum"`` (wrong schema or key, a ``count`` the value bytes
+        disagree with, a head not in the layout :meth:`put` writes, or
+        bytes that do not hash to the stored checksum)."""
         try:
             with open(self.path(key), "rb") as fh:
                 data = fh.read()
@@ -295,23 +314,26 @@ class ResultCache:
             return None, "missing"
         except OSError:
             return None, "unreadable"
-        try:
-            # A flipped bit can land mid-multibyte sequence, so the
-            # blob dies before JSON even sees it.
-            doc = json.loads(data.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        end = data.find(b"\n")
+        size = len(data) - end - 1
+        if end < 0 or size % _VALUE.itemsize:
             return None, "unreadable"
-        if (not isinstance(doc, dict) or doc.get("schema") != RESULT_SCHEMA
-                or doc.get("key") != key):
+        try:
+            # Strict UTF-8: json.loads on bytes would guess at UTF-16/32.
+            header = json.loads(data[:end].decode("utf-8"))
+        except ValueError:      # JSONDecodeError, UnicodeDecodeError
+            return None, "unreadable"
+        if (not isinstance(header, dict)
+                or header.get("schema") != RESULT_SCHEMA
+                or header.get("key") != key
+                or header.get("count") != size // _VALUE.itemsize
+                or not data.startswith(_HEAD)
+                or data[_SEP_AT:_BODY_AT] != _SEP
+                or self._checksum(b"{", memoryview(data)[_BODY_AT:])
+                != data[len(_HEAD):_SEP_AT]):
             return None, "checksum"
-        if not (data.startswith(_HEAD_BYTES)
-                and data[_SEP_AT:_BODY_AT] == _SEP_BYTES
-                and data.endswith(b"\n")):
-            return None, "checksum"
-        body = b"{" + data[_BODY_AT:-1]
-        if self._checksum(body).encode("ascii") != data[len(_HEAD):_SEP_AT]:
-            return None, "checksum"
-        return doc, None
+        values = np.frombuffer(data, _VALUE, offset=end + 1)
+        return (values.astype(np.float64), header["meta"]), None
 
     def _evict(self, key: str, reason: str) -> None:
         try:

@@ -5,7 +5,7 @@
 directory::
 
     <root>/journal.jsonl   write-ahead job journal (repro.job/v1)
-    <root>/results/        content-addressed result cache (repro.result/v1)
+    <root>/results/        content-addressed result cache (repro.result/v2)
     <root>/spool/          cross-process submission/cancel drop box
 
 The journal is the only durable log.  Besides the state records replay
@@ -43,7 +43,7 @@ import json
 import os
 import signal
 import time
-from collections import deque
+from collections import Counter, deque
 
 from ..errors import (
     JobNotFoundError,
@@ -70,6 +70,8 @@ from .scheduler import Scheduler, sample_roots
 from .storage import ServiceStorage
 
 __all__ = ["BCService"]
+
+_LIVE_STATES = (PENDING, RUNNING)
 
 
 class BCService:
@@ -137,6 +139,10 @@ class BCService:
 
         state = replay_state(self.journal.records, self.journal.path)
         self.jobs = state.jobs
+        # Live (pending or running) jobs per tenant, admission's quota
+        # input; _set_state keeps it current so admission never scans.
+        self._live = Counter(j.spec.tenant for j in self.jobs.values()
+                             if j.state in _LIVE_STATES)
         self.queue = deque(state.pending_ids())
         #: Jobs found RUNNING in the journal and requeued at startup.
         self.recovered_ids = list(state.interrupted)
@@ -203,9 +209,14 @@ class BCService:
         return fold_degree_one(g).digest()
 
     def _tenant_live(self, tenant: str) -> int:
-        return sum(1 for j in self.jobs.values()
-                   if j.spec.tenant == tenant
-                   and j.state in (PENDING, RUNNING))
+        return self._live[tenant]
+
+    def _set_state(self, job: JobRecord, state: str) -> None:
+        """Move ``job`` to ``state``, keeping the per-tenant live
+        counts in step."""
+        self._live[job.spec.tenant] += ((state in _LIVE_STATES)
+                                        - (job.state in _LIVE_STATES))
+        job.state = state
 
     #: States under which a content-identical resubmit is folded into
     #: the existing job rather than enqueued again.  Terminal failures
@@ -271,6 +282,7 @@ class BCService:
         job = JobRecord(spec=spec, state=PENDING, submit_seq=rec["seq"],
                         admit_degraded=(mode == "degrade"))
         self.jobs[spec.job_id] = job
+        self._live[spec.tenant] += 1
         self._by_content[ck] = spec.job_id
         self.queue.append(spec.job_id)
         return job
@@ -313,7 +325,7 @@ class BCService:
         if job.state != PENDING:
             return False
         self.journal.append("cancel", job_id=job_id, reason="client cancel")
-        job.state = CANCELLED
+        self._set_state(job, CANCELLED)
         job.error = "client cancel"
         try:
             self.queue.remove(job_id)
@@ -434,14 +446,14 @@ class BCService:
         def on_start(attempt: int, device: str) -> None:
             self.journal.append("start", job_id=spec.job_id,
                                 attempt=attempt, device=device)
-            job.state = RUNNING
+            self._set_state(job, RUNNING)
             job.attempt = attempt
             job.device = device
 
         def on_requeue(attempt: int, delay: float, reason: str) -> None:
             self.journal.append("requeue", job_id=spec.job_id,
                                 attempt=attempt, delay=delay, reason=reason)
-            job.state = PENDING
+            self._set_state(job, PENDING)
             job.backoff_delays.append(delay)
 
         degrade_reason = "overload" if job.admit_degraded else None
@@ -485,7 +497,7 @@ class BCService:
             self.journal.append("fail", job_id=spec.job_id,
                                 error=outcome.error,
                                 error_kind=outcome.error_kind)
-            job.state = FAILED
+            self._set_state(job, FAILED)
             job.attempt = max(job.attempt, outcome.attempts)
             job.error = outcome.error
             self.metrics.inc("service.jobs_failed",
@@ -508,7 +520,7 @@ class BCService:
         if strikes > 3:
             self.journal.append("fail", job_id=spec.job_id,
                                 error=str(exc), error_kind="storage-full")
-            job.state = FAILED
+            self._set_state(job, FAILED)
             job.attempt = max(job.attempt, attempts)
             job.error = str(exc)
             self.metrics.inc("service.jobs_failed", kind="storage-full")
@@ -516,7 +528,7 @@ class BCService:
         self.journal.append("requeue", job_id=spec.job_id,
                             attempt=attempts, delay=0.0,
                             reason="storage-full")
-        job.state = PENDING
+        self._set_state(job, PENDING)
         job.attempt = max(job.attempt, attempts)
         self.queue.append(spec.job_id)
         return job
@@ -529,7 +541,7 @@ class BCService:
                             degraded_reason=degraded_reason,
                             sim_seconds=float(sim_seconds), device=device,
                             samples=samples)
-        job.state = DONE
+        self._set_state(job, DONE)
         job.result_key = key
         job.exact = bool(exact)
         job.degraded_reason = degraded_reason

@@ -161,7 +161,12 @@ class JobSpec:
                 raise JobSpecError(f"bad faults spec: {exc}") from exc
 
     def with_id(self, job_id: str) -> "JobSpec":
-        return replace(self, job_id=str(job_id))
+        spec = replace(self, job_id=str(job_id))
+        # job_id is not part of the content key, so the memo carries.
+        if "_content_key" in self.__dict__:
+            object.__setattr__(spec, "_content_key",
+                               self.__dict__["_content_key"])
+        return spec
 
     def content_key(self) -> str:
         """SHA-256 of the fields that determine what the job *computes*.
@@ -171,12 +176,17 @@ class JobSpec:
         would run the identical query and materialise the identical
         result bytes — which is why admission dedupes on this key and
         the client derives idempotent job ids from it: a retried submit
-        can never enqueue the same work twice.
+        can never enqueue the same work twice.  Computed once per spec
+        (the spec is frozen) and memoised outside its fields.
         """
-        payload = {k: v for k, v in self.to_dict().items()
-                   if k not in ("job_id", "tenant")}
-        return hashlib.sha256(
-            canonical_json(payload).encode("utf-8")).hexdigest()
+        key = self.__dict__.get("_content_key")
+        if key is None:
+            payload = {k: v for k, v in self.to_dict().items()
+                       if k not in ("job_id", "tenant")}
+            key = hashlib.sha256(
+                canonical_json(payload).encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_content_key", key)
+        return key
 
     def to_dict(self) -> dict:
         return {

@@ -545,7 +545,7 @@ class JobJournal:
         new_path = os.path.join(
             os.path.dirname(self.path) or ".",
             f"{_stem(self.path)}-{sealed_max:08d}.compact.jsonl")
-        body = "".join(encode_record(r) for r in retained)
+        body = "".join(encode_record(r) for r in retained).encode("utf-8")
         self.storage.replace_atomic(new_path, body, "journal")
         # New compact is durable; everything it covers is now debris.
         for _first, p in plain:

@@ -82,7 +82,9 @@ class SoakConfig:
     tenant_quota: int = 8
     journal_max_segment_bytes: int = 4096
     journal_keep_terminal: int = 4
-    cache_max_bytes: int = 65536
+    #: About nine results at ``scale_factor=256`` (3,453-byte
+    #: entries), so a default run evicts.
+    cache_max_bytes: int = 32768
     max_retries: int = 6
     kill_every_round: bool = False
 

@@ -179,16 +179,15 @@ class ServiceStorage:
                 self._rot_file(path, pre, len(data), ev.bit)
             return attempts
 
-    def replace_atomic(self, path: str, text: str,
+    def replace_atomic(self, path: str, data: bytes,
                        target: str = "any") -> int:
-        """Durably write ``text`` to ``path`` via tmp + ``os.replace``;
+        """Durably write ``data`` to ``path`` via tmp + ``os.replace``;
         returns attempts used.
 
         A crash leaves either the old content or the new — never a
         mix; at worst a stray ``.tmp`` survives.  ``OSError(ENOSPC)``
         propagates with the final path untouched."""
         path = str(path)
-        data = text.encode("utf-8")
         tmp = path + ".tmp"
         attempts = 0
         while True:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.observability import MetricsRegistry
 from repro.service import (
-    RESULT_SCHEMA,
     BCService,
     JobSpec,
     ResultCache,
@@ -65,22 +65,24 @@ def test_put_is_idempotent_bytes(tmp_path):
     assert _read(p) == first
 
 
-def _reference_entry(key, values, meta):
-    """The entry text as ``put`` first wrote it: the body canonicalised
-    once for its checksum and again, checksum included, for the file."""
-    def canonical(payload):
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    body = {
-        "schema": "repro.result/v1",
+
+def _reference_entry(key, values, meta) -> bytes:
+    """The entry bytes by a second route: the value bytes packed one
+    float at a time, the header hashed with them, then the header
+    document canonicalised again with its checksum included."""
+    payload = b"".join(struct.pack("<d", float(v)) for v in values)
+    header = {
+        "schema": "repro.result/v2",
         "key": str(key),
         "meta": dict(meta),
-        "values": [float(v) for v in np.asarray(values, dtype=np.float64)],
+        "count": len(values),
     }
-    doc = dict(body)
-    doc["checksum"] = hashlib.sha256(
-        canonical(body).encode("utf-8")).hexdigest()
-    return canonical(doc) + "\n"
+    body = _canonical(header).encode("utf-8") + b"\n" + payload
+    doc = dict(header, checksum=hashlib.sha256(body).hexdigest())
+    return _canonical(doc).encode("utf-8") + b"\n" + payload
 
 
 def test_put_bytes_match_the_two_pass_encoding(tmp_path):
@@ -95,12 +97,34 @@ def test_put_bytes_match_the_two_pass_encoding(tmp_path):
     ]
     for i, (values, meta) in enumerate(cases):
         key = result_key("g" * 64, "sampling", [i], i)
-        with open(cache.put(key, values, meta), encoding="utf-8") as fh:
-            assert fh.read() == _reference_entry(key, values, meta)
-        if np.isfinite(values).all():
-            got, got_meta = cache.get(key)
-            np.testing.assert_array_equal(got, values)
-            assert got_meta == meta
+        assert _read(cache.put(key, values, meta)) \
+            == _reference_entry(key, values, meta)
+        got, got_meta = cache.get(key)
+        assert got.tobytes() == np.asarray(values, np.float64).tobytes()
+        assert got_meta == meta
+
+
+def test_put_get_round_trip_is_bit_exact(tmp_path):
+    cache = ResultCache(tmp_path)
+    nan_payload = np.array([0x7FF8_0000_0000_0123, 0xFFF0_0000_0000_0001],
+                           dtype=np.uint64).view(np.float64)
+    floats = np.concatenate([nan_payload, [np.nan, np.inf, -np.inf, -0.0,
+                                           0.0, 5e-324, -5e-324, 2.0 ** -1030,
+                                           np.finfo(np.float64).max]])
+    ints = np.array([0, -1, 2 ** 53 + 1, -(2 ** 62), 7], dtype=np.int64)
+    for i, values in enumerate((floats, ints)):
+        key = result_key("g" * 64, "sampling", [i], 0)
+        cache.put(key, values, {"exact": True})
+        got, _ = cache.get(key)
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert got.tobytes() == values.astype(np.float64).tobytes()
+        got[0] = 1.0            # an owned array: the cache keeps nothing
+        assert cache.get(key)[0].tobytes() \
+            == values.astype(np.float64).tobytes()
+
+
+def _value_offset(data: bytes) -> int:
+    return data.index(b"\n") + 1
 
 
 def test_corrupt_entry_is_evicted_not_served(tmp_path):
@@ -109,9 +133,10 @@ def test_corrupt_entry_is_evicted_not_served(tmp_path):
     key = result_key("g" * 64, "sampling", [0], 0)
     path = cache.put(key, np.array([3.0, 4.0]), {"exact": True})
 
-    doc = json.loads(_read(path))
-    doc["values"][0] = 99.0  # rot at rest, checksum now stale
-    _write(path, json.dumps(doc).encode("utf-8"))
+    data = _read(path)
+    at = _value_offset(data)
+    # rot at rest: the first value now reads 99.0, checksum stale
+    _write(path, data[:at] + struct.pack("<d", 99.0) + data[at + 8:])
 
     assert cache.get(key) is None  # never served
     assert not (tmp_path / path).exists() or not cache.verify(key)
@@ -137,8 +162,8 @@ def test_unreadable_entry_is_evicted(tmp_path):
 # -- the verified read: a corruption matrix ------------------------------
 
 def _flip_in_values(data: bytes) -> bytes:
-    """One bit of a stored value digit: ``3.0`` reads ``2.0``."""
-    at = data.index(b'"values":[3.0') + len(b'"values":[')
+    """One bit of the first stored value's lowest byte."""
+    at = _value_offset(data)
     return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
 
 
@@ -154,20 +179,45 @@ def _invalid_utf8(data: bytes) -> bytes:
 
 
 def _redumped(data: bytes) -> bytes:
-    """Valid JSON, semantic checksum intact, default separators."""
-    return (json.dumps(json.loads(data), sort_keys=True) + "\n").encode()
+    """The header as valid JSON with the same content, checksum
+    included, but default separators; the value bytes untouched."""
+    at = _value_offset(data)
+    head = json.dumps(json.loads(data[:at]), sort_keys=True) + "\n"
+    return head.encode("utf-8") + data[at:]
 
 
+def _count_off(data: bytes) -> bytes:
+    """The header claims three values over two values' bytes."""
+    assert data.count(b'"count":2,') == 1
+    return data.replace(b'"count":2,', b'"count":3,')
+
+
+# Each row: a corruption of a two-value entry, and the reason its
+# eviction is counted under.  "unreadable": the bytes cannot be decoded
+# in the layout; "checksum": they decode but are not what put wrote.
 CORRUPTIONS = [
+    # a value byte flips: the values hash differently
     ("body-bit-flip", _flip_in_values, "checksum"),
+    # the stored hex no longer matches the bytes
     ("checksum-hex-flip", _flip_checksum_hex, "checksum"),
-    ("truncated", lambda data: data[:len(data) // 2], "unreadable"),
+    # cut mid-header: no newline ends the header
+    ("truncated", lambda data: data[:data.index(b"\n") // 2],
+     "unreadable"),
+    # a torn write cut mid-value: not whole float64s
     ("torn-write", lambda data: data[:-3], "unreadable"),
+    # the header is not UTF-8
     ("invalid-utf8", _invalid_utf8, "unreadable"),
+    # nothing at all: no header
     ("empty", lambda data: b"", "unreadable"),
+    # valid JSON, same content, another spelling: not the layout
     ("non-canonical-layout", _redumped, "checksum"),
-    ("no-trailing-newline", lambda data: data[:-1], "checksum"),
+    # the newline ending the header is gone: no header
+    ("no-header-newline", lambda data: data.replace(b"\n", b"", 1),
+     "unreadable"),
+    # JSON allows the space, the layout does not
     ("leading-space", lambda data: b" " + data, "checksum"),
+    # whole value bytes, but not count of them
+    ("count-mismatch", _count_off, "checksum"),
 ]
 
 
@@ -235,28 +285,55 @@ def test_service_heals_a_non_canonical_entry(tmp_path):
         assert _read(path) == original
 
 
-# -- property: the stored-bytes check never accepts more than the
-# -- re-serialising check it replaced ------------------------------------
+def _v1_entry(key, values, meta) -> bytes:
+    """An entry in the JSON layout an older service wrote
+    (``repro.result/v1``): the values as a JSON list, the checksum over
+    the canonical body."""
+    body = {"schema": "repro.result/v1", "key": key, "meta": meta,
+            "values": [float(v) for v in values]}
+    doc = dict(body, checksum=hashlib.sha256(
+        _canonical(body).encode("utf-8")).hexdigest())
+    return (_canonical(doc) + "\n").encode("utf-8")
 
-def _reserialising_intact(path, key) -> bool:
-    """The verified read before the stored-bytes check: parse, then
-    re-serialise the body and compare its SHA-256 with the stored one."""
+
+def test_service_heals_a_v1_entry_to_v2_bytes(tmp_path):
+    metrics = MetricsRegistry()
+    spec = JobSpec(job_id="j000001", graph="smallworld", scale_factor=512,
+                   strategy="sampling", roots=4, seed=1)
+    with BCService(tmp_path / "svc", metrics=metrics) as svc:
+        svc.submit(spec)
+        svc.run_pending()
+        key = svc.jobs[spec.job_id].result_key
+        ref_values, ref_meta = svc.result(spec.job_id)
+        path = svc.cache.path(key)
+        original = _read(path)
+        _write(path, _v1_entry(key, ref_values, ref_meta))
+        assert not svc.cache.verify(key)
+        values, meta = svc.result(spec.job_id)
+        assert values.tobytes() == ref_values.tobytes()
+        assert meta == ref_meta
+        healed = [c.value for c in metrics.counters()
+                  if c.name == "service.results_healed"]
+        assert healed == [1]
+        assert _evictions(metrics) == {"checksum": 1}
+        assert _read(path) == original
+
+
+# -- property: of every flip, insertion and truncation, the verified
+# -- read accepts only put's own bytes --------------------------------
+
+def _expected_fault(data: bytes) -> str:
+    """The reason a rejected entry is evicted under, from the layout:
+    ``unreadable`` unless a UTF-8 JSON header line is followed by whole
+    float64s."""
+    head, newline, values = data.partition(b"\n")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return False
-    if not isinstance(doc, dict) or doc.get("schema") != RESULT_SCHEMA:
-        return False
-    if doc.get("key") != key or "checksum" not in doc:
-        return False
-    body = {k: v for k, v in doc.items() if k != "checksum"}
-    try:
-        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest() \
-            == doc["checksum"]
-    except (TypeError, ValueError):
-        return False
+        json.loads(head.decode("utf-8"))
+    except ValueError:
+        return "unreadable"
+    if not newline or len(values) % 8:
+        return "unreadable"
+    return "checksum"
 
 
 def _mutate(data: bytes, kind: str, at: int, byte: int) -> bytes:
@@ -293,25 +370,19 @@ def test_stored_bytes_check_accepts_a_subset(property_cache, values, meta,
                                              kind, at, byte):
     cache = property_cache
     key = result_key("p" * 64, "sampling", [len(values)], 0)
-    path = cache.put(key, np.array(values, dtype=np.float64), meta)
+    stored = np.array(values, dtype=np.float64)
+    path = cache.put(key, stored, meta)
     original = _read(path)
     mutated = _mutate(original, kind, at, byte)
     _write(path, mutated)
 
-    doc, fault = cache._load(key)
-    old_ok = _reserialising_intact(path, key)
+    entry, fault = cache._load(key)
     if fault is None:
-        assert mutated == original and old_ok
-        served = np.asarray(doc["values"], dtype=np.float64)
-        stored = np.asarray(json.loads(original)["values"], dtype=np.float64)
+        assert mutated == original
+        served, served_meta = entry
         assert served.tobytes() == stored.tobytes()
+        assert served_meta == meta
         assert cache.verify(key)
         return
     assert mutated != original
-    try:
-        json.loads(mutated.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        assert fault == "unreadable"
-    else:
-        # Every parsable rejection, the layout-only ones included.
-        assert fault == "checksum"
+    assert fault == _expected_fault(mutated)

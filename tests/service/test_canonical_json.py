@@ -5,6 +5,9 @@ their exact text is part of the on-disk contract; these are pinned to
 values recorded before the three call sites shared one helper.
 """
 
+import hashlib
+from dataclasses import fields, replace
+
 from repro.service import JobSpec, result_key
 from repro.service.jobs import canonical_json
 from repro.service.journal import encode_record
@@ -21,6 +24,36 @@ def test_content_key_is_pinned():
                    roots=4, seed=11)
     assert spec.content_key() == (
         "27534cc5c3e479c636159bf9b21228811c7ed7dc89583a55127f65d646f838b5")
+
+
+def _fresh_content_key(spec) -> str:
+    payload = {k: v for k, v in spec.to_dict().items()
+               if k not in ("job_id", "tenant")}
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def test_memoised_content_key_follows_every_field():
+    base = JobSpec(job_id="j000001", graph="kron_g500-logn20",
+                   scale_factor=512, graph_seed=3, strategy="hybrid",
+                   roots=4, seed=11)
+    changed = {"job_id": "j000002", "graph": "smallworld",
+               "scale_factor": 256, "graph_seed": 4, "strategy": "sampling",
+               "roots": 5, "seed": 12, "tenant": "acme",
+               "deadline_seconds": 2.5, "allow_degrade": False,
+               "fold": False, "faults": "oom:0x1"}
+    assert set(changed) == {f.name for f in fields(JobSpec)}
+    key = base.content_key()
+    assert key == base.content_key() == _fresh_content_key(base)
+    for name, value in changed.items():
+        spec = replace(base, **{name: value})
+        assert spec.content_key() == spec.content_key() \
+            == _fresh_content_key(spec), name
+        assert (spec.content_key() == key) == (name in ("job_id", "tenant"))
+        for job_id in ("", "j9", "c0123456789ab"):
+            # with or without a memo to carry, the id never moves it
+            assert spec.with_id(job_id).content_key() == spec.content_key()
+            assert replace(spec, job_id=job_id).with_id("x").content_key() \
+                == _fresh_content_key(spec)
 
 
 def test_result_key_is_pinned():

@@ -72,8 +72,11 @@ def test_crash_grid_over_every_storage_op(tmp_path):
     with open_service(tmp_path / "ref", ref_storage) as svc:
         drive(svc)
         ref_states, ref_blobs = harvest(svc)
+        evicted = [c.value for c in svc.metrics.counters()
+                   if c.name == "service.cache.evicted"]
     total_ops = ref_storage.ops
     assert total_ops > 20, "budgets too loose: no boundaries crossed"
+    assert sum(evicted) > 0, "cache budget too loose: nothing evicted"
     assert all(s in TERMINAL_STATES for s in ref_states.values())
     assert sum(1 for s in ref_states.values() if s == DONE) == 4
 

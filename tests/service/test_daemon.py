@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from repro.observability import MetricsRegistry
 from repro.service import (
     DONE,
     FAILED,
+    PENDING,
+    RUNNING,
     SHED,
     TERMINAL_STATES,
     AdmissionPolicy,
@@ -38,6 +43,11 @@ def spec(i=None, **kw):
         kw.setdefault("job_id", f"j{i:06d}")
         kw.setdefault("seed", i)
     return JobSpec(**kw)
+
+
+def _lines(path) -> list:
+    with open(path, encoding="utf-8") as fh:
+        return fh.readlines()
 
 
 def reference_run(root):
@@ -88,8 +98,7 @@ def test_crash_recovery_grid_every_truncation_point(tmp_path):
     assert ref_states["j000003"] == DONE     # chaos retried to success
     assert ref_states["j000004"] == DONE     # deadline-degraded
 
-    journal_lines = open(ref_root / "journal.jsonl",
-                         encoding="utf-8").readlines()
+    journal_lines = _lines(ref_root / "journal.jsonl")
     submit_line = {}
     for n, line in enumerate(journal_lines, start=1):
         body = json.loads(line.split(" ", 1)[1])
@@ -128,7 +137,7 @@ def test_crash_recovery_grid_every_truncation_point(tmp_path):
 def test_crash_recovery_with_torn_tail(tmp_path):
     ref_root = tmp_path / "ref"
     ref_states, _ = reference_run(ref_root)
-    lines = open(ref_root / "journal.jsonl", encoding="utf-8").readlines()
+    lines = _lines(ref_root / "journal.jsonl")
     crash_root = tmp_path / "crash"
     os.makedirs(crash_root)
     # torn write: half a record after a mid-run boundary
@@ -152,14 +161,15 @@ def test_crash_between_cache_write_and_done_replays_from_cache(tmp_path):
         svc.submit(spec(1))
         svc.run_pending()
         key = svc.jobs["j000001"].result_key
-        ref_blob = open(svc.cache.path(key), "rb").read()
+        with open(svc.cache.path(key), "rb") as fh:
+            ref_blob = fh.read()
 
     crash_root = tmp_path / "crash"
     os.makedirs(crash_root)
-    lines = open(ref_root / "journal.jsonl", encoding="utf-8").readlines()
-    kept = [ln for ln in lines
+    kept = [ln for ln in _lines(ref_root / "journal.jsonl")
             if json.loads(ln.split(" ", 1)[1])["kind"] != "done"]
-    open(crash_root / "journal.jsonl", "w", encoding="utf-8").writelines(kept)
+    with open(crash_root / "journal.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
     shutil.copytree(ref_root / "results", crash_root / "results")
 
     metrics = MetricsRegistry()
@@ -168,7 +178,8 @@ def test_crash_between_cache_write_and_done_replays_from_cache(tmp_path):
         svc.run_pending()
         rec = svc.jobs["j000001"]
         assert rec.state == DONE and rec.result_key == key
-        assert open(svc.cache.path(key), "rb").read() == ref_blob
+        with open(svc.cache.path(key), "rb") as fh:
+            assert fh.read() == ref_blob
         replayed = [c for c in metrics.counters()
                     if c.name == "service.cache.replayed"]
         assert replayed and replayed[0].value == 1
@@ -182,9 +193,11 @@ def test_result_self_heals_corrupt_cache_entry(tmp_path):
         svc.run_pending()
         ref_values, _ = svc.result(job.job_id)
         path = svc.cache.path(svc.jobs[job.job_id].result_key)
-        doc = json.loads(open(path, encoding="utf-8").read())
-        doc["values"][0] = 1e9
-        open(path, "w", encoding="utf-8").write(json.dumps(doc))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        at = data.index(b"\n") + 1      # the first stored value
+        with open(path, "wb") as fh:
+            fh.write(data[:at] + struct.pack("<d", 1e9) + data[at + 8:])
         healed, meta = svc.result(job.job_id)
         np.testing.assert_array_equal(healed, ref_values)
         assert svc.cache.verify(svc.jobs[job.job_id].result_key)
@@ -312,3 +325,73 @@ def test_journal_is_single_source_of_truth_for_status(tmp_path):
     assert not torn
     offline = replay_state(records, str(root / "journal.jsonl"))
     assert offline.jobs["j000001"].status_dict() == rows[0]
+
+
+def test_tenant_live_counts_match_a_scan_at_every_step(tmp_path):
+    """Admission's per-tenant live (pending + running) counts equal a
+    scan of every job before each journal append and after each step of
+    a seeded mixed run: sheds, cancels, a failing fault plan with its
+    retries, and a restart that recovers a job killed while running."""
+    policy = AdmissionPolicy(max_queue=4, degrade_threshold=3,
+                             tenant_quota=2)
+    tenants = ("acme", "beta", "gamma")
+    seen = {"checks": 0, "shed": 0, "cancel": 0, "failed": 0}
+
+    def check(svc):
+        scan = Counter(j.spec.tenant for j in svc.jobs.values()
+                       if j.state in (PENDING, RUNNING))
+        assert {t: svc._tenant_live(t) for t in tenants} == \
+            {t: scan[t] for t in tenants}
+        seen["checks"] += 1
+
+    def watched(svc):
+        append = svc.journal.append
+
+        def checked_append(kind, **fields):
+            check(svc)
+            return append(kind, **fields)
+
+        svc.journal.append = checked_append
+        check(svc)
+        return svc
+
+    def steps(svc, rng, n):
+        for _ in range(n):
+            op = rng.random()
+            if op < 0.55:
+                failing = rng.random() < 0.25
+                try:
+                    svc.submit(spec(seed=rng.randint(0, 10 ** 6),
+                                    tenant=rng.choice(tenants),
+                                    allow_degrade=not failing,
+                                    faults="oom:0x9" if failing else ""))
+                except ServiceOverloadError:
+                    seen["shed"] += 1
+            elif op < 0.7:
+                pending = sorted(j for j, r in svc.jobs.items()
+                                 if r.state == PENDING)
+                if pending and svc.cancel(rng.choice(pending)):
+                    seen["cancel"] += 1
+            else:
+                svc.process_next()
+            check(svc)
+
+    rng = random.Random(3)
+    root = tmp_path / "svc"
+    svc = watched(BCService(root, policy=policy))
+    steps(svc, rng, 30)
+    # Die right after a job's `start` record lands: it is running.
+    job = next(r for r in svc.jobs.values() if r.state == PENDING)
+    svc.journal.append("start", job_id=job.job_id, attempt=1, device="d0")
+    svc.abandon()
+
+    svc = watched(BCService(root, policy=policy))
+    assert job.job_id in svc.recovered_ids
+    steps(svc, rng, 30)
+    svc.run_pending()
+    check(svc)
+    seen["failed"] = sum(r.state == FAILED for r in svc.jobs.values())
+    svc.close()
+    assert all(svc._tenant_live(t) == 0 for t in tenants)
+    assert seen["shed"] and seen["cancel"] and seen["failed"], seen
+    assert seen["checks"] > 100

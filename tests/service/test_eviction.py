@@ -123,12 +123,23 @@ def test_evicted_result_is_recomputed_not_resurrected(tmp_path):
 
 
 def test_service_respects_cache_budget(tmp_path):
-    with BCService(tmp_path / "svc", cache_max_bytes=30_000) as svc:
+    def job(seed):
+        return JobSpec(graph="smallworld", scale_factor=512,
+                       strategy="sampling", roots=4, seed=seed)
+
+    with BCService(tmp_path / "probe") as probe:
+        probe.submit(job(0))
+        probe.run_pending()
+        budget = int(probe.cache.total_bytes * 3.5)  # room for 3 results
+    metrics = MetricsRegistry()
+    with BCService(tmp_path / "svc", metrics=metrics,
+                   cache_max_bytes=budget) as svc:
         for i in range(6):
-            svc.submit(JobSpec(graph="smallworld", scale_factor=512,
-                               strategy="sampling", roots=4, seed=i))
+            svc.submit(job(i))
             svc.run_pending()
-        assert svc.cache.total_bytes <= 30_000
+        assert svc.cache.total_bytes <= budget
+        assert sum(c.value for c in metrics.counters()
+                   if c.name == "service.cache.evicted") > 0
         # every DONE job still answers result() (recompute on miss)
         for job_id, rec in svc.jobs.items():
             values, _ = svc.result(job_id)

@@ -13,13 +13,22 @@ pytestmark = [pytest.mark.service, pytest.mark.soak]
 CFG = SoakConfig(rounds=3, jobs_per_round=5, clients=2)
 
 
+def _evicted(metrics) -> float:
+    return sum(c.value for c in metrics.counters()
+               if c.name == "service.cache.evicted")
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 5, 7])
 def test_soak_invariants_hold(tmp_path, seed):
-    report = run_soak(tmp_path / f"s{seed}", seed=seed, config=CFG)
+    metrics = MetricsRegistry()
+    report = run_soak(tmp_path / f"s{seed}", seed=seed, config=CFG,
+                      metrics=metrics)
     assert report["ok"], report["violations"]
     assert not report["violations"]
     assert len(report["rounds"]) == CFG.rounds
     assert report["journal"]["ok"]
+    # the default cache budget is small enough that the run evicts
+    assert _evicted(metrics) > 0
 
 
 def test_soak_schedule_is_deterministic(tmp_path):

@@ -74,11 +74,11 @@ def test_replace_atomic_plain_and_enospc(tmp_path):
 
     st = ServiceStorage()
     p = tmp_path / "f.json"
-    st.replace_atomic(str(p), "v1", "cache")
+    st.replace_atomic(str(p), b"v1", "cache")
     assert _read(p) == b"v1"
     bad = storage_for("enospc:0@cache")
     with pytest.raises(OSError) as exc:
-        bad.replace_atomic(str(p), "v2", "cache")
+        bad.replace_atomic(str(p), b"v2", "cache")
     assert exc.value.errno == errno.ENOSPC
     assert _read(p) == b"v1"             # old value intact
 

@@ -184,9 +184,9 @@ class _Counting(ServiceStorage):
         self.writes.append(os.path.basename(path))
         return super().append_line(path, text, target)
 
-    def replace_atomic(self, path, text, target="any"):
+    def replace_atomic(self, path, data, target="any"):
         self.writes.append("cache")
-        return super().replace_atomic(path, text, target)
+        return super().replace_atomic(path, data, target)
 
 
 def test_one_durable_log(tmp_path):
