@@ -9,11 +9,11 @@ watches when optimising the engine.
 import numpy as np
 import pytest
 
+from repro._util import partition_roots
 from repro.bc.api import bc_single_source_dependencies
 from repro.bc.frontier import forward_sweep
 from repro.graph.generators import delaunay_graph, kronecker_graph, watts_strogatz
 from repro.graph.traversal import bfs
-from repro.parallel.partition import block_partition
 
 
 @pytest.fixture(scope="module")
@@ -60,5 +60,6 @@ def test_single_source_bc_smallworld(benchmark, sw):
 
 def test_partitioning_throughput(benchmark):
     roots = np.arange(1_000_000)
-    parts = benchmark(block_partition, roots, 192)
+    parts = benchmark(lambda: [roots[p] for p in
+                               partition_roots(roots.size, 192)])
     assert sum(p.size for p in parts) == roots.size

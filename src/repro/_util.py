@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ClusterConfigurationError
+
 __all__ = [
     "sorted_unique",
     "concat_ranges",
@@ -17,6 +19,7 @@ __all__ = [
     "chunk_max_sum",
     "as_index_array",
     "check_nonnegative_int",
+    "partition_roots",
 ]
 
 
@@ -125,3 +128,24 @@ def check_nonnegative_int(value, name: str) -> int:
     if iv < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return iv
+
+
+def partition_roots(num_roots: int, num_parts: int) -> list:
+    """Contiguous block partition of roots 0..num_roots-1, part sizes
+    differing by at most one (the paper distributes "a subset of roots
+    to each GPU"; the process pool splits its chunks the same way, as
+    ``[roots[p] for p in partition_roots(roots.size, k)]``).
+
+    When ``num_parts > num_roots`` some parts are empty arrays.  Ranks
+    handed an empty part are *not* dropped from the program: in
+    :func:`repro.cluster.distributed_bc_values` (and the resilient
+    driver) they contribute an all-zero vector to the reduce, which the
+    test suite verifies leaves the result exact.
+    """
+    if num_parts < 1:
+        raise ClusterConfigurationError("num_parts must be >= 1")
+    if num_roots < 0:
+        raise ClusterConfigurationError("num_roots must be >= 0")
+    bounds = np.linspace(0, num_roots, num_parts + 1).astype(np.int64)
+    return [np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
+            for i in range(num_parts)]

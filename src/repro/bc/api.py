@@ -5,7 +5,10 @@ values with the vectorised level-synchronous engine — no cost model,
 no simulated device — and is the API example applications build on.
 For simulated-GPU performance experiments use
 :meth:`repro.gpusim.Device.run_bc`, which returns the same values plus
-timing/traces.
+timing/traces.  Both take their traversals from one
+:func:`~repro.bc.preprocess.root_plan` (the root set mapped onto the
+degree-1-folded core and back), so a per-root strategy's ``bc`` has
+the same bytes as this function's result.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from ..graph.csr import CSRGraph
 from .accumulation import dependency_accumulation, root_dependencies
 from .brandes import normalize_bc
 from .frontier import forward_sweep
-from .preprocess import FoldResult, fold_degree_one, per_root_correction
+from .preprocess import FoldResult, root_plan
 
 __all__ = ["betweenness_centrality", "bc_single_source_dependencies"]
 
@@ -58,7 +61,10 @@ def betweenness_centrality(
         ``False`` to traverse the original graph, or a precomputed
         :class:`~repro.bc.preprocess.FoldResult` for ``g`` to skip
         re-folding.  Identity folds (directed or pendant-free graphs)
-        take the classic unfolded path automatically.
+        take the classic unfolded path automatically.  The traversals
+        are :func:`~repro.bc.preprocess.root_plan`'s, summed in the
+        same order as :meth:`repro.gpusim.Device.run_bc`'s per-root
+        strategies, so the two return the same bytes.
 
     Returns
     -------
@@ -71,50 +77,19 @@ def betweenness_centrality(
     >>> int(np.argmax(bc))  # paper vertex 4 (0-indexed: 3)
     3
     """
-    n = g.num_vertices
-    bc = np.zeros(n, dtype=np.float64)
-    if sources is None:
-        roots = np.arange(n, dtype=np.int64)
-    else:
-        roots = np.asarray(sources, dtype=np.int64).ravel()
-        if roots.size == 0:
-            return bc
-        if roots.min() < 0 or roots.max() >= n:
-            raise IndexError(f"roots out of range [0, {n})")
-
-    fold_result: FoldResult | None = None
-    if isinstance(fold, FoldResult):
-        fold_result = fold
-    elif fold:
-        fold_result = fold_degree_one(g)
+    plan = root_plan(g, sources, fold)
+    sw = plan.source_weights
     # Roots are swept in lockstep groups (root_dependencies); their
     # dependencies are still summed one root at a time, in root order.
-    if fold_result is not None and not fold_result.is_identity:
-        core, tw = fold_result.core, fold_result.core_weights
-        if sources is None:
-            # Full BC: one weighted traversal per *core* root, each
-            # counted with its absorbed subtree weight, plus the fold's
-            # closed-form credits.
-            acc = np.zeros(core.num_vertices, dtype=np.float64)
-            core_roots = np.arange(core.num_vertices, dtype=np.int64)
-            for delta in root_dependencies(core, core_roots, tw,
-                                           source_weights=tw):
-                acc += delta
-            bc = fold_result.expand(acc) + fold_result.credit
-        else:
-            # Subset roots: one weighted traversal from each root's
-            # residual host plus its per-root correction — exact for
-            # the unscaled partial sum, still traversing only the core.
-            core_roots = fold_result.core_index[fold_result.host[roots]]
-            for a, delta in zip(roots.tolist(),
-                                root_dependencies(core, core_roots, tw)):
-                bc += fold_result.expand(delta)
-                bc += per_root_correction(fold_result, a)[1]
-    else:
-        for delta in root_dependencies(g, roots):
-            bc += delta
+    acc = np.zeros(plan.graph.num_vertices, dtype=np.float64)
+    for delta in root_dependencies(
+            plan.graph, plan.run_roots, plan.target_weights,
+            source_weights=None if sw is None else sw[plan.run_roots]):
+        acc += delta
+    bc = plan.finish(acc)
     if g.undirected:
         bc /= 2.0
     if normalized:
-        bc = normalize_bc(bc, n, undirected=g.undirected, copy=False)
+        bc = normalize_bc(bc, g.num_vertices, undirected=g.undirected,
+                          copy=False)
     return bc

@@ -31,7 +31,7 @@ from ..graph.csr import CSRGraph
 from ..gpusim.charge import FrontierProfile, charge
 from ..observability.registry import NULL_REGISTRY
 from .brandes import normalize_bc
-from .preprocess import FoldResult, fold_degree_one, per_root_correction
+from .preprocess import FoldResult, root_plan
 
 __all__ = ["batched_betweenness_centrality", "batched_dependencies",
            "run_batch"]
@@ -200,72 +200,35 @@ def batched_betweenness_centrality(
     :class:`~repro.observability.MetricsRegistry`) is threaded through
     the sigma-overflow fallback too, counting ``batched.overflow_retries``
     per retried batch.  ``fold`` applies the degree-1 preprocess
-    (default on; identity folds take the unfolded path).
+    (default on; identity folds take the unfolded path): the batches
+    run :func:`~repro.bc.preprocess.root_plan`'s traversals.
     """
-    n = g.num_vertices
     if metrics is None:
         metrics = NULL_REGISTRY
-    if sources is None:
-        roots = np.arange(n, dtype=np.int64)
-    else:
-        roots = np.asarray(sources, dtype=np.int64).ravel()
-        if roots.size and (roots.min() < 0 or roots.max() >= n):
-            raise IndexError(f"roots out of range [0, {n})")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-
-    fold_result: FoldResult | None = None
-    if isinstance(fold, FoldResult):
-        fold_result = fold
-    elif fold:
-        fold_result = fold_degree_one(g)
-
-    if fold_result is not None and not fold_result.is_identity:
-        core = fold_result.core
-        tw = fold_result.core_weights
-        if sources is None:
-            run_roots = np.arange(core.num_vertices, dtype=np.int64)
-            row_weights = tw
-            extra = fold_result.credit
-        else:
-            if roots.size == 0:
-                return np.zeros(n, dtype=np.float64)
-            run_roots = np.empty(roots.size, dtype=np.int64)
-            extra = np.zeros(n, dtype=np.float64)
-            for i, a in enumerate(roots):
-                cr, corr = per_root_correction(fold_result, int(a))
-                run_roots[i] = cr
-                extra += corr
-            row_weights = np.ones(run_roots.size, dtype=np.float64)
-        A = _adjacency(core) if run_roots.size else None
-        acc = np.zeros(core.num_vertices, dtype=np.float64)
-        for lo in range(0, run_roots.size, batch_size):
-            batch = run_roots[lo:lo + batch_size]
-            w_rows = row_weights[lo:lo + batch_size]
-            try:
-                delta = batched_dependencies(core, batch, A=A,
-                                             target_weights=tw)
-                acc += (w_rows[:, None] * delta).sum(axis=0)
-            except FloatingPointError:
-                acc += _engine_retry(core, batch, metrics,
-                                     target_weights=tw, row_weights=w_rows)
-        bc = fold_result.expand(acc) + extra
-    else:
-        A = _adjacency(g) if roots.size else None
-        bc = np.zeros(n, dtype=np.float64)
-        for lo in range(0, roots.size, batch_size):
-            batch = roots[lo:lo + batch_size]
-            try:
-                delta = batched_dependencies(g, batch, A=A)
-                contrib = delta.sum(axis=0)
-            except FloatingPointError:
-                # Deep traversal overflowed the batched float64 counts;
-                # the per-root engine rescales sigma per level and is
-                # exact — and keeps charging the same registry.
-                contrib = _engine_retry(g, batch, metrics)
-            bc += contrib
+    plan = root_plan(g, sources, fold)
+    run_g, tw, sw = plan.graph, plan.target_weights, plan.source_weights
+    A = _adjacency(run_g) if plan.run_roots.size else None
+    acc = np.zeros(run_g.num_vertices, dtype=np.float64)
+    for lo in range(0, plan.run_roots.size, batch_size):
+        batch = plan.run_roots[lo:lo + batch_size]
+        w_rows = None if sw is None else sw[batch]
+        try:
+            delta = batched_dependencies(run_g, batch, A=A, target_weights=tw)
+            if w_rows is not None:
+                delta *= w_rows[:, None]
+            acc += delta.sum(axis=0)
+        except FloatingPointError:
+            # Deep traversal overflowed the batched float64 counts; the
+            # per-root engine rescales sigma per level and is exact —
+            # and keeps charging the same registry.
+            acc += _engine_retry(run_g, batch, metrics, target_weights=tw,
+                                 row_weights=w_rows)
+    bc = plan.finish(acc)
     if g.undirected:
         bc /= 2.0
     if normalized:
-        bc = normalize_bc(bc, n, undirected=g.undirected, copy=False)
+        bc = normalize_bc(bc, g.num_vertices, undirected=g.undirected,
+                          copy=False)
     return bc

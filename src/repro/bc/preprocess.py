@@ -39,10 +39,14 @@ undirected graphs exactly as they do today):
   where ``expand`` scatters a core-space vector back to original ids
   (folded vertices receive only their credit).
 
-For a *single* original root ``a`` (subset-roots runs, the resilient
-driver's per-root checkpoints), one weighted traversal from ``a``'s
-residual host plus a per-vertex correction reproduces ``delta_a``
-exactly — see :func:`per_root_correction`.
+For a *single* original root ``a`` (explicit-root runs), one weighted
+traversal from ``a``'s residual host plus a per-vertex correction
+reproduces ``delta_a`` exactly — see :func:`per_root_correction`.
+
+:func:`root_plan` is the one place that mapping is written: it turns
+an original root set into the traversals every entry point runs (the
+graph, roots and weights) and its :meth:`RootPlan.finish` turns their
+core-space sum back into original-id scores.
 
 Directed graphs fold to the identity (pendant peeling is only exact
 under the undirected path symmetry), as do graphs with no pendant
@@ -57,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import concat_ranges
+from .._util import as_index_array, concat_ranges
 from ..graph.csr import CSRGraph
 
 __all__ = [
@@ -65,6 +69,9 @@ __all__ = [
     "FoldResult",
     "fold_degree_one",
     "per_root_correction",
+    "RootPlan",
+    "root_set",
+    "root_plan",
     "folded_betweenness_centrality",
 ]
 
@@ -339,18 +346,104 @@ def per_root_correction(fold: FoldResult, root: int) -> tuple[int, np.ndarray]:
     return core_root, corr
 
 
+def root_set(g: CSRGraph, sources=None) -> np.ndarray:
+    """The original roots a query names: every vertex for ``None``,
+    else ``sources`` as int64 ids, raising ``IndexError`` up front on
+    any out-of-range root."""
+    if sources is None:
+        return np.arange(g.num_vertices, dtype=np.int64)
+    return as_index_array(sources, g.num_vertices, "roots")
+
+
+@dataclass(frozen=True)
+class RootPlan:
+    """How one root set becomes weighted traversals, and back.
+
+    Attributes
+    ----------
+    graph: the graph the traversals run on — the fold's core, or the
+        input graph when there is no (non-identity) fold.
+    roots: the validated original roots.
+    run_roots: one traversal root on ``graph`` per traversal.
+    target_weights: per-``graph``-vertex target weights, or ``None``.
+    source_weights: per-``graph``-vertex source weights (a full folded
+        run counts each core root with its absorbed subtree), or
+        ``None``.
+    fold: the non-identity fold, or ``None``.
+    extra: the additive ordered-pair term in original ids — the fold's
+        credit for a full run, the summed per-root corrections for
+        explicit roots — or ``None`` without a fold.
+    """
+
+    graph: CSRGraph
+    roots: np.ndarray
+    run_roots: np.ndarray
+    target_weights: np.ndarray | None = None
+    source_weights: np.ndarray | None = None
+    fold: FoldResult | None = None
+    extra: np.ndarray | None = None
+
+    def finish(self, acc: np.ndarray, divisor: float = 1.0) -> np.ndarray:
+        """Original-id scores from the traversals' sum ``acc``.
+
+        ``acc`` is the sum over ``run_roots`` of each traversal's
+        dependencies (scaled by ``source_weights``), already divided by
+        ``divisor``; the additive term gets the same division.  Without
+        a fold ``acc`` itself is returned.
+        """
+        if self.fold is None:
+            return acc
+        return self.fold.expand(acc) + self.extra / divisor
+
+
+def root_plan(g: CSRGraph, sources=None,
+              fold: bool | FoldResult = True) -> RootPlan:
+    """Map the root set ``sources`` (``None``: every vertex) of ``g``
+    onto the traversals that compute it.
+
+    ``fold`` is ``True`` (fold ``g``), ``False`` (traverse ``g``) or a
+    precomputed :class:`FoldResult` for ``g``.  An identity fold plans
+    the unfolded traversals.  With a fold, a full run traverses every
+    core vertex once, weighted by its absorbed subtree, and adds the
+    credit; explicit roots each traverse from their residual host and
+    add their :func:`per_root_correction`.
+    """
+    roots = root_set(g, sources)
+    if not isinstance(fold, FoldResult):
+        fold = fold_degree_one(g) if fold else None
+    if fold is None or fold.is_identity:
+        return RootPlan(graph=g, roots=roots, run_roots=roots)
+    tw = fold.core_weights
+    if sources is None:
+        return RootPlan(graph=fold.core, roots=roots,
+                        run_roots=np.arange(fold.core.num_vertices,
+                                            dtype=np.int64),
+                        target_weights=tw, source_weights=tw, fold=fold,
+                        extra=fold.credit)
+    run_roots = np.empty(roots.size, dtype=np.int64)
+    extra = np.zeros(g.num_vertices, dtype=np.float64)
+    for i, a in enumerate(roots.tolist()):
+        run_roots[i], corr = per_root_correction(fold, a)
+        extra += corr
+    return RootPlan(graph=fold.core, roots=roots, run_roots=run_roots,
+                    target_weights=tw, fold=fold, extra=extra)
+
+
 def folded_betweenness_centrality(fold: FoldResult,
                                   dependencies) -> np.ndarray:
     """Assemble full ordered-pair BC from weighted core traversals.
 
     ``dependencies(core, core_root, target_weights) -> delta`` runs one
     weighted accumulation on the core; this helper sums
-    ``w[s] * delta^w_s`` over every core root, expands back to original
-    ids and adds the fold credits.  The caller halves for undirected
-    graphs, exactly as on the unfolded path.
+    ``w[s] * delta^w_s`` over every core root and finishes the full-run
+    :func:`root_plan`.  The caller halves for undirected graphs,
+    exactly as on the unfolded path.
     """
-    tw = fold.core_weights
-    acc = np.zeros(fold.core.num_vertices, dtype=np.float64)
-    for cs in range(fold.core.num_vertices):
-        acc += tw[cs] * dependencies(fold.core, cs, tw)
-    return fold.expand(acc) + fold.credit
+    plan = root_plan(fold.original, fold=fold)
+    ones = np.ones(plan.graph.num_vertices, dtype=np.float64)
+    tw = ones if plan.target_weights is None else plan.target_weights
+    sw = ones if plan.source_weights is None else plan.source_weights
+    acc = np.zeros(plan.graph.num_vertices, dtype=np.float64)
+    for cs in plan.run_roots.tolist():
+        acc += sw[cs] * dependencies(plan.graph, cs, tw)
+    return plan.finish(acc)

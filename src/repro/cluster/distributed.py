@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import partition_roots
 from ..bc.api import betweenness_centrality
 from ..errors import ClusterConfigurationError
 from ..graph.csr import CSRGraph
@@ -37,25 +38,6 @@ __all__ = [
     "simulate_distributed_run",
     "scaling_sweep",
 ]
-
-
-def partition_roots(num_roots: int, num_parts: int) -> list:
-    """Contiguous block partition of roots 0..num_roots-1 (the paper
-    distributes "a subset of roots to each GPU").
-
-    When ``num_parts > num_roots`` some parts are empty arrays.  Ranks
-    handed an empty part are *not* dropped from the program: in
-    :func:`distributed_bc_values` (and the resilient driver) they
-    contribute an all-zero vector to the reduce, which the test suite
-    verifies leaves the result exact.
-    """
-    if num_parts < 1:
-        raise ClusterConfigurationError("num_parts must be >= 1")
-    if num_roots < 0:
-        raise ClusterConfigurationError("num_roots must be >= 0")
-    bounds = np.linspace(0, num_roots, num_parts + 1).astype(np.int64)
-    return [np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
-            for i in range(num_parts)]
 
 
 def distributed_bc_values(

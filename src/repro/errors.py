@@ -27,8 +27,6 @@ __all__ = [
     "JobNotFoundError",
     "JournalCorruptionError",
     "ServiceOverloadError",
-    "CircuitOpenError",
-    "DeadlineExceededError",
     "StorageFullError",
 ]
 
@@ -217,24 +215,6 @@ class ServiceOverloadError(ServiceError):
         super().__init__(f"job shed: {self.reason}{who}{detail}{hint}")
 
 
-class CircuitOpenError(ServiceError):
-    """The (graph, strategy) pair is quarantined by the circuit breaker.
-
-    After ``threshold`` consecutive job failures on the same pair the
-    scheduler stops burning retries on it and fails further jobs fast
-    until a half-open probe succeeds.
-    """
-
-    def __init__(self, graph_key: str, strategy: str, failures: int):
-        self.graph_key = str(graph_key)
-        self.strategy = str(strategy)
-        self.failures = int(failures)
-        super().__init__(
-            f"circuit open for ({self.graph_key}, {self.strategy}) after "
-            f"{self.failures} consecutive failures"
-        )
-
-
 class StorageFullError(ServiceError):
     """A durable service write could not complete because the disk is
     full (``ENOSPC``), even after the service reclaimed space by
@@ -255,16 +235,3 @@ class StorageFullError(ServiceError):
             f"free enough)"
         )
 
-
-class DeadlineExceededError(ServiceError):
-    """A job's simulated runtime exceeded its deadline and degradation
-    was not allowed."""
-
-    def __init__(self, job_id: str, deadline: float, needed: float):
-        self.job_id = str(job_id)
-        self.deadline = float(deadline)
-        self.needed = float(needed)
-        super().__init__(
-            f"job {self.job_id!r} needs {self.needed:.4f}s simulated "
-            f"compute but its deadline is {self.deadline:.4f}s"
-        )

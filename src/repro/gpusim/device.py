@@ -38,7 +38,9 @@ from ..bc.policies import (
     FrontierGuardPolicy,
     HybridPolicy,
 )
-from ..bc.preprocess import FoldResult, fold_degree_one, per_root_correction
+from ..bc.preprocess import FoldResult, root_plan
+from ..bc.preprocess import fold_degree_one  # noqa: F401  (see below)
+from ..bc.preprocess import per_root_correction  # noqa: F401  (see below)
 from ..bc.sampling import (
     DEFAULT_GAMMA,
     DEFAULT_MIN_FRONTIER,
@@ -53,6 +55,10 @@ from .cost import DEFAULT_COSTS, CostModel
 from .memory import DeviceMemoryModel, strategy_footprint
 from .spec import GTX_TITAN, GPUSpec
 from .trace import RunTrace
+
+# The layer tracer of benchmarks/e2e/layers.py wraps ``fold_degree_one``
+# and ``per_root_correction`` by name in this module, so both stay
+# importable here although the device reaches them through root_plan.
 
 __all__ = ["Device", "DeviceRun", "STRATEGIES"]
 
@@ -267,11 +273,14 @@ class Device:
             :class:`~repro.bc.preprocess.FoldResult` to skip
             re-folding.  Identity folds (directed or pendant-free
             graphs) take the legacy path unchanged.  When a non-trivial
-            fold is active every strategy traverses the residual core
-            (weighted traversals; per-root host traversals for explicit
-            ``roots``), trace entries are in core vertex ids, and
-            :meth:`DeviceRun.extrapolated_seconds` extrapolates in
-            core-traversal units.
+            fold is active every strategy runs
+            :func:`~repro.bc.preprocess.root_plan`'s traversals of the
+            residual core (each core root weighted by its absorbed
+            subtree for a full run; one traversal from each root's
+            residual host for explicit ``roots``), trace entries are in
+            core vertex ids, and :meth:`DeviceRun.extrapolated_seconds`
+            extrapolates in core-traversal units.  The core-space sum
+            returns to original ids once, through the plan.
         strict_reader:
             Model the Jia et al. reference reader, which rejects graphs
             containing isolated vertices (Section V-B) — only honoured
@@ -305,13 +314,14 @@ class Device:
                 f"unknown strategy {strategy!r}; known: {STRATEGIES}"
             )
         n = g.num_vertices
-        full_run = roots is None
-        if roots is None:
-            roots = np.arange(n, dtype=np.int64)
-        else:
-            roots = np.asarray(roots, dtype=np.int64).ravel()
-            if roots.size and (roots.min() < 0 or roots.max() >= n):
-                raise IndexError("roots out of range")
+        # Degree-1 folding: the plan names the graph the kernels
+        # traverse, their roots and weights, and how their sum returns
+        # to original ids.
+        plan = root_plan(g, roots, fold)
+        roots, run_g, run_roots = plan.roots, plan.graph, plan.run_roots
+        target_weights, source_weights = (plan.target_weights,
+                                          plan.source_weights)
+        fold_result = plan.fold
 
         self._inject_faults(g, roots)
 
@@ -322,39 +332,6 @@ class Device:
                     f"reference reader cannot load graphs with isolated "
                     f"vertices ({isolated.size} present)"
                 )
-
-        # -- degree-1 folding: pick the graph the kernels traverse -----
-        fold_result: FoldResult | None = None
-        if isinstance(fold, FoldResult):
-            fold_result = fold
-        elif fold:
-            fold_result = fold_degree_one(g)
-        folded = fold_result is not None and not fold_result.is_identity
-        if folded:
-            run_g = fold_result.core
-            target_weights = fold_result.core_weights
-            if full_run:
-                # Every core root once, weighted by its absorbed
-                # subtree; credits close the folded vertices' scores.
-                run_roots = np.arange(run_g.num_vertices, dtype=np.int64)
-                source_weights = target_weights
-                post_extra = fold_result.credit
-            else:
-                # Explicit roots: one weighted traversal from each
-                # root's residual host plus its closed-form correction.
-                run_roots = np.empty(roots.size, dtype=np.int64)
-                post_extra = np.zeros(n, dtype=np.float64)
-                for i, a in enumerate(roots):
-                    cr, corr = per_root_correction(fold_result, int(a))
-                    run_roots[i] = cr
-                    post_extra += corr
-                source_weights = None
-        else:
-            run_g = g
-            run_roots = roots
-            target_weights = None
-            source_weights = None
-            post_extra = None
 
         memory_report: dict = {}
         if check_memory:
@@ -389,7 +366,7 @@ class Device:
         elif strategy == "batched":
             params.update(n_samps=int(n_samps), gamma=float(gamma),
                           batch_size=int(batch_size))
-        if folded:
+        if fold_result is not None:
             params.update(folded=True,
                           core_vertices=int(run_g.num_vertices),
                           folded_vertices=int(fold_result.num_folded),
@@ -417,10 +394,8 @@ class Device:
                 metrics.inc("verify.corruption_detected", layer="device")
                 raise
 
-        trace, bc = run.trace, run.bc
+        trace, bc = run.trace, plan.finish(run.bc)
         makespan, fixed_cycles = trace.makespan_cycles, run.fixed_cycles
-        if folded:
-            bc = fold_result.expand(bc) + post_extra
         slow = float(self.straggler_factor)
         if slow != 1.0:
             makespan *= slow
@@ -453,7 +428,7 @@ class Device:
             fixed_cycles=fixed_cycles,
             fixed_roots=run.fixed_roots,
             roots_per_trace=run.roots_per_trace,
-            fold=fold_result if folded else None,
+            fold=fold_result,
         )
 
     # ------------------------------------------------------------------

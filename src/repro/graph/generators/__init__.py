@@ -3,15 +3,15 @@
 from .delaunay import delaunay_graph, delaunay_n
 from .example import FIGURE1_EDGES, figure1_graph
 from .kronecker import GRAPH500_PROBS, kron_g500, kronecker_graph, rmat_edges
-from .mesh import af_shell_like, stencil_mesh
+from .mesh import stencil_mesh
 from .rgg import random_geometric_graph, rgg_n_2
-from .road import luxembourg_like, road_network
-from .router import caida_like, router_topology
+from .road import road_network
+from .router import router_topology
 from .scalefree import barabasi_albert, chung_lu, powerlaw_degree_sequence
 from .smallworld import smallworld, watts_strogatz
-from .social import amazon_like, community_graph, geosocial_graph, gowalla_like
+from .social import community_graph, geosocial_graph
 from .suite import DATASET_CLASSES, DATASETS, DatasetSpec, make_dataset, suite
-from .webgraph import cnr_like, copying_web_graph
+from .webgraph import copying_web_graph
 
 __all__ = [
     "FIGURE1_EDGES",
@@ -22,24 +22,18 @@ __all__ = [
     "kron_g500",
     "kronecker_graph",
     "rmat_edges",
-    "af_shell_like",
     "stencil_mesh",
     "random_geometric_graph",
     "rgg_n_2",
-    "luxembourg_like",
     "road_network",
-    "caida_like",
     "router_topology",
     "barabasi_albert",
     "chung_lu",
     "powerlaw_degree_sequence",
     "smallworld",
     "watts_strogatz",
-    "amazon_like",
     "community_graph",
     "geosocial_graph",
-    "gowalla_like",
-    "cnr_like",
     "copying_web_graph",
     "DATASET_CLASSES",
     "DATASETS",

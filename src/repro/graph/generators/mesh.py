@@ -20,7 +20,7 @@ import numpy as np
 from ..build import from_edges
 from ..csr import CSRGraph
 
-__all__ = ["stencil_mesh", "af_shell_like"]
+__all__ = ["stencil_mesh"]
 
 
 def stencil_mesh(
@@ -59,8 +59,3 @@ def stencil_mesh(
     edges = np.column_stack([np.concatenate(src_parts), np.concatenate(dst_parts)])
     return from_edges(edges, num_vertices=w * h, undirected=True,
                       name=name or f"mesh_{w}x{h}_r{radius}")
-
-
-def af_shell_like(n: int = 504_855, seed: int = 0) -> CSRGraph:
-    """Instance with af_shell9's shape: wide stencil, elongated grid."""
-    return stencil_mesh(n, radius=3, aspect=32.0, seed=seed, name="af_shell9")

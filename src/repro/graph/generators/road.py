@@ -21,7 +21,7 @@ import numpy as np
 from ..build import from_edges
 from ..csr import CSRGraph
 
-__all__ = ["road_network", "luxembourg_like"]
+__all__ = ["road_network"]
 
 
 class _DisjointSet:
@@ -88,9 +88,3 @@ def road_network(
     g = from_edges(edges, num_vertices=total, undirected=True,
                    name=name or f"road_{total}")
     return g
-
-
-def luxembourg_like(n: int = 114_599, seed: int = 0) -> CSRGraph:
-    """Instance with luxembourg.osm's shape (m/n ~ 1.04, huge diameter)."""
-    return road_network(n, extra_edge_fraction=0.045, seed=seed,
-                        name="luxembourg.osm")

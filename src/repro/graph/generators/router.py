@@ -14,7 +14,7 @@ import numpy as np
 from ..csr import CSRGraph
 from .scalefree import barabasi_albert
 
-__all__ = ["router_topology", "caida_like"]
+__all__ = ["router_topology"]
 
 
 def router_topology(n: int, attach: int = 3, seed: int = 0, name: str = "") -> CSRGraph:
@@ -22,8 +22,3 @@ def router_topology(n: int, attach: int = 3, seed: int = 0, name: str = "") -> C
     new router."""
     g = barabasi_albert(n, m=attach, seed=seed)
     return g.with_name(name or f"router_{n}")
-
-
-def caida_like(n: int = 192_244, seed: int = 0) -> CSRGraph:
-    """Instance with caidaRouterLevel's shape (m/n ~ 3.2)."""
-    return router_topology(n, attach=3, seed=seed, name="caidaRouterLevel")

@@ -20,7 +20,7 @@ from ..build import from_edges
 from ..csr import CSRGraph
 from .scalefree import chung_lu, powerlaw_degree_sequence
 
-__all__ = ["geosocial_graph", "gowalla_like", "community_graph", "amazon_like"]
+__all__ = ["geosocial_graph", "community_graph"]
 
 
 def geosocial_graph(
@@ -69,15 +69,6 @@ def geosocial_graph(
     edges = np.column_stack([src, dst]).astype(np.int64)
     return from_edges(edges, num_vertices=n, undirected=True,
                       name=name or f"geosocial_{n}")
-
-
-def gowalla_like(n: int = 196_591, seed: int = 0) -> CSRGraph:
-    """Instance with loc-gowalla's shape (m/n ~ 9.7, extreme hubs)."""
-    # Average degree target ~19 directed (9.7 undirected edges per vertex).
-    return geosocial_graph(n, exponent=2.25, min_degree=4,
-                           hub_fraction_of_n=0.08, locality=0.6,
-                           locality_window=0.01, seed=seed,
-                           name="loc-gowalla")
 
 
 def community_graph(
@@ -134,9 +125,3 @@ def community_graph(
     edges = np.column_stack([np.concatenate(src_parts), np.concatenate(dst_parts)])
     return from_edges(edges, num_vertices=n, undirected=True,
                       name=name or f"community_{n}")
-
-
-def amazon_like(n: int = 334_863, seed: int = 0) -> CSRGraph:
-    """Instance with com-amazon's shape (m/n ~ 2.8, communities)."""
-    return community_graph(n, mean_community=30, intra_degree=4.0,
-                           inter_degree=2.0, seed=seed, name="com-amazon")

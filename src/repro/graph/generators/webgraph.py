@@ -16,7 +16,7 @@ import numpy as np
 from ..build import from_edges
 from ..csr import CSRGraph
 
-__all__ = ["copying_web_graph", "cnr_like"]
+__all__ = ["copying_web_graph"]
 
 
 def copying_web_graph(
@@ -77,10 +77,3 @@ def copying_web_graph(
     edges = np.column_stack([np.concatenate(src_parts), np.concatenate(dst_parts)])
     return from_edges(edges, num_vertices=n, undirected=True,
                       name=name or f"web_{n}")
-
-
-def cnr_like(n: int = 325_527, seed: int = 0) -> CSRGraph:
-    """Instance with cnr-2000's shape (power law + clustering + the
-    crawl-order locality that gives it diameter ~33)."""
-    return copying_web_graph(n, out_degree=8, beta=0.3, locality=0.03,
-                             seed=seed, name="cnr-2000")

@@ -10,16 +10,15 @@ itself relies on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..graph.generators.suite import DATASETS, make_dataset
-from ..gpusim.device import Device, DeviceRun
 from ..gpusim.spec import GTX_TITAN, GPUSpec
 
-__all__ = ["ExperimentConfig", "pick_roots", "timed_run", "load_suite_graph"]
+__all__ = ["ExperimentConfig", "pick_roots", "load_suite_graph"]
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,3 @@ def pick_roots(g: CSRGraph, k: int, seed: int = 0,
     k = min(int(k), pool.size)
     return np.sort(rng.choice(pool, size=k, replace=False)).astype(np.int64)
 
-
-def timed_run(device: Device, g: CSRGraph, strategy: str,
-              roots: np.ndarray, **kwargs) -> DeviceRun:
-    """One device run (thin alias that keeps experiment modules terse)."""
-    return device.run_bc(g, strategy=strategy, roots=roots, **kwargs)

@@ -1,11 +1,5 @@
 """Real (process-level) parallel execution of BC over roots."""
 
-from .partition import block_partition, cyclic_partition, work_balanced_partition
 from .pool import parallel_betweenness_centrality
 
-__all__ = [
-    "block_partition",
-    "cyclic_partition",
-    "work_balanced_partition",
-    "parallel_betweenness_centrality",
-]
+__all__ = ["parallel_betweenness_centrality"]

@@ -24,10 +24,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from .._util import partition_roots
+from ..bc.preprocess import root_set
 from ..errors import WorkerPoolError
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
-from .partition import block_partition
 
 __all__ = ["parallel_betweenness_centrality"]
 
@@ -83,7 +84,8 @@ def parallel_betweenness_centrality(
     Parameters
     ----------
     sources:
-        Roots to accumulate (all vertices by default).
+        Roots to accumulate (all vertices by default).  Out-of-range
+        roots raise ``IndexError`` before any worker starts.
     num_workers:
         Pool size; defaults to ``os.cpu_count()``.  ``1`` short-circuits
         to the serial path (no pool spin-up).
@@ -107,10 +109,7 @@ def parallel_betweenness_centrality(
     if metrics is None:
         metrics = NULL_REGISTRY
     n = g.num_vertices
-    if sources is None:
-        roots = np.arange(n, dtype=np.int64)
-    else:
-        roots = np.asarray(sources, dtype=np.int64).ravel()
+    roots = root_set(g, sources)
     if num_workers is None:
         num_workers = os.cpu_count() or 1
     num_workers = max(1, int(num_workers))
@@ -124,7 +123,8 @@ def parallel_betweenness_centrality(
             return betweenness_centrality(g, sources=roots)
 
     num_chunks = min(roots.size, num_workers * chunks_per_worker)
-    chunks = [c for c in block_partition(roots, num_chunks) if c.size]
+    chunks = [roots[p] for p in partition_roots(roots.size, num_chunks)
+              if p.size]
     bc = np.zeros(n, dtype=np.float64)
     done = np.zeros(len(chunks), dtype=bool)
     metrics.set_gauge("pool.workers", num_workers)

@@ -44,10 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import partition_roots
 from ..bc.accumulation import root_dependencies
 from ..bc.frontier import group_width
-from ..bc.preprocess import FoldResult, fold_degree_one
-from ..cluster.distributed import partition_roots
+from ..bc.preprocess import FoldResult, root_plan
 from ..cluster.mpi_sim import SimComm
 from ..cluster.topology import ClusterSpec
 from ..errors import (
@@ -355,25 +355,18 @@ def resilient_distributed_bc(
     policy = VerificationPolicy.coerce(verify)
     checker = RootChecker(policy, metrics) if policy.enabled else None
 
-    fold_result: FoldResult | None = None
-    if isinstance(fold, FoldResult):
-        fold_result = fold
-    elif fold:
-        fold_result = fold_degree_one(g)
-    folded = fold_result is not None and not fold_result.is_identity
-    if folded:
-        # A folded core root stands for its absorbed subtree: its
-        # dependency vector is scaled by that weight before it is
-        # checkpointed (Eq. 3 stays a plain sum).
-        run_g = fold_result.core
-        target_weights = fold_result.core_weights
+    # A full-run plan: on a folded graph the checkpointed roots are the
+    # core's vertices, each standing for its absorbed subtree, so its
+    # dependency vector is scaled by that weight before it is
+    # checkpointed (Eq. 3 stays a plain sum).
+    plan = root_plan(g, None, fold)
+    run_g, target_weights = plan.graph, plan.target_weights
+    source_weights = plan.source_weights
+    if plan.fold is not None:
         metrics.record("resilience.fold",
                        core_vertices=int(run_g.num_vertices),
-                       folded_vertices=int(fold_result.num_folded),
-                       rounds=int(fold_result.rounds))
-    else:
-        run_g = g
-        target_weights = None
+                       folded_vertices=int(plan.fold.num_folded),
+                       rounds=int(plan.fold.rounds))
 
     # Traversal roots and checkpoint vectors live on the (possibly
     # folded) run graph; expansion back to original ids happens once,
@@ -410,7 +403,8 @@ def resilient_distributed_bc(
         # The one root loop, with folded core roots weighted.
         return root_dependencies(
             run_g, roots, target_weights,
-            source_weights=target_weights[roots] if folded else None,
+            source_weights=(None if source_weights is None
+                            else source_weights[roots]),
             **kwargs)
 
     def over_budget() -> bool:
@@ -494,7 +488,7 @@ def resilient_distributed_bc(
                 observer = RootObserver(
                     run_g, policy, metrics, faults=faults, rank=rank,
                     target_weights=target_weights,
-                    source_weights=target_weights if folded else None)
+                    source_weights=source_weights)
                 width = (1 if faults and faults.sdc_pending_for(rank)
                          else group_width(run_g))
                 partial = np.zeros(n, dtype=np.float64)
@@ -622,12 +616,11 @@ def resilient_distributed_bc(
         metrics.record("resilience.degrade", roots=degraded_roots,
                        samples=k, scale=degraded_roots / k)
 
-    if folded:
-        # Back to original ids: checkpoints, reduce and the degraded
-        # estimate were all core-space; the pendants' closed-form
-        # credit (already in ordered-pair units) gets the same halving
-        # the traversed partials received at commit time.
-        total = fold_result.expand(total) + fold_result.credit / half
+    # Back to original ids: checkpoints, reduce and the degraded
+    # estimate were all core-space; the pendants' closed-form credit
+    # (already in ordered-pair units) gets the same halving the
+    # traversed partials received at commit time.
+    total = plan.finish(total, half)
 
     metrics.inc("resilience.runs")
     metrics.inc("resilience.recomputed_roots", recomputed_roots)

@@ -624,13 +624,6 @@ class ActiveFaults:
                     for key, events in self._sdc_root.items())
                 or bool(self._sdc_partial.get(rank)))
 
-    @property
-    def sdc_events_pending(self) -> int:
-        """How many ``sdc`` events have not fired yet."""
-        return (sum(len(v) for v in self._sdc_root.values())
-                + sum(len(v) for v in self._sdc_partial.values())
-                + len(self._sdc_reduce))
-
     # -- storage faults -------------------------------------------------
     def storage_fire(self, target: str):
         """One durable write to ``target`` is being attempted; returns

@@ -297,26 +297,6 @@ class BCService:
         ordered = sorted(self.jobs.values(), key=lambda j: j.submit_seq)
         return [j.status_dict() for j in ordered]
 
-    def service_status(self) -> dict:
-        """Aggregate health row (what ``service status`` prints first)."""
-        counts: dict = {}
-        for job in self.jobs.values():
-            counts[job.state] = counts.get(job.state, 0) + 1
-        return {
-            "queue_depth": len(self.queue),
-            "max_queue": self.admission.policy.max_queue,
-            "overloaded": len(self.queue)
-            >= self.admission.policy.degrade_threshold,
-            "jobs": counts,
-            "graphs_loaded": len(self._graphs),
-            "recovered": list(self.recovered_ids),
-            "breakers": {
-                "/".join(k): dict(v) for k, v in
-                self.scheduler.breaker.snapshot().items()
-                if v["state"] != "closed" or v["failures"]
-            },
-        }
-
     def cancel(self, job_id: str) -> bool:
         """Cancel a PENDING job; ``False`` if it already left the queue."""
         job = self.jobs.get(job_id)

@@ -1,69 +1,29 @@
-"""Unit tests for root partitioners."""
+"""Unit tests for the one root partitioner, as the process pool uses it
+(a block split of an arbitrary root array)."""
 
 import numpy as np
 import pytest
 
-from repro.parallel.partition import (
-    block_partition,
-    cyclic_partition,
-    work_balanced_partition,
-)
+from repro._util import partition_roots
+from repro.errors import ClusterConfigurationError
 
-ROOTS = np.arange(17)
+ROOTS = np.arange(17) * 3
+
+
+def _blocks(roots, k):
+    return [roots[p] for p in partition_roots(roots.size, k)]
 
 
 class TestBlock:
     def test_covers_exactly(self):
-        parts = block_partition(ROOTS, 4)
+        parts = _blocks(ROOTS, 4)
         assert sorted(np.concatenate(parts).tolist()) == ROOTS.tolist()
 
     def test_contiguous(self):
-        for p in block_partition(ROOTS, 5):
+        for p in _blocks(ROOTS, 5):
             if p.size > 1:
-                assert np.all(np.diff(p) == 1)
+                assert np.all(np.diff(p) == 3)
 
     def test_bad_parts(self):
-        with pytest.raises(ValueError):
-            block_partition(ROOTS, 0)
-
-
-class TestCyclic:
-    def test_covers_exactly(self):
-        parts = cyclic_partition(ROOTS, 4)
-        assert sorted(np.concatenate(parts).tolist()) == ROOTS.tolist()
-
-    def test_stride(self):
-        parts = cyclic_partition(ROOTS, 4)
-        assert parts[1].tolist() == [1, 5, 9, 13]
-
-    def test_bad_parts(self):
-        with pytest.raises(ValueError):
-            cyclic_partition(ROOTS, -1)
-
-
-class TestWorkBalanced:
-    def test_covers_exactly(self):
-        w = np.arange(17, dtype=float) + 1
-        parts = work_balanced_partition(ROOTS, w, 3)
-        assert sorted(np.concatenate(parts).tolist()) == ROOTS.tolist()
-
-    def test_balances_skewed_weights(self):
-        # One giant root plus many small ones: greedy LPT puts the
-        # giant alone-ish and spreads the rest.
-        w = np.ones(17)
-        w[0] = 16.0
-        parts = work_balanced_partition(ROOTS, w, 2)
-        loads = [w[np.isin(ROOTS, p)].sum() for p in parts]
-        assert max(loads) <= 17  # not 16 + many
-
-    def test_beats_block_on_skew(self):
-        rng = np.random.default_rng(0)
-        w = rng.pareto(1.5, size=64) + 0.1
-        lpt = work_balanced_partition(np.arange(64), w, 4)
-        blk = block_partition(np.arange(64), 4)
-        load = lambda parts: max(w[p].sum() for p in parts)
-        assert load(lpt) <= load(blk)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            work_balanced_partition(ROOTS, np.ones(3), 2)
+        with pytest.raises(ClusterConfigurationError):
+            _blocks(ROOTS, 0)

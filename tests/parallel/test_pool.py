@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bc.brandes import brandes_reference
+from repro.observability import MetricsRegistry
+from repro.parallel import pool as pool_module
 from repro.parallel.pool import parallel_betweenness_centrality
 
 
@@ -33,6 +35,19 @@ class TestPool:
         )
         ref = brandes_reference(small_sw, sources=range(0, 40))
         assert np.allclose(got, ref)
+
+    @pytest.mark.parametrize("bad", [100, -1])
+    def test_bad_root_rejected_before_the_pool_starts(self, fig1, bad,
+                                                      monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        metrics = MetricsRegistry()
+        with pytest.raises(IndexError, match="out of range"):
+            parallel_betweenness_centrality(fig1, sources=[0, bad],
+                                            num_workers=2, metrics=metrics)
+        assert not any(c.name == "pool.chunks" for c in metrics.counters())
 
     def test_bad_chunks(self, fig1):
         with pytest.raises(ValueError):
