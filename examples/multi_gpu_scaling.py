@@ -44,7 +44,8 @@ def real_parallel_demo() -> None:
     assert np.allclose(serial, parallel), "decomposition must be exact"
     print(f"  serial   : {t_serial:6.2f} s")
     print(f"  {workers} workers: {t_parallel:6.2f} s "
-          f"({t_serial / max(t_parallel, 1e-9):.2f}x, identical scores)")
+          f"({t_serial / max(t_parallel, 1e-9):.2f}x, scores equal to "
+          f"round-off; the same bytes for any worker count)")
     print("  (partition roots -> local accumulation -> reduce: the exact "
           "structure of the paper's MPI program)\n")
 

@@ -138,9 +138,9 @@ def partition_roots(num_roots: int, num_parts: int) -> list:
 
     When ``num_parts > num_roots`` some parts are empty arrays.  Ranks
     handed an empty part are *not* dropped from the program: in
-    :func:`repro.cluster.distributed_bc_values` (and the resilient
-    driver) they contribute an all-zero vector to the reduce, which the
-    test suite verifies leaves the result exact.
+    :func:`repro.resilience.resilient_distributed_bc` they contribute
+    an all-zero vector to the reduce, which the test suite verifies
+    leaves the result exact.
     """
     if num_parts < 1:
         raise ClusterConfigurationError("num_parts must be >= 1")

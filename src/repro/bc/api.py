@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .accumulation import dependency_accumulation, root_dependencies
+from .accumulation import dependency_accumulation
 from .brandes import normalize_bc
 from .frontier import forward_sweep
 from .preprocess import FoldResult, root_plan
@@ -49,9 +49,9 @@ def betweenness_centrality(
         exact O(mn) computation).  A subset yields the *unscaled*
         partial sum — see :func:`repro.bc.approx.approximate_bc` for
         the rescaled estimator.  An *empty* subset returns the zero
-        vector: this is what a zero-root rank contributes in the
-        distributed decomposition (:mod:`repro.cluster.distributed`,
-        :mod:`repro.resilience`).  Out-of-range roots raise
+        vector, as a rank with no roots contributes nothing to the
+        distributed sum (:mod:`repro.resilience`,
+        :mod:`repro.parallel`).  Out-of-range roots raise
         ``IndexError`` up front rather than failing mid-traversal.
     normalized:
         Divide by the maximum possible score (Section II-B).
@@ -78,15 +78,7 @@ def betweenness_centrality(
     3
     """
     plan = root_plan(g, sources, fold)
-    sw = plan.source_weights
-    # Roots are swept in lockstep groups (root_dependencies); their
-    # dependencies are still summed one root at a time, in root order.
-    acc = np.zeros(plan.graph.num_vertices, dtype=np.float64)
-    for delta in root_dependencies(
-            plan.graph, plan.run_roots, plan.target_weights,
-            source_weights=None if sw is None else sw[plan.run_roots]):
-        acc += delta
-    bc = plan.finish(acc)
+    bc = plan.finish(plan.accumulate(plan.run_roots))
     if g.undirected:
         bc /= 2.0
     if normalized:

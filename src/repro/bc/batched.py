@@ -31,7 +31,7 @@ from ..graph.csr import CSRGraph
 from ..gpusim.charge import FrontierProfile, charge
 from ..observability.registry import NULL_REGISTRY
 from .brandes import normalize_bc
-from .preprocess import FoldResult, root_plan
+from .preprocess import FoldResult, RootPlan, root_plan
 
 __all__ = ["batched_betweenness_centrality", "batched_dependencies",
            "run_batch"]
@@ -167,19 +167,13 @@ def run_batch(g: CSRGraph, batch: np.ndarray, bc: np.ndarray, policy,
     return trace
 
 
-def _engine_retry(g: CSRGraph, batch: np.ndarray, metrics,
-                  target_weights: np.ndarray | None = None,
-                  row_weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-root-engine fallback for one overflowed batch; the caller's
-    metrics registry sees both the retry counter and the traversals."""
-    from .accumulation import root_dependencies
-
+def _engine_retry(plan: RootPlan, batch: np.ndarray,
+                  metrics) -> np.ndarray:
+    """Per-root-engine fallback for one overflowed batch of ``plan``'s
+    traversals; the caller's metrics registry sees both the retry
+    counter and the traversals."""
     metrics.inc("batched.overflow_retries")
-    contrib = np.zeros(g.num_vertices, dtype=np.float64)
-    for delta in root_dependencies(g, batch, target_weights, metrics=metrics,
-                                   source_weights=row_weights):
-        contrib += delta
-    return contrib
+    return plan.accumulate(batch, metrics=metrics)
 
 
 def batched_betweenness_centrality(
@@ -213,18 +207,16 @@ def batched_betweenness_centrality(
     acc = np.zeros(run_g.num_vertices, dtype=np.float64)
     for lo in range(0, plan.run_roots.size, batch_size):
         batch = plan.run_roots[lo:lo + batch_size]
-        w_rows = None if sw is None else sw[batch]
         try:
             delta = batched_dependencies(run_g, batch, A=A, target_weights=tw)
-            if w_rows is not None:
-                delta *= w_rows[:, None]
+            if sw is not None:
+                delta *= sw[batch][:, None]
             acc += delta.sum(axis=0)
         except FloatingPointError:
             # Deep traversal overflowed the batched float64 counts; the
             # per-root engine rescales sigma per level and is exact —
             # and keeps charging the same registry.
-            acc += _engine_retry(run_g, batch, metrics, target_weights=tw,
-                                 row_weights=w_rows)
+            acc += _engine_retry(plan, batch, metrics)
     bc = plan.finish(acc)
     if g.undirected:
         bc /= 2.0

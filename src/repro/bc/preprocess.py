@@ -383,6 +383,32 @@ class RootPlan:
     fold: FoldResult | None = None
     extra: np.ndarray | None = None
 
+    def accumulate(self, roots, out: np.ndarray | None = None,
+                   **loop_kwargs) -> np.ndarray:
+        """Add the dependencies of the traversal roots ``roots`` (a
+        subset of ``run_roots``), scaled by ``source_weights``, into
+        ``out`` (default: a new zero vector) one root at a time, in
+        root order; returns ``out``.
+
+        This is the weighted partial sum every caller reduces: a whole
+        run, a batch, a pool chunk or a rank's unit.  ``loop_kwargs``
+        (``metrics``, ``observer``, ``width``) go to
+        :func:`~repro.bc.accumulation.root_dependencies`; a root that
+        raises leaves ``out`` holding exactly the roots before it.
+        """
+        from .accumulation import root_dependencies
+
+        if out is None:
+            out = np.zeros(self.graph.num_vertices, dtype=np.float64)
+        roots = np.asarray(roots, dtype=np.int64)
+        sw = self.source_weights
+        for delta in root_dependencies(
+                self.graph, roots, self.target_weights,
+                source_weights=None if sw is None else sw[roots],
+                **loop_kwargs):
+            out += delta
+        return out
+
     def finish(self, acc: np.ndarray, divisor: float = 1.0) -> np.ndarray:
         """Original-id scores from the traversals' sum ``acc``.
 

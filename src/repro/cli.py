@@ -515,14 +515,16 @@ def _bench_main(argv) -> int:
 def _spool_ticket(root: str, ticket: dict) -> str:
     """Atomically drop one ticket into the service spool; returns its
     path.  Atomic rename means the daemon never reads a half-written
-    ticket."""
+    ticket.  The daemon takes tickets in name order, so the name leads
+    with the write time: a cancel sorts after the submit it follows."""
     import json
     import os
+    import time
     import uuid
 
     spool = os.path.join(root, "spool")
     os.makedirs(spool, exist_ok=True)
-    name = f"{uuid.uuid4().hex}.json"
+    name = f"{time.time_ns():020d}-{uuid.uuid4().hex}.json"
     tmp = os.path.join(spool, f".{name}.tmp")
     path = os.path.join(spool, name)
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -864,9 +866,11 @@ def _trace_timeline(args) -> int:
     return 0
 
 
-def _render_resilience(args, metrics=None) -> str:
+def _render_resilience(args, metrics=None, verify: bool = False) -> str:
     """Run the fault-tolerant distributed driver on a small graph and
-    report the recovery record next to the serial ground truth."""
+    report its record next to the serial ground truth.  ``verify`` is
+    the silent-corruption demo: bit-flip faults and paranoid checks by
+    default, plus a verdict and the ``--out`` report."""
     import numpy as np
 
     from .bc.api import betweenness_centrality
@@ -875,49 +879,31 @@ def _render_resilience(args, metrics=None) -> str:
 
     n = max(16, 12288 // max(1, args.scale_factor))
     g = watts_strogatz(n, k=6, p=0.1, seed=args.seed)
-    spec = args.faults if args.faults is not None else "fail:1@compute+1"
-    plan = FaultPlan.parse(spec)
+    spec = args.faults if args.faults is not None else (
+        "sdc:0@delta;sdc:1@sigma+1" if verify else "fail:1@compute+1")
     run = resilient_distributed_bc(
-        g, args.ranks, fault_plan=plan, max_retries=args.max_retries,
-        wall_clock_budget=args.budget, seed=args.seed, metrics=metrics,
-        verify=args.verify or "off", fold=not args.no_fold,
+        g, args.ranks, fault_plan=FaultPlan.parse(spec),
+        max_retries=args.max_retries, wall_clock_budget=args.budget,
+        seed=args.seed, metrics=metrics,
+        verify=args.verify or ("paranoid" if verify else "off"),
+        fold=not args.no_fold,
     )
     ref = betweenness_centrality(g)
     err = float(np.max(np.abs(run.values - ref)))
+    graph = g.name or "watts-strogatz"
     lines = [
-        "Resilient distributed BC (fault-injected Section V-D program)",
-        f"graph            : {g.name or 'watts-strogatz'} "
-        f"(n={g.num_vertices}, m={g.num_edges})",
+        ("Silent-data-corruption verification (ABFT detect + self-heal)"
+         if verify else
+         "Resilient distributed BC (fault-injected Section V-D program)"),
+        f"graph            : {graph} (n={g.num_vertices}, m={g.num_edges})",
         f"fault plan       : {spec}",
         run.summary(),
-        f"max |err| vs serial: {err:.3e}"
-        + ("" if run.exact else " (degraded roots are sampled estimates)"),
     ]
-    return "\n".join(lines)
-
-
-def _render_verify(args, metrics=None) -> str:
-    """Inject silent bit-flips and report the verification layer's
-    detect/quarantine/repair outcome against the serial ground truth."""
-    import numpy as np
-
-    from .bc.api import betweenness_centrality
-    from .graph.generators import watts_strogatz
-    from .resilience import FaultPlan, resilient_distributed_bc
-
-    n = max(16, 12288 // max(1, args.scale_factor))
-    g = watts_strogatz(n, k=6, p=0.1, seed=args.seed)
-    spec = (args.faults if args.faults is not None
-            else "sdc:0@delta;sdc:1@sigma+1")
-    plan = FaultPlan.parse(spec)
-    mode = args.verify or "paranoid"
-    run = resilient_distributed_bc(
-        g, args.ranks, fault_plan=plan, max_retries=args.max_retries,
-        wall_clock_budget=args.budget, seed=args.seed, metrics=metrics,
-        verify=mode, fold=not args.no_fold,
-    )
-    ref = betweenness_centrality(g)
-    err = float(np.max(np.abs(run.values - ref)))
+    if not verify:
+        lines.append(f"max |err| vs serial: {err:.3e}"
+                     + ("" if run.exact
+                        else " (degraded roots are sampled estimates)"))
+        return "\n".join(lines)
     if run.exact and np.allclose(run.values, ref):
         verdict = "corruption detected and repaired; values match serial BC"
     elif run.exact:
@@ -925,11 +911,12 @@ def _render_verify(args, metrics=None) -> str:
     else:
         verdict = ("corruption surfaced; result degraded "
                    "(sampled estimate, not silently wrong)")
+    lines += [f"max |err| vs serial: {err:.3e}",
+              f"verdict          : {verdict}"]
     if args.out:
         _write_report(args.out, {
             "schema": "repro.verify/v1",
-            "graph": {"name": g.name or "watts-strogatz",
-                      "num_vertices": g.num_vertices,
+            "graph": {"name": graph, "num_vertices": g.num_vertices,
                       "num_edges": g.num_edges},
             "fault_plan": spec,
             "verification": run.verification,
@@ -941,16 +928,6 @@ def _render_verify(args, metrics=None) -> str:
             "degraded_roots": run.degraded_roots,
             "max_abs_err_vs_serial": err,
         })
-    lines = [
-        "Silent-data-corruption verification (ABFT detect + self-heal)",
-        f"graph            : {g.name or 'watts-strogatz'} "
-        f"(n={g.num_vertices}, m={g.num_edges})",
-        f"fault plan       : {spec}",
-        run.summary(),
-        f"max |err| vs serial: {err:.3e}",
-        f"verdict          : {verdict}",
-    ]
-    if args.out:
         lines.append(f"report           : {args.out}")
     return "\n".join(lines)
 
@@ -987,11 +964,10 @@ def main(argv=None) -> int:
             if args.experiment == "profile":
                 print(_render_profile(args, metrics))
                 print()
-            elif args.experiment == "resilience":
-                print(_render_resilience(args, metrics=metrics))
-                print()
-            elif args.experiment == "verify":
-                print(_render_verify(args, metrics=metrics))
+            elif args.experiment in ("resilience", "verify"):
+                print(_render_resilience(
+                    args, metrics=metrics,
+                    verify=args.experiment == "verify"))
                 print()
             else:
                 cfg = ExperimentConfig(scale_factor=args.scale_factor,

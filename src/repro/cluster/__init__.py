@@ -1,9 +1,8 @@
 """Multi-node substrate: interconnect/topology models, MPI-like
-communicator, distributed BC."""
+communicator, the Figure 6 / Table IV performance model."""
 
 from .distributed import (
     ClusterRun,
-    distributed_bc_values,
     partition_roots,
     scaling_sweep,
     simulate_distributed_run,
@@ -20,7 +19,6 @@ __all__ = [
     "kids",
     "SimComm",
     "partition_roots",
-    "distributed_bc_values",
     "ClusterRun",
     "simulate_distributed_run",
     "scaling_sweep",

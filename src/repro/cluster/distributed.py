@@ -1,19 +1,16 @@
-"""Distributed betweenness centrality (Section V-D).
+"""Distributed betweenness centrality (Section V-D): the performance
+model behind Figure 6 and Table IV.
 
-Two layers:
+:func:`simulate_distributed_run` measures per-root simulated cycle
+costs on a sample of roots with the single-GPU device, bootstraps them
+to the full root set, block-partitions them across all GPUs, and adds
+the graph-broadcast / score-reduce communication costs and the fixed
+per-run setup overhead that bends the small-scale speedup curves.
 
-* :func:`distributed_bc_values` — a *value-exact* MPI-style program:
-  roots are block-partitioned over ranks, each rank accumulates a local
-  BC vector with the single-GPU engine's public API, and the vectors
-  are summed with :class:`~repro.cluster.mpi_sim.SimComm`'s ``reduce``.
-  This is the program structure the paper runs on KIDS, minus the
-  hardware.
-* :func:`simulate_distributed_run` — the *performance* model behind
-  Figure 6 and Table IV: per-root simulated cycle costs are measured on
-  a sample of roots with the single-GPU device, bootstrapped to the
-  full root set, block-partitioned across all GPUs, and combined with
-  the graph-broadcast / score-reduce communication costs and the fixed
-  per-run setup overhead that bends the small-scale speedup curves.
+The value-exact multi-GPU program — partition the roots, accumulate a
+local BC vector per rank, reduce — is
+:func:`repro.resilience.resilient_distributed_bc` run without a fault
+plan.
 """
 
 from __future__ import annotations
@@ -23,41 +20,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import partition_roots
-from ..bc.api import betweenness_centrality
-from ..errors import ClusterConfigurationError
 from ..graph.csr import CSRGraph
 from ..gpusim.device import Device
 from ..gpusim.memory import FLOAT_BYTES, graph_footprint
-from .mpi_sim import SimComm
 from .topology import ClusterSpec
 
 __all__ = [
     "partition_roots",
-    "distributed_bc_values",
+    "sample_root_cycles",
     "ClusterRun",
     "simulate_distributed_run",
     "scaling_sweep",
 ]
 
 
-def distributed_bc_values(
-    g: CSRGraph, num_ranks: int, comm: SimComm | None = None
-) -> np.ndarray:
-    """Exact BC via the rank-parallel decomposition + reduce.
-
-    Equivalent to :func:`repro.bc.betweenness_centrality`; the test
-    suite asserts bit-for-bit-close equality for any rank count.
-    """
-    if comm is None:
-        comm = SimComm(num_ranks)
-    elif comm.size != num_ranks:
-        raise ClusterConfigurationError("communicator size mismatch")
-    parts = partition_roots(g.num_vertices, num_ranks)
-    # Each rank computes its local copy of the BC scores; a rank whose
-    # part is empty (more ranks than roots) contributes the zero vector.
-    locals_ = [betweenness_centrality(g, sources=part) for part in parts]
-    # ...which are reduced into the global scores (MPI_Reduce).
-    return comm.reduce(locals_, root=0)
+def sample_root_cycles(g: CSRGraph, device: Device, strategy: str,
+                       sample_roots: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Simulated cycles of each of ``sample_roots`` distinct roots drawn
+    from ``rng`` (fewer on a smaller graph; none drawn for zero), run
+    on ``device`` under ``strategy``, in draw order."""
+    n = g.num_vertices
+    k = min(int(sample_roots), n)
+    if k == 0:
+        return np.empty(0, dtype=np.float64)
+    sampled = rng.choice(n, size=k, replace=False)
+    run = device.run_bc(g, strategy=strategy, roots=sampled,
+                        n_samps=min(64, max(1, k // 2)))
+    return np.array([rt.cycles for rt in run.trace.roots], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -119,11 +109,8 @@ def simulate_distributed_run(
     else:
         if device is None:
             device = Device(cluster.gpu)
-        k = min(int(sample_roots), n)
-        sampled = rng.choice(n, size=k, replace=False) if k else np.empty(0, np.int64)
-        run = device.run_bc(g, strategy=strategy, roots=sampled,
-                            n_samps=min(64, max(1, k // 2)))
-        measured = np.array([rt.cycles for rt in run.trace.roots], dtype=np.float64)
+        measured = sample_root_cycles(g, device, strategy, sample_roots,
+                                      rng)
     if measured.size == 0:
         measured = np.array([0.0])
     # Bootstrap every root's cost from the empirical distribution.
@@ -174,14 +161,8 @@ def scaling_sweep(
 ) -> list:
     """Run :func:`simulate_distributed_run` at several node counts
     (one Figure 6 curve); the per-root sample is shared across points."""
-    n = g.num_vertices
-    rng = np.random.default_rng(seed)
-    device = Device(cluster.gpu)
-    k = min(int(sample_roots), n)
-    sampled = rng.choice(n, size=k, replace=False) if k else np.empty(0, np.int64)
-    run = device.run_bc(g, strategy=strategy, roots=sampled,
-                        n_samps=min(64, max(1, k // 2)))
-    measured = np.array([rt.cycles for rt in run.trace.roots], dtype=np.float64)
+    measured = sample_root_cycles(g, Device(cluster.gpu), strategy,
+                                  sample_roots, np.random.default_rng(seed))
     runs = []
     for nodes in node_counts:
         runs.append(

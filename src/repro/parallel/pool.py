@@ -1,11 +1,14 @@
 """Process-pool exact BC: real coarse-grained parallelism over roots.
 
-This is the CPU counterpart of the paper's multi-GPU decomposition
-(Section V-D): the graph is replicated into every worker once (via the
-pool initializer, so the CSR arrays are pickled a single time per
-worker rather than per task), roots are partitioned into chunks, each
-worker accumulates a partial BC vector, and the partials are summed —
-the in-process equivalent of the final ``MPI_Reduce``.
+The CPU counterpart of the paper's multi-GPU program (Section V-D),
+and the same program as the resilient driver's: the parent builds one
+:func:`~repro.bc.preprocess.root_plan` (folding the graph once) and
+ships its traversals — the folded core and its weights — to every
+worker once through the pool initializer; workers sum chunks of the
+traversal roots, and the parent adds the chunk partials in chunk order
+(the ``MPI_Reduce``) before the plan expands the sum to original ids.
+The chunking depends on the root count only, so the result has the
+same bytes for every worker count, worker crashes included.
 
 Worker failures are survivable: a chunk whose worker crashes (a raw
 ``BrokenProcessPool``, a pickling error, or an injected fault) is
@@ -18,6 +21,7 @@ exception.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,37 +29,30 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .._util import partition_roots
-from ..bc.preprocess import root_set
+from ..bc.preprocess import RootPlan, root_plan
 from ..errors import WorkerPoolError
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 
 __all__ = ["parallel_betweenness_centrality"]
 
-# Per-worker replicated graph (set by the pool initializer; module-level
-# so forked/spawned workers can reach it without per-task pickling).
-_WORKER_GRAPH: CSRGraph | None = None
+#: Chunks a run's traversal roots are split into (fewer when there are
+#: fewer roots), whatever the worker count.
+NUM_CHUNKS = 16
+
+# Per-worker replicated traversals (set by the pool initializer;
+# module-level so forked/spawned workers can reach them without
+# per-task pickling).
+_WORKER_PLAN: RootPlan | None = None
 # Chunk indices this worker must hard-crash on (fault injection for the
 # resilience tests; empty in normal operation).
 _WORKER_CRASH_CHUNKS: frozenset = frozenset()
 
 
-def _init_worker(indptr: np.ndarray, adj: np.ndarray, undirected: bool,
-                 crash_chunks=()) -> None:
-    global _WORKER_GRAPH, _WORKER_CRASH_CHUNKS
-    _WORKER_GRAPH = CSRGraph(indptr, adj, undirected=undirected)
+def _init_worker(plan: RootPlan, crash_chunks=()) -> None:
+    global _WORKER_PLAN, _WORKER_CRASH_CHUNKS
+    _WORKER_PLAN = plan
     _WORKER_CRASH_CHUNKS = frozenset(crash_chunks)
-
-
-def _chunk_partial(g: CSRGraph, roots: np.ndarray) -> np.ndarray:
-    """Accumulate dependencies for one chunk of roots on ``g``, in
-    root order (swept in lockstep groups)."""
-    from ..bc.accumulation import root_dependencies
-
-    bc = np.zeros(g.num_vertices, dtype=np.float64)
-    for delta in root_dependencies(g, roots):
-        bc += delta
-    return bc
 
 
 def _worker_partial(task) -> np.ndarray:
@@ -66,16 +63,14 @@ def _worker_partial(task) -> np.ndarray:
         # segfaulting or OOM-killed worker (surfaces to the parent as
         # BrokenProcessPool).
         os._exit(13)
-    g = _WORKER_GRAPH
-    assert g is not None, "worker pool not initialised"
-    return _chunk_partial(g, roots)
+    assert _WORKER_PLAN is not None, "worker pool not initialised"
+    return _WORKER_PLAN.accumulate(roots)
 
 
 def parallel_betweenness_centrality(
     g: CSRGraph,
     sources=None,
     num_workers: int | None = None,
-    chunks_per_worker: int = 4,
     _crash_chunks=(),
     metrics=None,
 ) -> np.ndarray:
@@ -87,11 +82,8 @@ def parallel_betweenness_centrality(
         Roots to accumulate (all vertices by default).  Out-of-range
         roots raise ``IndexError`` before any worker starts.
     num_workers:
-        Pool size; defaults to ``os.cpu_count()``.  ``1`` short-circuits
-        to the serial path (no pool spin-up).
-    chunks_per_worker:
-        Oversubscription factor — more, smaller chunks smooth load
-        imbalance between root costs at the price of task overhead.
+        Pool size; defaults to ``os.cpu_count()``.  With one worker (or
+        one chunk) the chunks run in-process and no pool starts.
     _crash_chunks:
         Fault-injection hook (resilience tests): chunk indices whose
         worker hard-exits mid-task.  The run still returns the exact
@@ -102,31 +94,47 @@ def parallel_betweenness_centrality(
         wall-clock and export under the ``timing`` key) and serial
         recoveries.  Defaults to the no-op registry.
 
-    Returns the same values as
-    :func:`repro.bc.betweenness_centrality`; the test suite asserts it,
-    including under injected worker crashes.
+    Returns :func:`repro.bc.betweenness_centrality`'s values up to
+    round-off (the roots are summed chunk by chunk), with the same
+    bytes for every ``num_workers``.
     """
     if metrics is None:
         metrics = NULL_REGISTRY
-    n = g.num_vertices
-    roots = root_set(g, sources)
+    plan = root_plan(g, sources)
     if num_workers is None:
         num_workers = os.cpu_count() or 1
     num_workers = max(1, int(num_workers))
-    if chunks_per_worker < 1:
-        raise ValueError("chunks_per_worker must be >= 1")
 
-    if num_workers == 1 or roots.size <= 1:
-        from ..bc.api import betweenness_centrality
-
-        with metrics.span("pool.run", path="serial"):
-            return betweenness_centrality(g, sources=roots)
-
-    num_chunks = min(roots.size, num_workers * chunks_per_worker)
-    chunks = [roots[p] for p in partition_roots(roots.size, num_chunks)
+    roots = plan.run_roots
+    chunks = [roots[p] for p in
+              partition_roots(roots.size, max(1, min(NUM_CHUNKS, roots.size)))
               if p.size]
-    bc = np.zeros(n, dtype=np.float64)
-    done = np.zeros(len(chunks), dtype=bool)
+    if num_workers == 1 or len(chunks) <= 1:
+        with metrics.span("pool.run", path="serial"):
+            partials = [plan.accumulate(c) for c in chunks]
+    else:
+        partials = _pool_partials(plan, chunks,
+                                  min(num_workers, len(chunks)),
+                                  _crash_chunks, metrics)
+    acc = np.zeros(plan.graph.num_vertices, dtype=np.float64)
+    for partial in partials:
+        acc += partial  # the MPI_Reduce step, in chunk order
+    bc = plan.finish(acc)
+    if g.undirected:
+        bc /= 2.0
+    return bc
+
+
+def _pool_partials(plan: RootPlan, chunks: list, num_workers: int,
+                   crash_chunks, metrics) -> list:
+    """Every chunk's sum, in chunk order, from a pool of
+    ``num_workers``; a chunk no worker delivered is recomputed
+    in-process."""
+    partials: list = [None] * len(chunks)
+    # The workers need the traversals only: the core and its weights,
+    # not the fold (which holds the whole input graph).
+    traversals = dataclasses.replace(plan, roots=plan.run_roots, fold=None,
+                                     extra=None)
     metrics.set_gauge("pool.workers", num_workers)
     metrics.inc("pool.chunks", len(chunks))
     with metrics.span("pool.run", path="pool"):
@@ -134,18 +142,15 @@ def parallel_betweenness_centrality(
             with ProcessPoolExecutor(
                 max_workers=num_workers,
                 initializer=_init_worker,
-                initargs=(g.indptr, g.adj, g.undirected, tuple(_crash_chunks)),
+                initargs=(traversals, tuple(crash_chunks)),
             ) as pool:
                 t_submit = time.perf_counter()
                 futures = [pool.submit(_worker_partial, (i, c))
                            for i, c in enumerate(chunks)]
                 for i, fut in enumerate(futures):
                     try:
-                        bc += fut.result()  # the MPI_Reduce step
-                        done[i] = True
-                        # Latency from submission to collection: the
-                        # makespan-style number the chunk-size tuning in
-                        # `chunks_per_worker` trades against.
+                        partials[i] = fut.result()
+                        # Latency from submission to collection.
                         metrics.observe("pool.chunk_seconds",
                                         time.perf_counter() - t_submit,
                                         wall=True)
@@ -159,16 +164,16 @@ def parallel_betweenness_centrality(
             # pickling trouble): fall through with whatever completed.
             metrics.inc("pool.pool_failures")
 
-        failed = [chunks[i] for i in np.flatnonzero(~done)]
+        failed = [i for i, p in enumerate(partials) if p is None]
         if failed:
             # The serial fallback is real compute the pool numbers would
             # otherwise hide: give it its own span and counter so a run
             # that limped home on one core is visible in the registry.
             with metrics.span("pool.recompute", chunks=len(failed)):
                 try:
-                    for chunk in failed:
+                    for i in failed:
                         t_retry = time.perf_counter()
-                        bc += _chunk_partial(g, chunk)
+                        partials[i] = plan.accumulate(chunks[i])
                         metrics.inc("pool.chunks_recovered")
                         metrics.inc("pool.recomputed_chunks", path="serial")
                         metrics.observe("pool.recovery_seconds",
@@ -179,6 +184,4 @@ def parallel_betweenness_centrality(
                         f"{len(failed)} worker chunk(s) crashed and serial "
                         f"recovery failed: {exc}"
                     ) from exc
-    if g.undirected:
-        bc /= 2.0
-    return bc
+    return partials

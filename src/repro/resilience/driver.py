@@ -1,10 +1,13 @@
 """Fault-tolerant distributed BC driver.
 
-:func:`resilient_distributed_bc` is the recovery-aware counterpart of
-:func:`repro.cluster.distributed.distributed_bc_values`.  It exploits
-the additive structure of Brandes's accumulation (Eq. 3: BC is a plain
-sum of per-root dependency vectors), which makes the computation
-naturally checkpointable and re-partitionable:
+:func:`resilient_distributed_bc` is the paper's multi-GPU program
+(Section V-D): the roots of the :func:`~repro.bc.preprocess.root_plan`
+are partitioned over ranks, each rank accumulates a local BC vector
+and the vectors are reduced.  With no fault plan that is all it does
+(plus checkpoints), so it is the value-exact distributed program.  It
+exploits the additive structure of Brandes's accumulation (Eq. 3: BC
+is a plain sum of per-root dependency vectors), which makes the
+computation naturally checkpointable and re-partitionable:
 
 1. Roots are block-partitioned over ranks; each rank's partition is a
    **checkpointable unit**.  A completed unit's partial BC vector is
@@ -45,10 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._util import partition_roots
-from ..bc.accumulation import root_dependencies
 from ..bc.frontier import group_width
 from ..bc.preprocess import FoldResult, root_plan
-from ..cluster.mpi_sim import SimComm
+from ..cluster.distributed import sample_root_cycles
 from ..cluster.topology import ClusterSpec
 from ..errors import (
     ClusterConfigurationError,
@@ -224,19 +226,14 @@ def estimate_per_root_seconds(
 ) -> float:
     """Per-root wall seconds on one of ``cluster``'s GPUs.
 
-    Measures a root sample on the simulated device (as
-    :func:`repro.cluster.distributed.simulate_distributed_run` does)
-    and divides the mean per-root cycles by the SM concurrency — the
-    charge rate the resilient driver uses to cost recovery work.
+    Measures a work-efficient root sample on the simulated device
+    (:func:`repro.cluster.distributed.sample_root_cycles`, the sampler
+    Figure 6 uses) and divides the mean per-root cycles by the SM
+    concurrency — the charge rate the resilient driver uses to cost
+    recovery work.
     """
-    n = g.num_vertices
-    rng = np.random.default_rng(seed)
-    k = min(int(sample_roots), n)
-    if k == 0:
-        return 0.0
-    sampled = rng.choice(n, size=k, replace=False)
-    run = Device(cluster.gpu).run_bc(g, strategy="work-efficient", roots=sampled)
-    cycles = np.array([rt.cycles for rt in run.trace.roots], dtype=np.float64)
+    cycles = sample_root_cycles(g, Device(cluster.gpu), "work-efficient",
+                                sample_roots, np.random.default_rng(seed))
     if cycles.size == 0:
         return 0.0
     return cluster.gpu.seconds(float(cycles.mean()) / cluster.gpu.num_sms)
@@ -360,8 +357,7 @@ def resilient_distributed_bc(
     # dependency vector is scaled by that weight before it is
     # checkpointed (Eq. 3 stays a plain sum).
     plan = root_plan(g, None, fold)
-    run_g, target_weights = plan.graph, plan.target_weights
-    source_weights = plan.source_weights
+    run_g = plan.graph
     if plan.fold is not None:
         metrics.record("resilience.fold",
                        core_vertices=int(run_g.num_vertices),
@@ -398,14 +394,6 @@ def resilient_distributed_bc(
                                      roots_lost))
         metrics.inc("verify.corruption_detected", layer="driver",
                     invariant=invariant)
-
-    def dependencies(roots: np.ndarray, **kwargs):
-        # The one root loop, with folded core roots weighted.
-        return root_dependencies(
-            run_g, roots, target_weights,
-            source_weights=(None if source_weights is None
-                            else source_weights[roots]),
-            **kwargs)
 
     def over_budget() -> bool:
         # Same clock, same expression as the final elapsed_seconds
@@ -487,17 +475,15 @@ def resilient_distributed_bc(
                 # rank's orphan) and the unit resumes after it.
                 observer = RootObserver(
                     run_g, policy, metrics, faults=faults, rank=rank,
-                    target_weights=target_weights,
-                    source_weights=source_weights)
+                    target_weights=plan.target_weights,
+                    source_weights=plan.source_weights)
                 width = (1 if faults and faults.sdc_pending_for(rank)
                          else group_width(run_g))
                 partial = np.zeros(n, dtype=np.float64)
                 while observer.position < roots.size:
                     try:
-                        for delta in dependencies(
-                                roots[observer.position:],
-                                observer=observer, width=width):
-                            partial += delta
+                        plan.accumulate(roots[observer.position:], partial,
+                                        observer=observer, width=width)
                     except SilentCorruptionError as err:
                         quarantined.append(err.root)
                         detected(rank, err.violations[0].invariant, 1)
@@ -605,9 +591,7 @@ def resilient_distributed_bc(
         rng = np.random.default_rng(seed)
         sample = rng.choice(orphans, size=k, replace=False)
         with metrics.span("resilience.degrade", samples=k):
-            est = np.zeros(n, dtype=np.float64)
-            for delta in dependencies(sample):
-                est += delta
+            est = plan.accumulate(sample)
         est /= half
         total = total + est * (degraded_roots / k)
         samples_used = k

@@ -670,8 +670,11 @@ class FaultyComm(SimComm):
     fail-stop there raises :class:`~repro.errors.RankFailure`.  The
     driver catches it, calls :meth:`mark_dead`, and re-enters the
     collective; the event has been consumed, so the retry proceeds with
-    the survivors (dead ranks' contributions are zero vectors — see
-    :func:`repro.cluster.distributed.partition_roots`).
+    the survivors (a dead rank contributes its checkpointed partial, or
+    a zero vector — see
+    :class:`~repro.resilience.driver.CheckpointStore`).  Pass one as
+    ``comm=`` to :func:`~repro.resilience.resilient_distributed_bc` to
+    charge its collectives over a link model.
     """
 
     def __init__(self, size: int, faults: ActiveFaults | None = None,

@@ -5,15 +5,14 @@ import pytest
 
 from repro.bc.brandes import brandes_reference
 from repro.cluster.distributed import (
-    distributed_bc_values,
     partition_roots,
     scaling_sweep,
     simulate_distributed_run,
 )
-from repro.cluster.mpi_sim import SimComm
 from repro.cluster.topology import ClusterSpec, kids
 from repro.errors import ClusterConfigurationError
 from repro.gpusim.spec import TESLA_M2090
+from repro.resilience import FaultyComm, resilient_distributed_bc
 
 
 class TestPartitionRoots:
@@ -46,34 +45,35 @@ class TestPartitionRoots:
 
 
 class TestValues:
+    """The multi-GPU value program is the fault-free resilient driver."""
+
     @pytest.mark.parametrize("ranks", [1, 2, 3, 7])
     def test_matches_serial(self, fig1, ranks):
         ref = brandes_reference(fig1)
-        assert np.allclose(distributed_bc_values(fig1, ranks), ref)
+        assert np.allclose(resilient_distributed_bc(fig1, ranks).values, ref)
 
     def test_matches_on_disconnected(self, two_components, small_sw):
         for g in (two_components, small_sw):
             ref = brandes_reference(g)
-            assert np.allclose(distributed_bc_values(g, 4), ref)
+            assert np.allclose(resilient_distributed_bc(g, 4).values, ref)
 
     def test_zero_root_ranks_contribute_zero_vector(self, fig1):
         # More ranks than vertices: the surplus ranks get empty root
         # partitions and must contribute zeros to the reduce rather
         # than being dropped (or corrupting it).
         ref = brandes_reference(fig1)
-        assert np.allclose(distributed_bc_values(fig1, 12), ref)
+        assert np.allclose(resilient_distributed_bc(fig1, 12).values, ref)
 
     def test_comm_mismatch(self, fig1):
         with pytest.raises(ClusterConfigurationError):
-            distributed_bc_values(fig1, 3, comm=SimComm(2))
+            resilient_distributed_bc(fig1, 3, comm=FaultyComm(2))
 
     def test_comm_charges_time(self, fig1):
-        comm = SimComm(3, link=None)
         from repro.cluster.interconnect import INFINIBAND_QDR
 
-        comm2 = SimComm(3, link=INFINIBAND_QDR)
-        distributed_bc_values(fig1, 3, comm=comm2)
-        assert comm2.elapsed_comm_seconds > 0
+        comm = FaultyComm(3, link=INFINIBAND_QDR)
+        resilient_distributed_bc(fig1, 3, comm=comm)
+        assert comm.elapsed_comm_seconds > 0
 
 
 class TestTopology:

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from repro._util import chunk_max_sum
 from repro.bc.brandes import brandes_reference
-from repro.cluster.distributed import distributed_bc_values, partition_roots
+from repro.cluster.distributed import partition_roots
 from repro.cluster.mpi_sim import SimComm
 from repro.graph.build import from_edges
 from repro.gpusim.cost import CostModel
 from repro.gpusim.device import Device, _list_schedule
 from repro.metrics.correlation import pearson
+from repro.resilience import resilient_distributed_bc
 
 
 @st.composite
@@ -88,7 +89,7 @@ def test_device_strategies_exact(g, strategy):
 @given(graphs(max_n=12, max_m=24), st.integers(1, 6))
 @settings(max_examples=20, deadline=None)
 def test_distributed_equals_serial(g, ranks):
-    assert np.allclose(distributed_bc_values(g, ranks),
+    assert np.allclose(resilient_distributed_bc(g, ranks).values,
                        brandes_reference(g), rtol=1e-9, atol=1e-9)
 
 
@@ -141,7 +142,7 @@ def test_pearson_affine_invariance(xs, a, b):
 @settings(max_examples=30, deadline=None)
 def test_resilient_bc_survives_any_single_fail_stop(g, ranks, victim,
                                                     where, after):
-    from repro.resilience import FaultPlan, resilient_distributed_bc
+    from repro.resilience import FaultPlan
 
     plan = FaultPlan.fail_stop(victim % ranks, where=where,
                                after_roots=after)

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.bc import accumulation
 from repro.bc.accumulation import dependency_accumulation
 from repro.bc.frontier import forward_sweep, group_width
 from repro.bc.preprocess import FoldResult, fold_degree_one
@@ -35,7 +36,6 @@ from repro.resilience import (
     ResilientRun,
     resilient_distributed_bc,
 )
-from repro.resilience import driver
 from repro.resilience.faults import FAIL_STOP, OOM, apply_sdc
 from repro.verify import RootChecker, VerificationPolicy
 
@@ -448,13 +448,14 @@ def test_partial_violations_name_the_rank():
 
 def _widths(monkeypatch, plan):
     widths = []
-    original = driver.root_dependencies
+    original = accumulation.root_dependencies
 
     def spy(*args, **kwargs):
         widths.append(kwargs.get("width"))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(driver, "root_dependencies", spy)
+    # The driver reaches the loop through RootPlan.accumulate.
+    monkeypatch.setattr(accumulation, "root_dependencies", spy)
     run = resilient_distributed_bc(GRAPHS["smallworld"](), RANKS,
                                    fault_plan=plan, verify="paranoid")
     assert run.exact

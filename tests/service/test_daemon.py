@@ -19,6 +19,7 @@ from repro.errors import (
 )
 from repro.observability import MetricsRegistry
 from repro.service import (
+    CANCELLED,
     DONE,
     FAILED,
     PENDING,
@@ -297,6 +298,26 @@ def test_spool_submit_and_cancel(tmp_path):
         svc.poll_spool()
         assert svc.jobs["sp1"].state == "cancelled"
         assert os.listdir(svc.spool_dir) == []
+
+
+def test_cli_cancel_after_submit_is_taken_after_it(tmp_path, monkeypatch,
+                                                   capsys):
+    # Ticket names must sort in write order even when their random part
+    # does not: here the cancel's uuid sorts before the submit's.
+    import uuid
+
+    from repro.cli import main
+
+    ids = iter([uuid.UUID(int=2 ** 127), uuid.UUID(int=1)])
+    monkeypatch.setattr(uuid, "uuid4", lambda: next(ids))
+    root = str(tmp_path / "svc")
+    assert main(["service", "submit", "--root", root, "--job-id", "j1",
+                 "--scale-factor", "256", "--roots", "4"]) == 0
+    assert main(["service", "cancel", "j1", "--root", root]) == 0
+    capsys.readouterr()
+    with BCService(root) as svc:
+        assert svc.poll_spool() == 2
+        assert svc.jobs["j1"].state == CANCELLED
 
 
 def test_spool_crash_debris_is_cleaned(tmp_path):
