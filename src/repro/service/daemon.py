@@ -17,9 +17,15 @@ the whole journal when it is read (:func:`repro.telemetry.read_events`).
 **Durability contract.**  Every externally visible state change is
 journalled (fsynced) *before* it is acknowledged, and results are
 materialised into the cache *before* their ``done`` record is written.
-So after a crash at any instant, replaying the journal reconstructs a
-state from which re-running the pending queue converges to exactly the
-terminal states a crash-free run reaches:
+Narration is written to the journal before the call that made it
+returns, but not fsynced: it becomes durable with the next state
+record's fsync, a journal rotation or :meth:`BCService.close`, so
+``kill -9`` never loses it and a power loss can lose only narration
+after the last state record, which replay ignores (the journal drops
+such a damaged tail at open).  So after a crash at any instant,
+replaying the journal reconstructs a state from which re-running the
+pending queue converges to exactly the terminal states a crash-free
+run reaches:
 
 * crash before ``submit`` landed — the client never got an ack, the job
   does not exist;
@@ -625,7 +631,8 @@ class BCService:
         """Walk away without drain or close — the in-process equivalent
         of the process dying.  The instance must not be used again; the
         next :class:`BCService` on the same root recovers from the
-        journal exactly as it would after SIGKILL."""
+        journal exactly as it would after SIGKILL.  Nothing is
+        fsynced: unsynced narration stays where SIGKILL leaves it."""
         self._stop = True
         self.journal._closed = True
 

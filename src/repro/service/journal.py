@@ -7,12 +7,17 @@ Format (``repro.job/v1``) — one record per line::
 The body always carries ``kind`` (record type), ``seq`` (strictly
 increasing **across every file** of the journal) and ``t`` (simulated
 seconds on the scheduler clock, never wall time, so seeded runs write
-identical bytes).  Appends are flushed and fsynced before the caller
-proceeds, so a record returned from :meth:`JobJournal.append` survives
-``kill -9`` of the daemon and the journal is the single source of truth
-for job state: ``status`` reads it, recovery replays it, the telemetry
-views are derived from it, and the CI smoke job uploads it as an
-artifact.
+identical bytes).  Every record is written before
+:meth:`JobJournal.append` returns, so it survives ``kill -9`` of the
+daemon.  State records are also fsynced before it returns; narration
+(:data:`NARRATION_KINDS`) is not, and becomes durable with the file's
+next fsync — the next state record, the fsync that precedes a
+rotation, or :meth:`JobJournal.close`.  A power loss can therefore
+damage only bytes after the active segment's last state record, never
+a state record, and a sealed segment never holds an unsynced byte.
+The journal is the single source of truth for job state: ``status``
+reads it, recovery replays it, the telemetry views are derived from
+it, and the CI smoke job uploads it as an artifact.
 
 Disk layout (all next to each other; ``journal.jsonl`` is the path the
 daemon is given)::
@@ -53,12 +58,16 @@ daemon is given)::
 
 Crash semantics on read:
 
-* A corrupt or incomplete **last** line of the **active** segment is a
-  *torn write* — exactly what a SIGKILL mid-``write(2)`` leaves
-  behind.  It is dropped, reported via ``torn_tail``, and truncated
-  away when the journal is reopened for appending (the record was
-  never acknowledged, so dropping it loses nothing).
-* A corrupt line anywhere else — interior of any file, or *any* line
+* A corrupt line of the **active** segment that no state record
+  follows is a *torn tail* — what a SIGKILL mid-``write(2)`` leaves
+  (a bad last line), or a power cut (pages of unsynced narration need
+  not reach the disk in order, so a hole of zeros can sit before
+  complete narration lines).  It is dropped with every line after it,
+  reported via ``torn_tail``, and truncated away when the journal is
+  reopened for appending: none of it was a state record (a state
+  record's fsync would have made every earlier byte durable), so
+  dropping it loses no acknowledged change.
+* A corrupt line anywhere else — before a state record, or *any* line
   of a sealed/compact file — raises
   :class:`~repro.errors.JournalCorruptionError`: the file was damaged
   at rest and recovery must not guess around the hole.
@@ -168,20 +177,35 @@ def decode_line(line: str) -> dict:
     return record
 
 
+def _decode_raw(line: bytes) -> dict:
+    """:func:`decode_line` on raw file bytes (bad UTF-8 is a
+    ``ValueError`` too)."""
+    return decode_line(line.decode("utf-8"))
+
+
+def _is_state_line(line: bytes) -> bool:
+    try:
+        return _decode_raw(line)["kind"] not in NARRATION_KINDS
+    except ValueError:
+        return False
+
+
 def _scan(path):
     """Decode one journal file: ``(records, bad)``, where ``bad`` is
-    ``None`` or ``(line_no, message, is_last_line)`` for the first line
-    that does not decode.  A missing file reads as empty."""
+    ``None`` or ``(line_no, message, torn)`` for the first line that
+    does not decode; ``torn`` says no state record follows it, only
+    narration or more bad lines.  A missing file reads as empty."""
     if not os.path.exists(path):
         return [], None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "rb") as fh:
         lines = fh.readlines()
     records = []
     for i, line in enumerate(lines):
         try:
-            records.append(decode_line(line))
+            records.append(_decode_raw(line))
         except ValueError as exc:
-            return records, (i + 1, str(exc), i == len(lines) - 1)
+            torn = not any(map(_is_state_line, lines[i + 1:]))
+            return records, (i + 1, str(exc), torn)
     return records, None
 
 
@@ -189,16 +213,17 @@ def _read_files(files) -> list:
     """Read ``(role, path)`` files in order; returns ``[(role, path,
     records, torn_tail)]``.
 
-    The one rule for damage: a corrupt **last** line of the **active**
-    segment is a torn write (dropped, flagged); anything else raises
+    The one rule for damage: a corrupt line of the **active** segment
+    that no state record follows is a torn tail (dropped with the lines
+    after it, flagged); anything else raises
     :class:`JournalCorruptionError`.
     """
     out = []
     for role, path in files:
         records, bad = _scan(path)
         if bad is not None:
-            line, message, last = bad
-            if not last:
+            line, message, torn = bad
+            if not torn:
                 raise JournalCorruptionError(path, line, message)
             if role != "active":
                 raise JournalCorruptionError(
@@ -212,8 +237,8 @@ def read_journal(path):
     """Read every intact record of **one** journal file; returns
     ``(records, torn_tail)``.
 
-    A corrupt tail line is dropped (``torn_tail=True``); corruption
-    before the tail raises :class:`JournalCorruptionError`.  A missing
+    A torn tail is dropped (``torn_tail=True``); corruption before a
+    state record raises :class:`JournalCorruptionError`.  A missing
     file reads as empty.  For the full multi-segment history use
     :func:`read_journal_chain`.
     """
@@ -347,13 +372,13 @@ def verify_journal(path) -> dict:
             entry["last_seq"] = seq
             entry["records"] += 1
         if bad is not None:
-            line, message, last = bad
-            if last and role == "active":
+            line, message, torn = bad
+            if torn and role == "active":
                 entry["status"] = "torn-tail"
                 entry["error"] = (f"line {line}: {message} — crash "
                                   f"debris; truncated at next open")
                 report["notes"].append(
-                    f"{fpath}: torn tail at line {line} (safe)")
+                    f"{fpath}: torn tail from line {line} (safe)")
             else:
                 entry["status"] = "corrupt"
                 entry["error"] = (f"line {line}: {message} — at-rest "
@@ -385,6 +410,11 @@ class JobJournal:
     budget set, every append that leaves the active segment over the
     limit rotates and compacts, so total disk stays bounded as terminal
     jobs age out.
+
+    ``records`` holds the history's state records (everything but
+    narration), which is all replay reads.  Narration is written, not
+    kept: compaction needs only each job's last narration seq, which
+    ``_narration_seq`` maps, so repeated reads grow no memory here.
     """
 
     def __init__(self, path, metrics=None, storage=None,
@@ -417,22 +447,31 @@ class JobJournal:
             except OSError:
                 pass
         self.records = []
-        self._active_records = 0
+        #: job id -> seq of its last narration record.
+        self._narration_seq = {}
+        self._seq = inv["through"]
+        self._active_first_seq = None
         self.torn_tail_truncated = False
         for role, fpath, recs, torn in _read_files(_chain_files(inv)):
-            self.records += recs
+            for r in recs:
+                self._keep(r)
             if role == "active":
-                self._active_records = len(recs)
+                if recs:
+                    self._active_first_seq = recs[0]["seq"]
                 if torn:
                     self._truncate_torn(fpath, recs)
                     self.torn_tail_truncated = True
                     self.metrics.inc("service.journal.torn_tail_truncated")
-        self._seq = max((r.get("seq", 0) for r in self.records), default=0)
-        self._seq = max(self._seq, inv["through"])
-        self._active_first_seq = (
-            self.records[-self._active_records]["seq"]
-            if self._active_records else None)
         self.append("open", schema=JOURNAL_SCHEMA)
+
+    def _keep(self, record: dict) -> None:
+        """Account one record of the history: state records are kept,
+        narration only as its job's last narration seq."""
+        self._seq = max(self._seq, record.get("seq", 0))
+        if record.get("kind") in NARRATION_KINDS:
+            self._narration_seq[record.get("job_id")] = record["seq"]
+        else:
+            self.records.append(record)
 
     @staticmethod
     def _truncate_torn(path: str, good_records: list) -> None:
@@ -452,7 +491,10 @@ class JobJournal:
         return self._seq + 1
 
     def append(self, kind: str, **fields) -> dict:
-        """Durably append one record; returns it (with its ``seq``).
+        """Append one record; returns it (with its ``seq``).
+
+        A state record is fsynced before this returns; a narration
+        record is written but not fsynced (see the module docs).
 
         On ``ENOSPC`` the journal reclaims space (rotate + aggressive
         compact + the owner's ``on_reclaim`` hook) and retries once;
@@ -466,23 +508,23 @@ class JobJournal:
         record = {"kind": kind, "seq": self._seq + 1,
                   "t": round(float(self.clock.sim_seconds), 9), **fields}
         line = encode_record(record)
+        sync = kind not in NARRATION_KINDS
         try:
-            self.storage.append_line(self.path, line, "journal")
+            self.storage.append_line(self.path, line, "journal", sync=sync)
         except OSError as exc:
             if exc.errno != errno.ENOSPC:
                 raise
             self.metrics.inc("service.journal.enospc")
             self.reclaim()
             try:
-                self.storage.append_line(self.path, line, "journal")
+                self.storage.append_line(self.path, line, "journal",
+                                         sync=sync)
             except OSError as exc2:
                 if exc2.errno != errno.ENOSPC:
                     raise
                 raise StorageFullError(self.path, f"append {kind!r}",
                                        attempts=2) from exc2
-        self._seq += 1
-        self.records.append(record)
-        self._active_records += 1
+        self._keep(record)
         if self._active_first_seq is None:
             self._active_first_seq = record["seq"]
         self.metrics.inc("service.journal.records", kind=kind)
@@ -507,15 +549,17 @@ class JobJournal:
 
         One atomic rename: a crash before it changes nothing, a crash
         after it leaves no active file — which the next open treats as
-        an empty active segment."""
+        an empty active segment.  The segment is fsynced first: a
+        sealed file may not hold unsynced narration a power loss could
+        tear."""
         if self._active_first_seq is None or not os.path.exists(self.path):
             return None
         sealed = os.path.join(
             os.path.dirname(self.path) or ".",
             f"{_stem(self.path)}-{self._active_first_seq:08d}.jsonl")
+        self.storage.sync(self.path)
         self.storage.rename(self.path, sealed, "journal")
         self._active_first_seq = None
-        self._active_records = 0
         self.metrics.inc("service.journal.rotations")
         return sealed
 
@@ -570,7 +614,7 @@ class JobJournal:
         all its sealed history, because those newer records' legality
         depends on it.
         """
-        per_job = {}       # job_id -> [records, any file]
+        per_job = {}       # job_id -> its state records, any file
         breaker_last = {}  # (graph_key, strategy) -> last sealed record
         for r in self.records:
             kind = r.get("kind")
@@ -584,22 +628,23 @@ class JobJournal:
             jid = (r["job"]["job_id"] if kind in ("submit", "shed")
                    else r.get("job_id"))
             per_job.setdefault(jid, []).append(r)
+        # Each job's newest seq, narration included.
+        last_seq = {jid: max(r.get("seq", 0) for r in recs)
+                    for jid, recs in per_job.items()}
+        for jid, seq in self._narration_seq.items():
+            last_seq[jid] = max(last_seq.get(jid, 0), seq)
         state = replay_state(self.records, self.path)
-        fully_sealed = {
-            jid: all(r.get("seq", 0) <= sealed_max for r in recs)
-            for jid, recs in per_job.items()}
         collectable = sorted(
-            (max(r.get("seq", 0) for r in per_job[jid]), jid)
-            for jid, job in ((j, state.jobs.get(j)) for j in per_job)
-            if job is not None and job.state in TERMINAL_STATES
-            and fully_sealed[jid])
+            (seq, jid) for jid, seq in last_seq.items()
+            if seq <= sealed_max and jid in state.jobs
+            and state.jobs[jid].state in TERMINAL_STATES)
         drop = {jid for _seq, jid in
                 collectable[:max(0, len(collectable) - keep_terminal)]}
         slim = {jid for _seq, jid in collectable} - drop
         gc = len(drop)
         # Narration of a job an earlier compaction already collected (a
         # dedupe the live process journalled afterwards) goes too.
-        drop |= {jid for jid in per_job if jid not in state.jobs}
+        drop |= {jid for jid in last_seq if jid not in state.jobs}
 
         # Minimal legal chain for each slimmed job, identified by seq
         # (the disk copies in sealed_records are distinct dict objects
@@ -670,6 +715,10 @@ class JobJournal:
         return total
 
     def close(self) -> None:
+        """Make trailing narration durable (one fsync of the active
+        segment) and refuse further appends."""
+        if not self._closed and os.path.exists(self.path):
+            self.storage.sync(self.path)
         self._closed = True
 
     def __enter__(self):

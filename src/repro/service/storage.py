@@ -40,6 +40,14 @@ three things:
 
 * **Accounting** — every operation is counted in metrics and in
   ``ops``, giving the crash grid its coordinate system.
+
+Every write is fsynced before it returns except an
+``append_line(..., sync=False)``, which the journal uses for its
+narration records: those bytes reach the page cache (so ``kill -9``
+cannot lose them) and become durable at the file's next fsync, which
+covers every earlier byte — the next synced append or :meth:`sync`.
+An unsynced append is the same operation for the crash grid and the
+fault plan: it ticks once per attempt and takes the same faults.
 """
 
 from __future__ import annotations
@@ -114,6 +122,14 @@ class ServiceStorage:
                        path)
 
     @staticmethod
+    def _size(path: str) -> int:
+        """``path``'s length, 0 when it does not exist (one stat)."""
+        try:
+            return os.stat(path).st_size
+        except FileNotFoundError:
+            return 0
+
+    @staticmethod
     def _rot_file(path: str, offset: int, length: int, bit: int) -> None:
         """Flip one bit of the byte in the middle of ``[offset,
         offset+length)`` — the at-rest corruption the checksums exist
@@ -132,17 +148,20 @@ class ServiceStorage:
             os.fsync(fh.fileno())
 
     # -- durable operations --------------------------------------------
-    def append_line(self, path: str, text: str, target: str = "any") -> int:
-        """Durably append ``text`` (fsynced); returns attempts used.
+    def append_line(self, path: str, text: str, target: str = "any",
+                    sync: bool = True) -> int:
+        """Append ``text``, fsynced unless ``sync`` is false; returns
+        attempts used.
 
         Raises ``OSError(ENOSPC)`` with the file unchanged when an
         injected disk-full strikes; silently-dropped and torn writes
         are detected and retried here (each physical attempt consumes
         at most one fault event, so injected faults cannot retry
-        forever)."""
+        forever).  ``sync=False`` skips only the fsync: the ticks,
+        faults and length read-back are those of a synced append."""
         path = str(path)
         data = text.encode("utf-8")
-        pre = os.path.getsize(path) if os.path.exists(path) else 0
+        pre = self._size(path)
         attempts = 0
         while True:
             attempts += 1
@@ -155,7 +174,8 @@ class ServiceStorage:
                 with open(path, "ab") as fh:
                     fh.write(data[: len(data) // 2])
                     fh.flush()
-                    os.fsync(fh.fileno())
+                    if sync:
+                        os.fsync(fh.fileno())
                 # The writer was told (EIO): repair by truncating back.
                 # A crash landing on this tick leaves the torn tail on
                 # disk for recovery — the SIGKILL-mid-write(2) case.
@@ -168,8 +188,9 @@ class ServiceStorage:
                 with open(path, "ab") as fh:
                     fh.write(data)
                     fh.flush()
-                    os.fsync(fh.fileno())
-            size = os.path.getsize(path) if os.path.exists(path) else 0
+                    if sync:
+                        os.fsync(fh.fileno())
+            size = self._size(path)
             if size != pre + len(data):
                 # The "successful" write never landed: the fsync lied.
                 self.metrics.inc("service.storage.lies_detected")
@@ -178,6 +199,15 @@ class ServiceStorage:
             if kind == ROT:
                 self._rot_file(path, pre, len(data), ev.bit)
             return attempts
+
+    def sync(self, path: str) -> None:
+        """Fsync ``path``, making every byte appended unsynced durable.
+
+        Not an operation: it writes no byte, so a process that dies
+        just before or just after it leaves the same file, and neither
+        a crash nor a fault strikes here."""
+        with open(str(path), "rb") as fh:
+            os.fsync(fh.fileno())
 
     def replace_atomic(self, path: str, data: bytes,
                        target: str = "any") -> int:

@@ -10,13 +10,16 @@ from repro.errors import JournalCorruptionError
 from repro.service import (
     DONE,
     PENDING,
+    BCService,
     JobJournal,
     JobSpec,
     decode_line,
     encode_record,
     read_journal,
     replay_state,
+    verify_journal,
 )
+from repro.service.storage import ServiceStorage
 
 
 def spec(i=1, **kw):
@@ -193,3 +196,126 @@ def test_torn_tail_after_every_record_boundary(tmp_path):
             assert len(records) == n
             assert torn == bool(garbage)
             replay_state(records)  # never raises on a clean prefix
+
+
+# -- narration: written, fsynced by the next state record ----------------
+class _SyncSpy(ServiceStorage):
+    """Logs fsynced-or-not appends, bare syncs and renames, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def append_line(self, path, text, target="any", sync=True):
+        self.log.append(("append", os.path.basename(path), sync))
+        return super().append_line(path, text, target, sync)
+
+    def sync(self, path):
+        self.log.append(("sync", os.path.basename(path)))
+        return super().sync(path)
+
+    def rename(self, src, dst, target="any"):
+        self.log.append(("rename", os.path.basename(src)))
+        return super().rename(src, dst, target)
+
+
+def test_rotate_fsyncs_before_sealing(tmp_path):
+    spy = _SyncSpy()
+    path = tmp_path / "j.jsonl"
+    j = JobJournal(path, storage=spy)
+    j.append("submit", job=spec().to_dict())
+    j.append("dedupe", job_id="j000001", by="job-id", state=PENDING)
+    del spy.log[:]
+    sealed = j.rotate()
+    assert spy.log == [("sync", "j.jsonl"), ("rename", "j.jsonl")]
+    assert [r["kind"] for r in read_journal(sealed)[0]] == \
+        ["open", "submit", "dedupe"]
+    # After a rotation there is no active file to fsync at close.
+    j.close()
+    assert spy.log == [("sync", "j.jsonl"), ("rename", "j.jsonl")]
+
+
+def test_close_fsyncs_once(tmp_path):
+    spy = _SyncSpy()
+    j = JobJournal(tmp_path / "a.jsonl", storage=spy)
+    j.append("submit", job=spec().to_dict())
+    j.append("sched", job_id="j000001", decision="dispatch")
+    j.close()
+    j.close()
+    assert [e for e in spy.log if e[0] == "sync"] == [("sync", "a.jsonl")]
+    assert spy.log[-2:] == [("append", "a.jsonl", False),
+                            ("sync", "a.jsonl")]
+
+
+def test_abandon_does_not_fsync(tmp_path):
+    spy = _SyncSpy()
+    svc = BCService(tmp_path / "svc", storage=spy)
+    svc.submit(spec(1))
+    svc.submit(spec(1))                       # a dedupe: narration last
+    assert spy.log[-1] == ("append", "journal.jsonl", False)
+    svc.abandon()
+    svc.close()
+    assert [e for e in spy.log if e[0] == "sync"] == []
+    # SIGKILL does not lose the unsynced line: it is in the file.
+    records, torn = read_journal(tmp_path / "svc" / "journal.jsonl")
+    assert not torn and records[-1]["kind"] == "dedupe"
+
+
+def test_repeat_reads_keep_no_record_in_memory(tmp_path):
+    with BCService(tmp_path / "svc") as svc:
+        job = svc.submit(spec(1))
+        svc.run_pending()
+        before = len(svc.journal.records)
+        narrated = len(svc.journal._narration_seq)
+        for _ in range(1000):
+            assert svc.submit(spec(1)) is job
+            svc.result(job.job_id)
+        assert len(svc.journal.records) == before
+        assert len(svc.journal._narration_seq) == narrated
+    records, _ = read_journal(tmp_path / "svc" / "journal.jsonl")
+    assert [r["kind"] for r in records].count("dedupe") == 1000
+
+
+def _hole_then(path, last_kind, fill):
+    """A journal whose first ``dedupe`` line and half the next are
+    overwritten with ``fill`` (writeback skipped a page), followed by one
+    intact ``dedupe`` and a ``last_kind`` record."""
+    with JobJournal(path) as j:
+        j.append("submit", job=spec().to_dict())
+        for _ in range(3):
+            j.append("dedupe", job_id="j000001", by="job-id", state=PENDING)
+        if last_kind == "cancel":
+            j.append("cancel", job_id="j000001", reason="client cancel")
+    data = open(path, "rb").read()
+    lines = data.splitlines(keepends=True)
+    start = len(lines[0]) + len(lines[1])
+    end = start + len(lines[2]) + len(lines[3]) // 2
+    open(path, "wb").write(data[:start] + fill * (end - start) + data[end:])
+
+
+@pytest.mark.parametrize("fill", [b"\0", b"\xff"], ids=["zeros", "stale"])
+def test_hole_before_only_narration_is_a_torn_tail(tmp_path, fill):
+    path = tmp_path / "j.jsonl"
+    _hole_then(path, "dedupe", fill)
+    records, torn = read_journal(path)
+    assert torn and [r["kind"] for r in records] == ["open", "submit"]
+    report = verify_journal(path)
+    assert report["ok"] and report["files"][-1]["status"] == "torn-tail"
+    with JobJournal(path) as j:
+        assert j.torn_tail_truncated
+    assert [r["kind"] for r in read_journal(path)[0]] == \
+        ["open", "submit", "open"]
+
+
+@pytest.mark.parametrize("fill", [b"\0", b"\xff"], ids=["zeros", "stale"])
+def test_hole_before_a_state_record_is_corruption(tmp_path, fill):
+    # The state record's fsync covered the hole: damage at rest.
+    path = tmp_path / "j.jsonl"
+    _hole_then(path, "cancel", fill)
+    with pytest.raises(JournalCorruptionError) as exc:
+        read_journal(path)
+    assert exc.value.line_no == 3
+    report = verify_journal(path)
+    assert not report["ok"] and report["files"][-1]["status"] == "corrupt"
+    with pytest.raises(JournalCorruptionError):
+        JobJournal(path)

@@ -10,7 +10,14 @@ import pytest
 from repro.client import BCClient, InProcessTransport
 from repro.observability import MetricsRegistry
 from repro.resilience.faults import ActiveFaults, FaultPlan
-from repro.service import DONE, BCService, JobJournal, JobSpec
+from repro.service import (
+    DONE,
+    BCService,
+    JobJournal,
+    JobSpec,
+    read_journal_chain,
+)
+from repro.service.journal import NARRATION_KINDS
 from repro.service.storage import ServiceStorage
 from repro.telemetry import read_events, trace_id_for
 
@@ -43,13 +50,23 @@ def test_trace_id_pure_function_of_content():
 
 
 # -- derivation ---------------------------------------------------------
+def chain_records(root, svc):
+    """The journal's full history on disk, after checking that ``svc``
+    keeps exactly its state records in memory (narration is written,
+    not kept)."""
+    records, torn = read_journal_chain(os.path.join(root, "journal.jsonl"))
+    assert not torn
+    assert svc.journal.records == [r for r in records
+                                   if r["kind"] not in NARRATION_KINDS]
+    return records
+
+
 def run_service(root):
     with BCService(root) as svc:
         svc.submit(spec(1))
         svc.submit(spec(2, faults="fail:0@compute+1"))
         svc.run_pending()
-        records = list(svc.journal.records)
-    return records
+    return chain_records(root, svc)
 
 
 def test_stream_covers_every_journal_record(tmp_path):
@@ -151,7 +168,7 @@ def test_telemetry_never_fails_the_service(tmp_path):
     with BCService(tmp_path / "svc") as svc2:
         assert svc2.jobs["j000001"].state == DONE
         events, _ = read_events(tmp_path / "svc")
-        assert len(events) == len(svc2.journal.records)
+        assert len(events) == len(chain_records(tmp_path / "svc", svc2))
 
 
 def test_two_identical_runs_are_byte_identical(tmp_path):
@@ -170,7 +187,7 @@ def test_restart_derives_every_record_exactly_once(tmp_path):
     with BCService(root) as svc:
         events, _ = read_events(root)
         assert [e["jseq"] for e in events] == \
-            [r["seq"] for r in svc.journal.records]
+            [r["seq"] for r in chain_records(root, svc)]
     # The first run's events are an unchanged prefix: nothing re-emitted.
     assert events[:len(before)] == before
 
@@ -178,34 +195,43 @@ def test_restart_derives_every_record_exactly_once(tmp_path):
 class _Counting(ServiceStorage):
     def __init__(self):
         super().__init__()
-        self.writes = []
+        self.writes = []          # (file, fsynced)
 
-    def append_line(self, path, text, target="any"):
-        self.writes.append(os.path.basename(path))
-        return super().append_line(path, text, target)
+    def append_line(self, path, text, target="any", sync=True):
+        self.writes.append((os.path.basename(path), sync))
+        return super().append_line(path, text, target, sync)
 
     def replace_atomic(self, path, data, target="any"):
-        self.writes.append("cache")
+        self.writes.append(("cache", True))
         return super().replace_atomic(path, data, target)
 
 
-def test_one_durable_log(tmp_path):
+def test_one_durable_log(tmp_path, monkeypatch):
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: (fsyncs.append(fd), real_fsync(fd)))
     storage = _Counting()
     svc = BCService(tmp_path / "svc", storage=storage)
     client = BCClient(InProcessTransport(svc))
     client.submit(spec(1))
     svc.run_pending()
-    n = len(storage.writes)
+    n, f = len(storage.writes), len(fsyncs)
     job_id = client.submit(spec(2))
     svc.run_pending()
     client.result(job_id)
-    fresh = storage.writes[n:]
-    n = len(storage.writes)
+    fresh, fresh_fsyncs = storage.writes[n:], len(fsyncs) - f
+    n, f = len(storage.writes), len(fsyncs)
     client.result(client.submit(spec(2)))
-    repeat = storage.writes[n:]
+    repeat, repeat_fsyncs = storage.writes[n:], len(fsyncs) - f
     svc.close()
-    # submit, sched.dispatch, start, sched.done, cache put, done.
-    assert len(fresh) <= 6 and fresh.count("cache") == 1
-    assert repeat == ["journal.jsonl"]              # the dedupe record
+    j = ("journal.jsonl", True)
+    # submit, sched.dispatch, start, sched.done, cache put, done: the
+    # two scheduler decisions are narration, written without fsync.
+    assert fresh == [j, ("journal.jsonl", False), j,
+                     ("journal.jsonl", False), ("cache", True), j]
+    assert fresh_fsyncs == 4
+    # The dedupe record: one journal write, no fsync.
+    assert repeat == [("journal.jsonl", False)] and repeat_fsyncs == 0
     assert sorted(os.listdir(tmp_path / "svc")) == ["journal.jsonl",
                                                     "results", "spool"]

@@ -12,7 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.client import BCClient, InProcessTransport
-from repro.service import AdmissionPolicy, BCService, JobSpec
+from repro.service import (
+    AdmissionPolicy,
+    BCService,
+    JobSpec,
+    read_journal_chain,
+)
+from repro.service.journal import NARRATION_KINDS
 from repro.service.storage import ServiceStorage, SimulatedCrash
 from repro.telemetry import (
     attempt_rows,
@@ -139,8 +145,10 @@ def test_acceptance_survives_kill_and_restart(lifecycle_root, tmp_path):
     with BCService(root) as svc2:
         events, torn = read_events(root)
         assert not torn
-        assert [e["jseq"] for e in events] == \
-            [r["seq"] for r in svc2.journal.records]
+        records, _ = read_journal_chain(root / "journal.jsonl")
+        assert [e["jseq"] for e in events] == [r["seq"] for r in records]
+        assert svc2.journal.records == [
+            r for r in records if r["kind"] not in NARRATION_KINDS]
         after = [e for e in events if e.get("trace_id") == trace]
         # The finished trace's lifecycle: no events lost, none doubled.
         assert [(e["event"], e.get("jseq")) for e in after] == \
