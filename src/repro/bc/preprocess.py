@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._util import as_index_array, concat_ranges
+from ..graph.build import _component_labels
 from ..graph.csr import CSRGraph
 
 __all__ = [
@@ -191,8 +192,6 @@ def _identity_fold(g: CSRGraph) -> FoldResult:
 
 def _components(g: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex component label and component size (original graph)."""
-    from ..graph.build import _component_labels
-
     labels = _component_labels(g)
     sizes = np.bincount(labels).astype(np.float64)[labels]
     return labels, sizes

@@ -271,7 +271,9 @@ def build_service_parser() -> argparse.ArgumentParser:
                          help="exit after this many idle seconds "
                               "(default: serve until SIGTERM)")
     serve_p.add_argument("--poll-interval", type=float, default=0.05)
-    serve_p.add_argument("--metrics-out", default=None, metavar="PATH")
+    serve_p.add_argument("--metrics-out", default=None, metavar="PATH",
+                         help="export the registry's totals at exit "
+                              "(per-job spans and events are not kept)")
 
     sub_p = sub.add_parser("submit", parents=[common],
                            help="queue one job via the spool")

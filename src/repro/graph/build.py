@@ -140,17 +140,27 @@ def to_networkx(g: CSRGraph):
 
 
 def _component_labels(g: CSRGraph) -> np.ndarray:
-    """Connected-component label per vertex via scipy (weakly for directed)."""
-    import scipy.sparse as sp
-    import scipy.sparse.csgraph as csgraph
+    """Connected-component label per vertex (weakly for directed graphs),
+    numbered in the order of each component's lowest vertex.
 
-    n = g.num_vertices
-    mat = sp.csr_matrix(
-        (np.ones(g.adj.size, dtype=np.int8), g.adj, g.indptr), shape=(n, n)
-    )
-    _, labels = csgraph.connected_components(mat, directed=not g.undirected,
-                                             connection="weak")
-    return labels
+    Min-root hooking with pointer jumping: each round hooks every root
+    to the smallest root across its edges, compresses every vertex onto
+    its root and drops the edges whose two ends now share one.  Vertices
+    only ever point lower, so each component ends rooted at its lowest
+    vertex."""
+    parent = np.arange(g.num_vertices, dtype=np.int64)
+    src, dst = g.edge_sources(), g.adj
+    while True:
+        keep = src != dst
+        if not keep.any():
+            break
+        src, dst = src[keep], dst[keep]
+        np.minimum.at(parent, np.maximum(src, dst), np.minimum(src, dst))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+        src, dst = parent[src], parent[dst]
+    return (np.cumsum(parent == np.arange(parent.size)) - 1)[parent]
 
 
 def largest_connected_component(g: CSRGraph) -> CSRGraph:

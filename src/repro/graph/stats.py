@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .build import _component_labels
 from .csr import CSRGraph
 from .traversal import bfs
 
@@ -51,10 +52,6 @@ def degree_histogram(g: CSRGraph) -> np.ndarray:
 
 def connected_component_sizes(g: CSRGraph) -> np.ndarray:
     """Sizes of (weak) connected components, descending."""
-    from .build import _component_labels
-
-    if g.num_vertices == 0:
-        return np.empty(0, dtype=np.int64)
     sizes = np.bincount(_component_labels(g)).astype(np.int64)
     return np.sort(sizes)[::-1]
 

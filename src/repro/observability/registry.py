@@ -247,6 +247,14 @@ class MetricsRegistry:
                     self._events.extend(item())
         return self._events
 
+    def drop_history(self) -> None:
+        """Forget the events (deferred blocks unbuilt) and the closed
+        root spans; totals and open spans stay.  The service daemon calls
+        it at each terminal job state, so its registry does not grow."""
+        self._events = []
+        self._pending = []
+        self.root_spans = [s for s in self.root_spans if s.end is None]
+
     # -- spans ---------------------------------------------------------
     @contextmanager
     def span(self, name: str, /, **labels):

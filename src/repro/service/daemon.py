@@ -143,7 +143,7 @@ class BCService:
         self.scheduler.breaker.on_transition = self._journal_breaker
         self._stop = False
 
-        state = replay_state(self.journal.records, self.journal.path)
+        state = replay_state(self.journal.take_history(), self.journal.path)
         self.jobs = state.jobs
         # Live (pending or running) jobs per tenant, admission's quota
         # input; _set_state keeps it current so admission never scans.
@@ -219,10 +219,13 @@ class BCService:
 
     def _set_state(self, job: JobRecord, state: str) -> None:
         """Move ``job`` to ``state``, keeping the per-tenant live
-        counts in step."""
+        counts in step.  A terminal job's story is in the journal, so
+        the registry drops its events and spans and keeps its totals."""
         self._live[job.spec.tenant] += ((state in _LIVE_STATES)
                                         - (job.state in _LIVE_STATES))
         job.state = state
+        if state not in _LIVE_STATES:
+            self.metrics.drop_history()
 
     #: States under which a content-identical resubmit is folded into
     #: the existing job rather than enqueued again.  Terminal failures

@@ -411,10 +411,9 @@ class JobJournal:
     limit rotates and compacts, so total disk stays bounded as terminal
     jobs age out.
 
-    ``records`` holds the history's state records (everything but
-    narration), which is all replay reads.  Narration is written, not
-    kept: compaction needs only each job's last narration seq, which
-    ``_narration_seq`` maps, so repeated reads grow no memory here.
+    The journal keeps no records in memory: the owner replays the
+    history the open scan read once (:meth:`take_history`), and
+    compaction reads what it folds from disk.
     """
 
     def __init__(self, path, metrics=None, storage=None,
@@ -446,15 +445,11 @@ class JobJournal:
                 os.remove(stray)
             except OSError:
                 pass
-        self.records = []
-        #: job id -> seq of its last narration record.
-        self._narration_seq = {}
-        self._seq = inv["through"]
+        self._history = []
         self._active_first_seq = None
         self.torn_tail_truncated = False
         for role, fpath, recs, torn in _read_files(_chain_files(inv)):
-            for r in recs:
-                self._keep(r)
+            self._history += recs
             if role == "active":
                 if recs:
                     self._active_first_seq = recs[0]["seq"]
@@ -462,16 +457,15 @@ class JobJournal:
                     self._truncate_torn(fpath, recs)
                     self.torn_tail_truncated = True
                     self.metrics.inc("service.journal.torn_tail_truncated")
+        self._seq = max([inv["through"]]
+                        + [r.get("seq", 0) for r in self._history])
         self.append("open", schema=JOURNAL_SCHEMA)
 
-    def _keep(self, record: dict) -> None:
-        """Account one record of the history: state records are kept,
-        narration only as its job's last narration seq."""
-        self._seq = max(self._seq, record.get("seq", 0))
-        if record.get("kind") in NARRATION_KINDS:
-            self._narration_seq[record.get("job_id")] = record["seq"]
-        else:
-            self.records.append(record)
+    def take_history(self) -> list:
+        """The records the open scan read, handed over once for the
+        owner to replay; the journal keeps none of them afterwards."""
+        history, self._history = self._history, []
+        return history
 
     @staticmethod
     def _truncate_torn(path: str, good_records: list) -> None:
@@ -485,10 +479,6 @@ class JobJournal:
             fh.truncate(good_bytes)
             fh.flush()
             os.fsync(fh.fileno())
-
-    @property
-    def next_seq(self) -> int:
-        return self._seq + 1
 
     def append(self, kind: str, **fields) -> dict:
         """Append one record; returns it (with its ``seq``).
@@ -524,7 +514,7 @@ class JobJournal:
                     raise
                 raise StorageFullError(self.path, f"append {kind!r}",
                                        attempts=2) from exc2
-        self._keep(record)
+        self._seq = record["seq"]
         if self._active_first_seq is None:
             self._active_first_seq = record["seq"]
         self.metrics.inc("service.journal.records", kind=kind)
@@ -567,7 +557,8 @@ class JobJournal:
         """Fold sealed segments (+ any previous compact) into one file,
         dropping what replay no longer needs; returns stats.
 
-        Never touches the active segment.  Crash-safe at every step:
+        Reads the active segment (empty right after :meth:`rotate`) but
+        never writes it.  Crash-safe at every step:
         the new compact lands by atomic replace *before* superseded
         files are deleted, and open() finishes an interrupted cleanup.
         """
@@ -579,34 +570,33 @@ class JobJournal:
         if not plain and not inv["compacts"]:
             return {"retained": 0, "dropped": 0, "gc_jobs": 0, "through": 0}
         sealed_max = inv["through"]
-        sealed_records = []
-        # The chain minus its last entry, the active segment.
-        for role, _p, recs, _torn in _read_files(_chain_files(inv)[:-1]):
-            sealed_records += recs
+        records, sealed_records = [], []
+        for role, _p, recs, _torn in _read_files(_chain_files(inv)):
+            records += recs
+            if role != "active":
+                sealed_records += recs
             if role == "segment" and recs:
                 sealed_max = max(sealed_max, recs[-1].get("seq", 0))
-        retained, gc_jobs = self._retain(sealed_records, sealed_max, keep)
+        retained, gc_jobs = self._retain(records, sealed_records,
+                                         sealed_max, keep)
         new_path = os.path.join(
             os.path.dirname(self.path) or ".",
             f"{_stem(self.path)}-{sealed_max:08d}.compact.jsonl")
         body = "".join(encode_record(r) for r in retained).encode("utf-8")
         self.storage.replace_atomic(new_path, body, "journal")
         # New compact is durable; everything it covers is now debris.
-        for _first, p in plain:
-            if os.path.abspath(p) != os.path.abspath(new_path):
-                self.storage.remove(p, "journal")
-        for _through, p in inv["compacts"]:
+        for _key, p in plain + inv["compacts"]:
             if os.path.abspath(p) != os.path.abspath(new_path):
                 self.storage.remove(p, "journal")
         self.metrics.inc("service.journal.compactions")
-        stats = {"retained": len(retained),
-                 "dropped": len(sealed_records) - len(retained),
-                 "gc_jobs": gc_jobs, "through": sealed_max}
-        return stats
+        return {"retained": len(retained),
+                "dropped": len(sealed_records) - len(retained),
+                "gc_jobs": gc_jobs, "through": sealed_max}
 
-    def _retain(self, sealed_records: list, sealed_max: int,
-                keep_terminal: int):
-        """Pick which sealed records survive compaction.
+    def _retain(self, records: list, sealed_records: list,
+                sealed_max: int, keep_terminal: int):
+        """Pick which sealed records survive compaction; ``records`` is
+        the whole chain on disk, ``sealed_records`` its sealed part.
 
         The rule that keeps replay legal: a job may only be slimmed or
         dropped if **every** one of its records is inside the sealed
@@ -614,9 +604,9 @@ class JobJournal:
         all its sealed history, because those newer records' legality
         depends on it.
         """
-        per_job = {}       # job_id -> its state records, any file
+        per_job = {}       # job_id -> its records, any file
         breaker_last = {}  # (graph_key, strategy) -> last sealed record
-        for r in self.records:
+        for r in records:
             kind = r.get("kind")
             if kind in ("open", None):
                 continue
@@ -631,9 +621,7 @@ class JobJournal:
         # Each job's newest seq, narration included.
         last_seq = {jid: max(r.get("seq", 0) for r in recs)
                     for jid, recs in per_job.items()}
-        for jid, seq in self._narration_seq.items():
-            last_seq[jid] = max(last_seq.get(jid, 0), seq)
-        state = replay_state(self.records, self.path)
+        state = replay_state(records, self.path)
         collectable = sorted(
             (seq, jid) for jid, seq in last_seq.items()
             if seq <= sealed_max and jid in state.jobs
@@ -646,9 +634,7 @@ class JobJournal:
         # dedupe the live process journalled afterwards) goes too.
         drop |= {jid for jid in last_seq if jid not in state.jobs}
 
-        # Minimal legal chain for each slimmed job, identified by seq
-        # (the disk copies in sealed_records are distinct dict objects
-        # from the in-memory ones in per_job).
+        # Minimal legal chain for each slimmed job, identified by seq.
         keep_seqs = set()
         for jid in slim:
             recs = per_job[jid]

@@ -29,10 +29,10 @@ Chaos testing plugs in through :attr:`JobSpec.faults`: a standard
 ``FaultPlan`` spec whose events are consumed across the job's attempts,
 exactly like the resilient driver consumes them across recovery rounds.
 
-Every decision is appended to :attr:`Scheduler.decisions` (and mirrored
-as ``service.decision`` events on the metrics registry) with simulated
-values only — the decision log of two identical runs is byte-identical
-under canonical JSON.
+Every decision goes to the :attr:`Scheduler.on_decision` hook (the
+daemon journals each as a ``sched`` record) with simulated values only —
+the decisions of two identical runs are byte-identical under canonical
+JSON.
 """
 
 from __future__ import annotations
@@ -244,20 +244,15 @@ class Scheduler:
                             else SpanClock()))
         self.breaker = breaker if breaker is not None else CircuitBreaker(
             metrics=self.metrics)
-        #: Deterministic decision log (simulated values only): two runs
-        #: with the same seed and fault plans serialise byte-identically.
-        self.decisions: list = []
-        #: Called with each decision dict as it is made (the daemon
-        #: journals each one as a ``sched`` record through this hook).
+        #: Called with each decision dict as it is made (simulated
+        #: values only; the daemon journals each one as a ``sched``
+        #: record through this hook).
         self.on_decision = None
 
     # ------------------------------------------------------------------
     def _decide(self, kind: str, **fields) -> None:
-        decision = {"decision": kind, **fields}
-        self.decisions.append(decision)
-        self.metrics.record("service.decision", kind=kind, **fields)
         if self.on_decision is not None:
-            self.on_decision(decision)
+            self.on_decision({"decision": kind, **fields})
 
     def _pick_device(self) -> SimDevice:
         """Earliest-available device; name breaks ties deterministically."""

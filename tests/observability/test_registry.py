@@ -219,6 +219,24 @@ class TestDeferredEvents:
         reg.defer(lambda: pytest.fail("a null registry built a block"))
         assert reg.events == []
 
+    def test_drop_history_keeps_totals_and_the_open_span(self):
+        reg = MetricsRegistry(clock=SpanClock(wall=lambda: 0.0))
+        with reg.span("done"):
+            reg.record("run.params", strategy="hybrid")
+        with reg.span("serving") as serving:
+            with reg.span("job"):
+                reg.inc("jobs")
+                reg.observe("latency", 2.0)
+            reg.defer(lambda: pytest.fail("a dropped block was built"))
+            reg.drop_history()
+            assert reg.events == []
+            assert reg.root_spans == [serving]
+            assert [c.name for c in serving.children] == ["job"]
+        assert reg.counter("jobs").value == 1.0
+        assert reg.histogram("latency").count == 1
+        reg.record("later")
+        assert reg.events == [{"event": "later"}]
+
 
 class TestSpans:
     def test_nesting_builds_a_tree(self):

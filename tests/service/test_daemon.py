@@ -176,6 +176,8 @@ def test_crash_between_cache_write_and_done_replays_from_cache(tmp_path):
     metrics = MetricsRegistry()
     with BCService(crash_root, metrics=metrics) as svc:
         assert svc.recovered_ids == ["j000001"]
+        decisions = []
+        svc.scheduler.on_decision = decisions.append
         svc.run_pending()
         rec = svc.jobs["j000001"]
         assert rec.state == DONE and rec.result_key == key
@@ -185,7 +187,7 @@ def test_crash_between_cache_write_and_done_replays_from_cache(tmp_path):
                     if c.name == "service.cache.replayed"]
         assert replayed and replayed[0].value == 1
         # the scheduler never ran the job again
-        assert svc.scheduler.decisions == []
+        assert decisions == []
 
 
 def test_result_self_heals_corrupt_cache_entry(tmp_path):

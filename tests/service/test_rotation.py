@@ -59,9 +59,10 @@ def test_reopen_across_boundaries_continues_seq(tmp_path):
     j.close()
     j2 = JobJournal(p, max_segment_bytes=400, keep_terminal=100)
     assert j2._seq >= last
-    assert len({r["seq"] for r in j2.records}) == len(j2.records)
+    history = j2.take_history()
+    assert len({r["seq"] for r in history}) == len(history)
     finish(j2, 99)
-    state = replay_state(j2.records, p)
+    state = replay_state(read_journal_chain(p)[0], p)
     assert state.jobs["j000099"].state == DONE
 
 
@@ -74,13 +75,39 @@ def test_gc_drops_old_terminal_jobs_and_bounds_disk(tmp_path):
         sizes.append(j.total_bytes())
     j.close()
     # the on-disk chain (what the next open replays) has dropped old
-    # terminal jobs; the in-memory view keeps this process's history
+    # terminal jobs
     records, _ = read_journal_chain(p)
     state = replay_state(records, p)
     assert "j000039" in state.jobs
     assert "j000000" not in state.jobs
     # disk is bounded: the high-water mark stops growing
     assert max(sizes[20:]) <= max(sizes[:20]) + 1500
+
+
+def test_compaction_depends_only_on_the_chain_on_disk(tmp_path):
+    # j1 is deduped after j2 is done, so only its (slimmed-away)
+    # narration makes it newer than j2.  A process that saw that
+    # narration and one reopened after it must collect the same job.
+    def run(p, reopen):
+        j = JobJournal(p, max_segment_bytes=None, keep_terminal=2)
+        finish(j, 1)
+        finish(j, 2)
+        j.append("dedupe", job_id="j000001", by="content", state=DONE)
+        j.rotate()
+        j.compact()
+        if reopen:
+            j.close()
+            j = JobJournal(p, max_segment_bytes=None, keep_terminal=2)
+        finish(j, 3)
+        j.rotate()
+        j.compact()
+        j.close()
+        records, _ = read_journal_chain(p)
+        return sorted(replay_state(records, p).jobs)
+
+    kept = run(str(tmp_path / "a" / "journal.jsonl"), reopen=False)
+    assert kept == run(str(tmp_path / "b" / "journal.jsonl"), reopen=True)
+    assert kept == ["j000002", "j000003"]
 
 
 def test_live_job_survives_every_compaction(tmp_path):
@@ -91,7 +118,7 @@ def test_live_job_survives_every_compaction(tmp_path):
     for i in range(30):
         finish(j, i)
     j.compact(keep_terminal=0)
-    state = replay_state(j.records, p)
+    state = replay_state(read_journal_chain(p)[0], p)
     assert state.jobs["j007777"].state in ("running", "pending")
     assert not state.illegal_transitions
 

@@ -29,12 +29,21 @@ def spec(i=1, **kw):
     return JobSpec(job_id=f"j{i:06d}", **kw)
 
 
+def collect_decisions(sched: Scheduler) -> list:
+    """The decisions ``sched`` makes from now on, in order (collected
+    through its ``on_decision`` hook)."""
+    decisions = []
+    sched.on_decision = decisions.append
+    return decisions
+
+
 def run_decision_trace(seed: int, faults: str, *, max_retries: int = 3):
     """One scheduler execution's (decision log, backoff delays) — the
     determinism artefact the property suite replays byte-for-byte."""
     sched = Scheduler(seed=seed, max_retries=max_retries)
+    decisions = collect_decisions(sched)
     outcome = sched.execute(spec(seed=seed, faults=faults), GRAPH)
-    return (json.dumps(sched.decisions, sort_keys=True),
+    return (json.dumps(decisions, sort_keys=True),
             list(outcome.backoff_delays), outcome)
 
 
@@ -135,12 +144,13 @@ def test_breaker_snapshot_restore_roundtrip():
 # -- deadlines --------------------------------------------------------
 def test_deadline_degrades_to_flagged_estimate():
     sched = Scheduler()
+    decisions = collect_decisions(sched)
     out = sched.execute(spec(roots=8, deadline_seconds=1e-9), GRAPH)
     assert out.ok
     assert out.exact is False
     assert out.degraded_reason == "deadline"
     assert out.values.shape == (GRAPH.num_vertices,)
-    assert any(d["decision"] == "deadline-degrade" for d in sched.decisions)
+    assert any(d["decision"] == "deadline-degrade" for d in decisions)
 
 
 def test_deadline_without_degrade_fails_typed():
@@ -161,10 +171,11 @@ def test_straggler_run_redispatches_to_healthy_device():
     slow, fast = SimDevice("dev0"), SimDevice("dev1")
     slow.device.straggler_factor = 8.0
     sched = Scheduler([slow, fast], redispatch_factor=4.0)
+    decisions = collect_decisions(sched)
     out = sched.execute(spec(), GRAPH)
     assert out.ok and out.redispatched
     assert out.device == "dev1"
-    kinds = [d["decision"] for d in sched.decisions]
+    kinds = [d["decision"] for d in decisions]
     assert "redispatch" in kinds
     # the slow device's sunk speculative work is still charged
     assert slow.busy_until > 0
@@ -189,6 +200,7 @@ def test_straggler_fault_triggers_redispatch():
 def test_overload_degrade_runs_sampled_estimate():
     metrics = MetricsRegistry()
     sched = Scheduler(metrics=metrics, overload_sample_fraction=0.5)
+    decisions = collect_decisions(sched)
     s = spec(roots=8)
     out = sched.execute(s, GRAPH, degrade_reason="overload")
     assert out.ok
@@ -197,7 +209,7 @@ def test_overload_degrade_runs_sampled_estimate():
     exact = Scheduler().execute(s, GRAPH)
     assert out.values.sum() == pytest.approx(exact.values.sum(), rel=1.0)
     assert any(d["decision"] == "overload-degrade"
-               for d in sched.decisions)
+               for d in decisions)
 
 
 # -- placement and determinism ---------------------------------------

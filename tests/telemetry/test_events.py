@@ -16,8 +16,8 @@ from repro.service import (
     JobJournal,
     JobSpec,
     read_journal_chain,
+    replay_state,
 )
-from repro.service.journal import NARRATION_KINDS
 from repro.service.storage import ServiceStorage
 from repro.telemetry import read_events, trace_id_for
 
@@ -51,13 +51,13 @@ def test_trace_id_pure_function_of_content():
 
 # -- derivation ---------------------------------------------------------
 def chain_records(root, svc):
-    """The journal's full history on disk, after checking that ``svc``
-    keeps exactly its state records in memory (narration is written,
-    not kept)."""
+    """The journal's full history on disk, after checking that ``svc``'s
+    job table is that history's replay (the journal keeps no records in
+    memory)."""
     records, torn = read_journal_chain(os.path.join(root, "journal.jsonl"))
     assert not torn
-    assert svc.journal.records == [r for r in records
-                                   if r["kind"] not in NARRATION_KINDS]
+    assert ({j: r.state for j, r in svc.jobs.items()}
+            == {j: r.state for j, r in replay_state(records).jobs.items()})
     return records
 
 

@@ -17,8 +17,8 @@ from repro.service import (
     BCService,
     JobSpec,
     read_journal_chain,
+    replay_state,
 )
-from repro.service.journal import NARRATION_KINDS
 from repro.service.storage import ServiceStorage, SimulatedCrash
 from repro.telemetry import (
     attempt_rows,
@@ -147,8 +147,8 @@ def test_acceptance_survives_kill_and_restart(lifecycle_root, tmp_path):
         assert not torn
         records, _ = read_journal_chain(root / "journal.jsonl")
         assert [e["jseq"] for e in events] == [r["seq"] for r in records]
-        assert svc2.journal.records == [
-            r for r in records if r["kind"] not in NARRATION_KINDS]
+        assert ({j: r.state for j, r in svc2.jobs.items()} == {
+            j: r.state for j, r in replay_state(records).jobs.items()})
         after = [e for e in events if e.get("trace_id") == trace]
         # The finished trace's lifecycle: no events lost, none doubled.
         assert [(e["event"], e.get("jseq")) for e in after] == \
