@@ -60,7 +60,7 @@ def test_extension_process_pool(benchmark):
 
 
 def test_extension_batched_engine(benchmark):
-    """The batched (sparse-matmul) engine matches the queue engine
+    """Batched BC (lockstep batches of roots) matches the queue engine
     exactly on a small-diameter graph — its intended regime."""
     from repro.bc.batched import batched_betweenness_centrality
 

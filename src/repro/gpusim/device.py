@@ -143,8 +143,8 @@ class DeviceRun:
         # GPU-FAN dedicates the whole device to each root, so roots do
         # not overlap across SMs, and a routed batched trace entry is a
         # whole device-cooperative batch; every other layout — batched
-        # runs that fell back to per-root traversal included — processes
-        # num_sms roots concurrently.
+        # runs classified deep included — processes num_sms roots
+        # concurrently.
         if self.strategy == GPU_FAN or (self.strategy == BATCHED
                                         and self.sampling_chose_edge_parallel):
             concurrency = max(1, int(self.roots_per_trace))
@@ -258,14 +258,18 @@ class Device:
         n_samps, gamma, min_frontier:
             Sampling parameters (Algorithm 5); defaults 512 / 4 / 512.
         batch_size:
-            Roots per frontier-matrix step of the ``batched`` strategy
-            (Sarıyüce-style multi-source traversal; reference [33]).
-            The strategy classifies depth with its first ``n_samps``
-            roots exactly like Algorithm 5 and routes the remainder
-            through whole-device batch traversals only when the sampled
-            median depth is below the ``gamma`` cutoff (small-diameter
-            graphs — dense frontiers, BLAS-shaped work); deep graphs
-            fall back to per-root work-efficient traversal.
+            Roots per batch of the ``batched`` strategy (Sarıyüce-style
+            multi-source traversal; reference [33]).  The strategy
+            classifies depth with its first ``n_samps`` roots exactly
+            like Algorithm 5; only when the sampled median depth is
+            below the ``gamma`` cutoff (small-diameter graphs) does it
+            run the remainder ``batch_size`` at a time, each batch
+            charged as one whole-device traversal whose per-depth
+            frontier and edge frontier are the sums of its roots'
+            lockstep profiles.  Values come from the same root loop as
+            every strategy, which rescales path counts per level, so
+            there is no overflow path.  Deep graphs run per-root
+            work-efficient traversal.
         fold:
             Apply the degree-1 folding preprocess before traversal (on
             by default; exact — see :mod:`repro.bc.preprocess`).  Pass
@@ -533,34 +537,22 @@ class Device:
 
     def _batches(self, run: "_Run", roots, batch_size: int, classification):
         """Sarıyüce-style multi-source phase (reference [33]): the roots
-        advance ``batch_size`` at a time through whole-device
-        frontier-matrix steps, one after another; a batch whose path
-        counts overflow float64 falls back to the per-root loop (the
-        engine rescales sigma per level), its roots running per-SM."""
+        run ``batch_size`` at a time, one whole-device batch after
+        another, each charged once from its roots' summed lockstep
+        profiles (:func:`repro.bc.batched.run_batch`)."""
         from ..bc import batched  # deferred: bc.batched imports gpusim
 
-        A = batched._adjacency(run.g)
-        batch_cycles: list = []
-        retry_cycles: list = []
+        cycles = []
         for lo in range(0, roots.size, batch_size):
             batch = roots[lo:lo + batch_size]
             policy = BatchedPolicy(batch.size, classification["median_depth"],
                                    classification["depth_cutoff"])
-            try:
-                rt = batched.run_batch(
-                    run.g, batch, run.bc, policy, self.costs, run.chunk,
-                    self.spec.total_threads, A=A, metrics=run.metrics,
-                    source_weights=run.source_weights,
-                    target_weights=run.target_weights)
-            except FloatingPointError:
-                run.metrics.inc("batched.overflow_retries")
-                retry_cycles += self._roots(run, batch,
-                                            FixedPolicy(WORK_EFFICIENT))
-                continue
+            rt = batched.run_batch(
+                run.g, batch, run.bc, policy, self.costs, run.chunk,
+                self.spec.total_threads, metrics=run.metrics,
+                source_weights=run.source_weights,
+                target_weights=run.target_weights)
             run.trace.roots.append(rt)
-            batch_cycles.append(rt.cycles)
-        if batch_cycles:
-            run.roots_per_trace = batch_size
-        makespan = (self._schedule(batch_cycles, serial=True)[0]
-                    + self._schedule(retry_cycles)[0])
-        return makespan, np.full(self.spec.num_sms, makespan)
+            cycles.append(rt.cycles)
+        run.roots_per_trace = batch_size
+        return self._schedule(cycles, serial=True)

@@ -33,27 +33,64 @@ def symmetrize_edges(edges: np.ndarray) -> np.ndarray:
 _MAX_KEYED_VERTICES = math.isqrt(2**63 - 1)
 
 
+def _key_base(edges: np.ndarray) -> int:
+    """``max endpoint + 1`` of ``(E, 2)`` int64 ``edges`` (0 when
+    empty): the base ``n`` of their int64 keys ``src * n + dst``."""
+    if edges.size == 0:
+        return 0
+    if edges.min() < 0:
+        raise GraphStructureError("edge endpoints must be non-negative")
+    base = int(edges.max()) + 1
+    if base > _MAX_KEYED_VERTICES:
+        raise GraphStructureError(
+            f"{base} vertices is too many for int64 edge keys "
+            f"(max {_MAX_KEYED_VERTICES})")
+    return base
+
+
+def _edge_keys(edges: np.ndarray, base: int, symmetric: bool = False,
+               drop_repeats: bool = True,
+               drop_loops: bool = True) -> np.ndarray:
+    """Sorted int64 keys ``src * base + dst`` of ``edges``, plus ``dst *
+    base + src`` when ``symmetric``, optionally without repeated keys
+    and self loops.
+
+    The keys are built into one array and sorted in place; a self
+    loop's key is set to -1, so the sort puts it first, to be sliced
+    off.
+    """
+    e = edges.shape[0]
+    keys = np.empty(2 * e if symmetric else e, dtype=np.int64)
+    loops = (edges[:, 0] == edges[:, 1]) if drop_loops else None
+    for half, a, b in ((keys[:e], 0, 1), (keys[e:], 1, 0))[:1 + symmetric]:
+        np.multiply(edges[:, a], base, out=half)
+        half += edges[:, b]
+        if drop_loops:
+            half[loops] = -1
+    keys.sort()
+    if drop_loops:
+        keys = keys[np.searchsorted(keys, 0):]
+    if drop_repeats and keys.size > 1:
+        keep = np.empty(keys.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    return keys
+
+
 def dedupe_edges(edges: np.ndarray, drop_self_loops: bool = True) -> np.ndarray:
     """Remove duplicate directed edges (and, by default, self loops).
 
-    The result is sorted by (source, target): each edge is encoded as
-    the int64 key ``src * n + dst`` (``n`` = max endpoint + 1), the keys
-    are deduplicated by sorting and decoded back.
+    The result is sorted by (source, target): the edges' int64 keys
+    ``src * n + dst`` (``n`` = max endpoint + 1) are deduplicated by
+    :func:`from_edges`' key routine and decoded back.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size == 0:
-        return edges.reshape(0, 2)
-    if edges.min() < 0:
-        raise GraphStructureError("edge endpoints must be non-negative")
-    n = int(edges.max()) + 1
-    if n > _MAX_KEYED_VERTICES:
-        raise GraphStructureError(
-            f"{n} vertices is too many for int64 edge keys "
-            f"(max {_MAX_KEYED_VERTICES})")
-    if drop_self_loops:
-        edges = edges[edges[:, 0] != edges[:, 1]]
-    keys = sorted_unique(edges[:, 0] * n + edges[:, 1])
-    src, dst = np.divmod(keys, n)
+    base = _key_base(edges)
+    if base == 0:
+        return edges
+    src, dst = np.divmod(_edge_keys(edges, base,
+                                    drop_loops=drop_self_loops), base)
     return np.column_stack([src, dst])
 
 
@@ -80,32 +117,33 @@ def from_edges(
         Drop duplicate edges and self loops before building.  The BC
         algorithms are only defined on simple graphs, so this is on by
         default.
+
+    The edges become one sorted int64 key array ``src * N + dst`` (``N``
+    = max endpoint + 1; both directions of an undirected pair), deduped
+    by dropping adjacent repeats; ``indptr`` is each source's first key
+    and ``adj`` the keys modulo ``N``, computed in place.
     """
     edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
     if edges.size == 0:
         edges = np.empty((0, 2), dtype=np.int64)
     edges = edges.reshape(-1, 2).astype(np.int64, copy=False)
-    if edges.size and edges.min() < 0:
-        raise GraphStructureError("edge endpoints must be non-negative")
-    inferred = int(edges.max()) + 1 if edges.size else 0
-    n = inferred if num_vertices is None else int(num_vertices)
-    if n < inferred:
+    base = _key_base(edges)
+    n = base if num_vertices is None else int(num_vertices)
+    if n < base:
         raise GraphStructureError(
-            f"num_vertices={n} is smaller than max endpoint {inferred - 1}"
+            f"num_vertices={n} is smaller than max endpoint {base - 1}"
         )
-    if undirected and not already_symmetric:
-        edges = symmetrize_edges(edges)
-    # CSR build: sort by source, then slice.  Deduped edges come out
-    # sorted by (source, target) already.
-    if dedupe:
-        edges = dedupe_edges(edges)
-    elif edges.size:
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    counts = np.bincount(edges[:, 0], minlength=n).astype(np.int64)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    g = CSRGraph(indptr, edges[:, 1].copy(), undirected=undirected, name=name)
+    symmetric = undirected and not already_symmetric
+    adj = _edge_keys(edges, base, symmetric=symmetric, drop_repeats=dedupe,
+                     drop_loops=dedupe)
+    # Keys ascend, so source v's first key is the first one >= v * N.
+    indptr = np.full(n + 1, adj.size, dtype=np.int64)
+    indptr[:base + 1] = np.searchsorted(adj, np.arange(base + 1) * base)
+    if base:
+        np.remainder(adj, base, out=adj)
+    g = CSRGraph(indptr, adj, undirected=undirected, name=name)
     # Symmetrised here and sorted by (source, target) above.
-    return g._mark_canonical() if undirected and not already_symmetric else g
+    return g._mark_canonical() if symmetric else g
 
 
 def from_networkx(nxg, name: str = "") -> CSRGraph:
@@ -147,19 +185,19 @@ def _component_labels(g: CSRGraph) -> np.ndarray:
     to the smallest root across its edges, compresses every vertex onto
     its root and drops the edges whose two ends now share one.  Vertices
     only ever point lower, so each component ends rooted at its lowest
-    vertex."""
+    vertex.  An undirected graph stores each edge both ways; only its
+    ``src < dst`` direction is hooked over."""
     parent = np.arange(g.num_vertices, dtype=np.int64)
     src, dst = g.edge_sources(), g.adj
-    while True:
-        keep = src != dst
-        if not keep.any():
-            break
+    keep = src < dst if g.undirected else src != dst
+    while keep.any():
         src, dst = src[keep], dst[keep]
         np.minimum.at(parent, np.maximum(src, dst), np.minimum(src, dst))
         jumped = parent[parent]
         while not np.array_equal(jumped, parent):
             parent, jumped = jumped, jumped[jumped]
         src, dst = parent[src], parent[dst]
+        keep = src != dst
     return (np.cumsum(parent == np.arange(parent.size)) - 1)[parent]
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the batched multi-root BC engine."""
+"""Unit tests for batched multi-root BC on the lockstep root loop."""
 
 import numpy as np
 import pytest
@@ -64,41 +64,60 @@ class TestBatchedBC:
             prev = layer
         return from_edges(edges)
 
-    def test_overflow_fallback(self):
-        """A deep wide-path graph overflows the batched sigma; the
-        wrapper must fall back to the per-root engine and stay exact."""
-        g = self._overflow_graph()
-        with pytest.raises(FloatingPointError):
-            batched_dependencies(g, np.array([0]))
-        got = batched_betweenness_centrality(g, sources=[0])
-        expect = betweenness_centrality(g, sources=[0])
-        assert np.allclose(got, expect, rtol=1e-9)
-
-    def test_overflow_retry_keeps_the_metrics_registry(self):
-        """Regression: the per-root-engine retry used to drop the
-        caller's metrics registry, losing the traversal counters and
-        giving no signal that the fallback ever fired.  The retry must
-        count ``batched.overflow_retries`` (once per failed batch, not
-        per root) on the *same* registry and stay exact."""
-        from repro.observability import MetricsRegistry
+    def test_overflowing_path_counts_stay_exact(self):
+        """Path counts past float64 range are rescaled per level by the
+        root loop the batches run on, so a deep wide-path graph needs
+        no fallback: the batch's rows equal the per-root engine's."""
+        from repro.bc.api import bc_single_source_dependencies
 
         g = self._overflow_graph()
-        metrics = MetricsRegistry()
+        delta = batched_dependencies(g, np.array([0, 5]))
+        for r, s in enumerate((0, 5)):
+            assert np.array_equal(delta[r],
+                                  bc_single_source_dependencies(g, s))
         got = batched_betweenness_centrality(g, sources=[0, 1, 2],
-                                             metrics=metrics, fold=False)
-        assert metrics.counter("batched.overflow_retries").value == 1.0
-        # The retried traversals land on the caller's registry too.
-        assert metrics.counter("frontier.sweeps").value >= 3.0
+                                             batch_size=2, fold=False)
         expect = betweenness_centrality(g, sources=[0, 1, 2], fold=False)
         assert np.allclose(got, expect, rtol=1e-9)
 
-    def test_no_overflow_means_no_retry_counter(self, fig1):
+    def test_metrics_count_every_sweep(self, fig1):
         from repro.observability import MetricsRegistry
 
         metrics = MetricsRegistry()
-        batched_betweenness_centrality(fig1, metrics=metrics)
-        assert metrics.counter("batched.overflow_retries").value == 0.0
+        batched_betweenness_centrality(fig1, batch_size=4, metrics=metrics,
+                                       fold=False)
+        assert metrics.counter("frontier.sweeps").value == 9.0
 
     def test_isolated_roots(self, two_components):
         got = batched_betweenness_centrality(two_components, sources=[6])
         assert np.all(got == 0)
+
+
+@pytest.mark.parametrize("graph", ["fig1", "small_kron", "directed"])
+def test_batch_charge_is_its_roots_summed_profiles(graph):
+    """Each batch is charged from the depth-aligned sums of its roots'
+    own frontier profiles: its per-depth frontier and edge frontier
+    equal the sums over the same roots' work-efficient traces."""
+    from repro.gpusim.device import Device
+    from tests.gpusim.test_golden_digests import GRAPHS, PARAMS
+
+    g = GRAPHS[graph]()
+    kw = dict(PARAMS["batched"], gamma=1000.0)
+    run = Device().run_bc(g, strategy="batched", **kw)
+    assert run.sampling_chose_edge_parallel is True
+    per_root = Device().run_bc(g, strategy="work-efficient").trace.roots
+    batches = run.trace.roots[run.fixed_roots:]
+    assert batches
+    size = run.roots_per_trace
+    for j, batch in enumerate(batches):
+        lo = run.fixed_roots + j * size
+        want: dict = {}
+        for rt in per_root[lo:lo + size]:
+            for lv in rt.levels:
+                if lv.stage == "forward":
+                    pairs, edges = want.get(lv.depth, (0, 0))
+                    want[lv.depth] = (pairs + lv.frontier_size,
+                                      edges + lv.edge_frontier)
+        got = {lv.depth: (lv.frontier_size, lv.edge_frontier)
+               for lv in batch.levels if lv.stage == "forward"}
+        assert got == want

@@ -47,7 +47,7 @@ def _directed():
 
 def _overflow():
     """380 layers of 8 fully linked vertices: path counts overflow
-    float64, so batched steps fall back to the per-root loop."""
+    float64 unless rescaled per level, as the root loop does."""
     edges = []
     prev = [0]
     nxt = 1
@@ -232,7 +232,7 @@ GOLDEN = {
     "directed/gpu-fan/sampled":
         "22ad9981c7c38f6c9c9245dd2cdd1027776f8b43e5d82f6498289321896ba315",
     "overflow/batched/off":
-        "29036d6c27eb8be25da40e57075dd09ab54ff6cd45c4ad5e6af6c6640a59e983",
+        "a4eb624065561334df8a75f6dd86b251407e1f52fde9cbf3a72b7604288b12fe",
     "overflow/batched/sampled":
         "c605200a7fd5ad94573f2aab04f4b771d2f804359bdadcea0b56ef6269f11d20",
 }
@@ -247,3 +247,20 @@ CASES = ([(g, s, v) for g in GRAPHS for s in STRATEGIES
 def test_pinned_digest(graph, strategy, verify):
     key = f"{graph}/{strategy}/{verify}"
     assert run_digest(graph, strategy, verify) == GOLDEN[key]
+
+
+def test_overflow_batched_runs_two_batches_of_four():
+    """The overflow case's 8 steady roots run as two batches of 4: path
+    counts are rescaled per level, so no batch falls back per root."""
+    g = _overflow()
+    run = Device().run_bc(g, strategy="batched", roots=np.arange(12),
+                          n_samps=4, gamma=1000.0, batch_size=4)
+    assert run.sampling_chose_edge_parallel is True
+    assert run.fixed_roots == 4 and run.roots_per_trace == 4
+    steady = run.trace.roots[run.fixed_roots:]
+    assert [rt.root for rt in steady] == [4, 8]
+    assert all(lv.strategy == "batched" for rt in steady for lv in rt.levels)
+    # Roots 4-7 sit in the first layer: each reaches vertex 0 and the
+    # 8 vertices of the second layer at depth 1.
+    assert [lv.frontier_size for lv in steady[0].levels
+            if lv.stage == "forward"][:2] == [4, 36]

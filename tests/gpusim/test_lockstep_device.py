@@ -30,7 +30,7 @@ PARAMS = {
 
 
 def _overflow():
-    """Path counts overflow float64: batched falls back to the root loop."""
+    """Path counts overflow float64 unless rescaled per level."""
     edges, prev, nxt = [], [0], 1
     for _ in range(380):
         layer = list(range(nxt, nxt + 8))
@@ -73,8 +73,8 @@ def _run(graph: str, strategy: str, verify: str) -> tuple:
             json.dumps(doc, sort_keys=True, default=str))
 
 
-#: Every strategy on every graph; the overflow graph is there for the
-#: batched strategy's per-root retry.
+#: Every strategy on every graph; the overflow graph is there for
+#: batches whose path counts are rescaled per level.
 CASES = [(graph, strategy) for graph in sorted(GRAPHS)
          for strategy in STRATEGIES
          if graph != "overflow" or strategy in ("batched", "work-efficient")]

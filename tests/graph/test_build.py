@@ -54,6 +54,23 @@ class TestFromEdges:
         g = from_edges(sym, undirected=True, already_symmetric=True)
         assert g.num_edges == 2
 
+    def test_build_peak_memory_is_about_one_key_array(self):
+        """Symmetrising, dropping loops and repeats, and the CSR arrays
+        all live in one int64 key array: the build's peak stays within
+        2.5x the bytes of the pairs it is given."""
+        import tracemalloc
+
+        from repro.graph.generators.kronecker import rmat_edges
+
+        edges = rmat_edges(14, 16 << 14, seed=0)
+        tracemalloc.start()
+        try:
+            from_edges(edges, 1 << 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * edges.nbytes
+
 
 class TestEdgeHelpers:
     def test_symmetrize(self):

@@ -1,5 +1,6 @@
 """A long-running service costs its live job table and nothing more:
-no scipy on the job path, and no per-job history once a job is done."""
+no scipy on the job path (nor on a batching device run), and no per-job
+history once a job is done."""
 
 from __future__ import annotations
 
@@ -32,6 +33,9 @@ def job(i: int) -> JobSpec:
 def test_service_jobs_import_no_scipy(tmp_path):
     script = textwrap.dedent(f"""
         import json, sys
+        from repro.gpusim import Device
+        from repro.graph.generators import make_dataset
+        from repro.harness.runner import pick_roots
         from repro.service import BCService, JobSpec
         from tests.service.test_footprint import job
         with BCService({str(tmp_path / "svc")!r}) as svc:
@@ -39,7 +43,10 @@ def test_service_jobs_import_no_scipy(tmp_path):
                 svc.submit(job(i))
                 svc.run_pending()
             states = sorted({{j.state for j in svc.jobs.values()}})
-        print(json.dumps([states,
+        g = make_dataset("kron_g500-logn20", 64)
+        run = Device().run_bc(g, strategy="batched",
+                              roots=pick_roots(g, 16, seed=0), n_samps=8)
+        print(json.dumps([states, run.sampling_chose_edge_parallel,
                           sorted(m for m in sys.modules
                                  if m.split(".")[0] == "scipy")]))
     """)
@@ -48,8 +55,9 @@ def test_service_jobs_import_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    states, scipy_modules = json.loads(out.stdout)
+    states, batched, scipy_modules = json.loads(out.stdout)
     assert states == [DONE]
+    assert batched is True  # a real batch ran
     assert scipy_modules == []
 
 

@@ -260,9 +260,11 @@ def test_interior_rot_is_fatal_and_classified(tmp_path):
     for i in range(3):
         finish(j, i)
     j.close()
-    lines = open(p, "rb").read().splitlines(keepends=True)
+    with open(p, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
     lines[2] = lines[2].replace(b'"kind"', b'"kinX"', 1)
-    open(p, "wb").writelines(lines)
+    with open(p, "wb") as fh:
+        fh.writelines(lines)
     report = verify_journal(p)
     assert not report["ok"]
     active = next(r for r in report["files"] if r["role"] == "active")
