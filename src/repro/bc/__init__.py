@@ -3,19 +3,12 @@ baselines."""
 
 from .accumulation import accumulate_level, dependency_accumulation
 from .api import bc_single_source_dependencies, betweenness_centrality
-from .approx import (
-    AdaptiveEstimate,
-    adaptive_vertex_bc,
-    approximate_bc,
-    sample_sources,
-)
+from .approx import approximate_bc, sample_sources
 from .batched import batched_betweenness_centrality, batched_dependencies
 from .brandes import brandes_reference, brandes_single_source, normalize_bc
-from .dynamic import UpdateStats, affected_sources, delete_edge, insert_edge
 from .edge_parallel import bc_edge_parallel, edge_parallel_root
 from .engine import run_root
 from .frontier import ForwardResult, forward_sweep
-from .hybrid import DEFAULT_ALPHA, DEFAULT_BETA, select_strategy
 from .preprocess import (
     FOLD_SCHEMA,
     FoldResult,
@@ -24,8 +17,11 @@ from .preprocess import (
     per_root_correction,
 )
 from .policies import (
+    ALPHA,
+    BETA,
     EDGE_PARALLEL,
     GPU_FAN,
+    MIN_FRONTIER,
     VERTEX_PARALLEL,
     WORK_EFFICIENT,
     FixedPolicy,
@@ -35,10 +31,8 @@ from .policies import (
 )
 from .sampling import (
     DEFAULT_GAMMA,
-    DEFAULT_MIN_FRONTIER,
     DEFAULT_N_SAMPS,
     choose_edge_parallel,
-    sample_roots,
 )
 from .vertex_parallel import bc_vertex_parallel, vertex_parallel_root
 from .work_efficient import WorkEfficientState, bc_work_efficient, work_efficient_root
@@ -48,12 +42,6 @@ __all__ = [
     "bc_single_source_dependencies",
     "approximate_bc",
     "sample_sources",
-    "AdaptiveEstimate",
-    "adaptive_vertex_bc",
-    "UpdateStats",
-    "affected_sources",
-    "insert_edge",
-    "delete_edge",
     "batched_betweenness_centrality",
     "batched_dependencies",
     "brandes_reference",
@@ -84,12 +72,10 @@ __all__ = [
     "EDGE_PARALLEL",
     "VERTEX_PARALLEL",
     "GPU_FAN",
-    "select_strategy",
-    "DEFAULT_ALPHA",
-    "DEFAULT_BETA",
+    "ALPHA",
+    "BETA",
+    "MIN_FRONTIER",
     "choose_edge_parallel",
-    "sample_roots",
     "DEFAULT_N_SAMPS",
     "DEFAULT_GAMMA",
-    "DEFAULT_MIN_FRONTIER",
 ]

@@ -2,131 +2,42 @@
 
 The paper focuses on exact BC but notes (Section V-A) that its
 techniques "can be trivially adjusted for approximation".  This module
-is that trivial adjustment: accumulate dependencies from ``k`` sampled
-roots and rescale by ``n / k`` (the Brandes-Pich estimator), reusing
-whichever traversal strategy the caller picks.
+is that trivial adjustment: accumulate dependencies from ``k``
+uniformly sampled roots and rescale by ``n / k`` (the Brandes-Pich
+estimator), through the same root loop as the exact computation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 
-__all__ = [
-    "approximate_bc",
-    "sample_sources",
-    "AdaptiveEstimate",
-    "adaptive_vertex_bc",
-]
+__all__ = ["approximate_bc", "sample_sources"]
 
 
-def sample_sources(g: CSRGraph, k: int, seed: int = 0,
-                   method: str = "uniform") -> np.ndarray:
-    """Pick ``k`` distinct BC roots.
-
-    ``method="uniform"`` samples uniformly (the unbiased estimator);
-    ``method="degree"`` biases toward high-degree vertices, which
-    empirically lowers variance on scale-free graphs.
-    """
+def sample_sources(g: CSRGraph, k: int, seed: int = 0) -> np.ndarray:
+    """Pick ``min(k, n)`` distinct BC roots uniformly at random, the
+    sample behind :func:`approximate_bc`'s unbiased estimate."""
     n = g.num_vertices
     k = min(int(k), n)
     if k < 0:
         raise ValueError("k must be non-negative")
     rng = np.random.default_rng(seed)
-    if method == "uniform":
-        return rng.choice(n, size=k, replace=False).astype(np.int64)
-    if method == "degree":
-        deg = g.degrees.astype(np.float64)
-        total = deg.sum()
-        if total == 0:
-            return rng.choice(n, size=k, replace=False).astype(np.int64)
-        p = deg / total
-        return rng.choice(n, size=k, replace=False, p=p).astype(np.int64)
-    raise ValueError(f"unknown sampling method {method!r}")
+    return rng.choice(n, size=k, replace=False).astype(np.int64)
 
 
-def approximate_bc(
-    g: CSRGraph,
-    k: int,
-    seed: int = 0,
-    method: str = "uniform",
-) -> np.ndarray:
-    """Unbiased estimate of BC from ``k`` uniformly sampled roots.
+def approximate_bc(g: CSRGraph, k: int, seed: int = 0) -> np.ndarray:
+    """Unbiased estimate of BC from ``k`` uniformly sampled roots: their
+    summed dependencies rescaled by ``n / k``.
 
-    The estimate is exact when ``k == n`` (it degenerates to the full
+    The estimate is exact when ``k >= n`` (it degenerates to the full
     computation over a random root order).
     """
     from .api import betweenness_centrality
 
-    sources = sample_sources(g, k, seed=seed, method=method)
+    sources = sample_sources(g, k, seed=seed)
     if sources.size == 0:
         return np.zeros(g.num_vertices, dtype=np.float64)
     partial = betweenness_centrality(g, sources=sources)
-    if method != "uniform":
-        # Importance-sampling correction is out of scope for the biased
-        # picker; report the raw partial sums rescaled by count.
-        return partial * (g.num_vertices / sources.size)
     return partial * (g.num_vertices / sources.size)
-
-
-@dataclass(frozen=True)
-class AdaptiveEstimate:
-    """Result of the adaptive single-vertex estimator."""
-
-    vertex: int
-    estimate: float
-    samples_used: int
-    converged: bool  # stopping rule fired before the sample cap
-
-
-def adaptive_vertex_bc(
-    g: CSRGraph,
-    vertex: int,
-    c: float = 5.0,
-    max_samples: int | None = None,
-    seed: int = 0,
-) -> AdaptiveEstimate:
-    """Adaptive-sampling BC estimate for a single vertex.
-
-    The scheme of Bader, Kintali, Madduri & Mihail (the paper's
-    reference [3] for approximation): sample roots one at a time,
-    accumulate ``S += delta_s(vertex)``, and stop as soon as
-    ``S >= c * n`` — high-centrality vertices converge after very few
-    samples, and the estimate ``n * S / (2k)`` (undirected) is within a
-    constant factor with high probability.
-
-    Parameters
-    ----------
-    c:
-        Stopping constant; smaller stops earlier with wider error bars.
-    max_samples:
-        Cap on sampled roots (default ``n``); low-centrality vertices
-        never trip the stopping rule and run to the cap.
-    """
-    from .api import bc_single_source_dependencies
-
-    n = g.num_vertices
-    vertex = int(vertex)
-    if not 0 <= vertex < n:
-        raise IndexError(f"vertex {vertex} out of range [0, {n})")
-    if c <= 0:
-        raise ValueError("stopping constant c must be positive")
-    cap = n if max_samples is None else min(int(max_samples), n)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    total = 0.0
-    k = 0
-    converged = False
-    for s in order[:cap]:
-        total += float(bc_single_source_dependencies(g, int(s))[vertex])
-        k += 1
-        if total >= c * n:
-            converged = True
-            break
-    scale = 0.5 if g.undirected else 1.0
-    estimate = scale * n * total / k if k else 0.0
-    return AdaptiveEstimate(vertex=vertex, estimate=estimate,
-                            samples_used=k, converged=converged)

@@ -40,6 +40,9 @@ __all__ = [
     "HybridPolicy",
     "FrontierGuardPolicy",
     "BatchedPolicy",
+    "ALPHA",
+    "BETA",
+    "MIN_FRONTIER",
 ]
 
 WORK_EFFICIENT = "work-efficient"
@@ -47,6 +50,14 @@ EDGE_PARALLEL = "edge-parallel"
 VERTEX_PARALLEL = "vertex-parallel"
 GPU_FAN = "gpu-fan"
 BATCHED = "batched"
+
+#: Algorithm 4's thresholds (paper Section IV-B: "we found the values of
+#: 768 and 512 were the best choices for alpha and beta").
+ALPHA = 768
+BETA = 512
+#: Algorithm 5's per-iteration edge-parallel guard (paper Section IV-C:
+#: a 512-element frontier "designed to scale with the architecture").
+MIN_FRONTIER = 512
 
 _KNOWN = {WORK_EFFICIENT, EDGE_PARALLEL, VERTEX_PARALLEL, GPU_FAN}
 
@@ -134,14 +145,14 @@ class HybridPolicy(Policy):
     If ``|Q_next - Q_curr| <= alpha`` the current strategy is kept;
     otherwise edge-parallel is selected when the upcoming frontier
     exceeds ``beta``, else work-efficient.  The paper found
-    alpha = 768, beta = 512 best on its hardware, and starts
+    :data:`ALPHA` and :data:`BETA` best on its hardware, and starts
     work-efficient because a mistaken edge-parallel start costs far
     more (>10x) than a mistaken work-efficient one (2.2x).
     """
 
     kind = "hybrid"
 
-    def __init__(self, alpha: int = 768, beta: int = 512):
+    def __init__(self, alpha: int = ALPHA, beta: int = BETA):
         if alpha < 0 or beta < 0:
             raise StrategyError("alpha and beta must be non-negative")
         self.alpha = int(alpha)
@@ -159,6 +170,15 @@ class HybridPolicy(Policy):
         )
 
     def decide(self, current: str, q_curr_len: int, q_next_len: int) -> Decision:
+        """Algorithm 4's selection, with the α/β comparison it took.
+
+        >>> HybridPolicy().decide("work-efficient", 10, 20).strategy
+        'work-efficient'
+        >>> HybridPolicy().decide("edge-parallel", 5000, 100).strategy
+        'work-efficient'
+        >>> HybridPolicy().decide("work-efficient", 10, 2000).rule
+        '|Δfrontier|=1990 > alpha=768 and q_next=2000 > beta=512: edge-parallel'
+        """
         q_curr, q_next = int(q_curr_len), int(q_next_len)
         q_change = abs(q_next - q_curr)
         inputs = {"q_curr": q_curr, "q_next": q_next,
@@ -200,14 +220,15 @@ class FrontierGuardPolicy(Policy):
 
     When Algorithm 5 selects the edge-parallel method for a graph, the
     paper still refuses to use it on iterations with trivial work: the
-    vertex frontier must hold at least ``min_frontier`` (512) elements,
+    vertex frontier must hold at least ``min_frontier``
+    (:data:`MIN_FRONTIER`) elements,
     a parameter "designed to scale with the architecture rather than
     the size or structure of the graph".
     """
 
     kind = "frontier-guard"
 
-    def __init__(self, min_frontier: int = 512):
+    def __init__(self, min_frontier: int = MIN_FRONTIER):
         if min_frontier < 0:
             raise StrategyError("min_frontier must be non-negative")
         self.min_frontier = int(min_frontier)

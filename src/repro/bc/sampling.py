@@ -8,8 +8,11 @@ of the traversal depth the remaining roots will see.  If the median is
 below ``gamma * log2(n)`` (gamma = 4) the graph behaves like a
 small-world / scale-free network and the edge-parallel method is used
 for the remaining roots — still guarded per iteration by a minimum
-frontier of 512 vertices (see
-:class:`repro.bc.policies.FrontierGuardPolicy`).
+frontier of :data:`~repro.bc.policies.MIN_FRONTIER` vertices (see
+:class:`repro.bc.policies.FrontierGuardPolicy`).  The sampled roots are
+simply the first ``n_samps`` the run would process anyway, so the
+classification is not wasted work; :meth:`repro.gpusim.Device.run_bc`
+takes that prefix of its roots in the order given.
 """
 
 from __future__ import annotations
@@ -21,17 +24,14 @@ import numpy as np
 __all__ = [
     "DEFAULT_N_SAMPS",
     "DEFAULT_GAMMA",
-    "DEFAULT_MIN_FRONTIER",
     "choose_edge_parallel",
     "classification_record",
-    "sample_roots",
 ]
 
-#: Paper Section IV-C: 512 sampled roots, gamma = 4, and a 512-element
-#: frontier guard "designed to scale with the architecture".
+#: Paper Section IV-C: 512 sampled roots and gamma = 4 (the frontier
+#: guard is :data:`repro.bc.policies.MIN_FRONTIER`).
 DEFAULT_N_SAMPS = 512
 DEFAULT_GAMMA = 4.0
-DEFAULT_MIN_FRONTIER = 512
 
 
 def choose_edge_parallel(
@@ -98,19 +98,3 @@ def classification_record(
                 f"{gamma:g}*log2({num_vertices})={cutoff:.2f}: {outcome}",
     })
     return record
-
-
-def sample_roots(num_vertices: int, n_samps: int = DEFAULT_N_SAMPS,
-                 roots=None) -> np.ndarray:
-    """First ``n_samps`` roots from ``roots`` (or from 0..n-1).
-
-    The paper simply takes the first 512 sources it would process
-    anyway — the samples are not wasted work, which is the method's
-    selling point over preprocessing.
-    """
-    if roots is None:
-        roots = np.arange(num_vertices, dtype=np.int64)
-    else:
-        roots = np.asarray(roots, dtype=np.int64)
-    k = min(int(n_samps), roots.size)
-    return roots[:k]

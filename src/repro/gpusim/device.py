@@ -28,9 +28,12 @@ import numpy as np
 
 from ..bc.frontier import group_width
 from ..bc.policies import (
+    ALPHA,
     BATCHED,
+    BETA,
     EDGE_PARALLEL,
     GPU_FAN,
+    MIN_FRONTIER,
     VERTEX_PARALLEL,
     WORK_EFFICIENT,
     BatchedPolicy,
@@ -41,12 +44,7 @@ from ..bc.policies import (
 from ..bc.preprocess import FoldResult, root_plan
 from ..bc.preprocess import fold_degree_one  # noqa: F401  (see below)
 from ..bc.preprocess import per_root_correction  # noqa: F401  (see below)
-from ..bc.sampling import (
-    DEFAULT_GAMMA,
-    DEFAULT_MIN_FRONTIER,
-    DEFAULT_N_SAMPS,
-    classification_record,
-)
+from ..bc.sampling import DEFAULT_GAMMA, DEFAULT_N_SAMPS, classification_record
 from ..errors import GraphFormatError, SilentCorruptionError, StrategyError
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
@@ -233,11 +231,11 @@ class Device:
         strategy: str = "sampling",
         roots=None,
         *,
-        alpha: int | None = None,
-        beta: int | None = None,
+        alpha: int = ALPHA,
+        beta: int = BETA,
         n_samps: int = DEFAULT_N_SAMPS,
         gamma: float = DEFAULT_GAMMA,
-        min_frontier: int = DEFAULT_MIN_FRONTIER,
+        min_frontier: int = MIN_FRONTIER,
         batch_size: int = 64,
         strict_reader: bool = False,
         check_memory: bool = True,
@@ -254,9 +252,14 @@ class Device:
             on large graphs pass a sample and extrapolate via
             :meth:`DeviceRun.extrapolated_seconds`.
         alpha, beta:
-            Hybrid thresholds (Algorithm 4); defaults 768 / 512.
+            Hybrid thresholds (Algorithm 4); the paper's
+            :data:`~repro.bc.policies.ALPHA` /
+            :data:`~repro.bc.policies.BETA` by default.
         n_samps, gamma, min_frontier:
-            Sampling parameters (Algorithm 5); defaults 512 / 4 / 512.
+            Sampling parameters (Algorithm 5); defaults 512 / 4 /
+            :data:`~repro.bc.policies.MIN_FRONTIER`.  The first
+            ``n_samps`` of ``roots``, in the order given, classify the
+            graph.
         batch_size:
             Roots per batch of the ``batched`` strategy (Sarıyüce-style
             multi-source traversal; reference [33]).  The strategy
@@ -360,10 +363,7 @@ class Device:
                   "num_vertices": int(n), "num_edges": int(g.num_edges),
                   "num_roots": int(roots.size)}
         if strategy == "hybrid":
-            params["alpha"] = int(alpha if alpha is not None
-                                  else HybridPolicy().alpha)
-            params["beta"] = int(beta if beta is not None
-                                 else HybridPolicy().beta)
+            params.update(alpha=int(alpha), beta=int(beta))
         elif strategy == "sampling":
             params.update(n_samps=int(n_samps), gamma=float(gamma),
                           min_frontier=int(min_frontier))
@@ -446,9 +446,7 @@ class Device:
     @staticmethod
     def _policy(strategy: str, alpha, beta):
         if strategy == "hybrid":
-            kw = {k: v for k, v in (("alpha", alpha), ("beta", beta))
-                  if v is not None}
-            return HybridPolicy(**kw)
+            return HybridPolicy(alpha, beta)
         return FixedPolicy(strategy)
 
     def _roots(self, run: "_Run", roots, policy,

@@ -34,7 +34,6 @@ from .traversal import (
     bfs_distances,
     eccentricity,
     frontier_sizes,
-    multi_source_bfs,
 )
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "BFSResult",
     "bfs",
     "bfs_distances",
-    "multi_source_bfs",
     "frontier_sizes",
     "eccentricity",
 ]

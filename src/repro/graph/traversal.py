@@ -22,7 +22,6 @@ __all__ = [
     "BFSResult",
     "bfs",
     "bfs_distances",
-    "multi_source_bfs",
     "frontier_sizes",
     "eccentricity",
 ]
@@ -98,38 +97,6 @@ def bfs(g: CSRGraph, source: int) -> BFSResult:
 def bfs_distances(g: CSRGraph, source: int) -> np.ndarray:
     """Distances only (convenience wrapper around :func:`bfs`)."""
     return bfs(g, source).distances
-
-
-def multi_source_bfs(g: CSRGraph, sources) -> np.ndarray:
-    """Distance from the *nearest* of ``sources`` to every vertex.
-
-    Level-synchronous BFS seeded with the whole source set at depth 0 —
-    the standard building block for Voronoi-style partitioning of a
-    graph around landmark vertices (and a cheap upper-bound oracle for
-    eccentricity pruning).  Returns -1 for unreachable vertices.
-    """
-    n = g.num_vertices
-    src = sorted_unique(np.asarray(sources, dtype=np.int64))
-    if src.size and (src[0] < 0 or src[-1] >= n):
-        raise IndexError(f"sources out of range [0, {n})")
-    dist = np.full(n, UNREACHED, dtype=np.int64)
-    if src.size == 0:
-        return dist
-    dist[src] = 0
-    frontier = src
-    depth = 0
-    indptr, adj = g.indptr, g.adj
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        nbrs = adj[concat_ranges(starts, counts)]
-        fresh = nbrs[dist[nbrs] == UNREACHED]
-        if fresh.size == 0:
-            break
-        frontier = sorted_unique(fresh)
-        depth += 1
-        dist[frontier] = depth
-    return dist
 
 
 def frontier_sizes(g: CSRGraph, source: int) -> np.ndarray:

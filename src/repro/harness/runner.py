@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..bc.policies import ALPHA, BETA, MIN_FRONTIER
 from ..graph.csr import CSRGraph
 from ..graph.generators.suite import DATASETS, make_dataset
 from ..gpusim.spec import GTX_TITAN, GPUSpec
@@ -25,8 +26,9 @@ __all__ = ["ExperimentConfig", "pick_roots", "load_suite_graph"]
 class ExperimentConfig:
     """Knobs shared by every experiment.
 
-    The paper's strategy thresholds (alpha = 768, beta = 512 for the
-    hybrid method, a 512-vertex frontier guard for sampling) are
+    The paper's strategy thresholds (:data:`~repro.bc.policies.ALPHA`
+    and :data:`~repro.bc.policies.BETA` for the hybrid method, the
+    :data:`~repro.bc.policies.MIN_FRONTIER` guard for sampling) are
     architecture constants tuned against paper-scale graphs.  When the
     suite is built at ``1/scale_factor`` of paper size, typical frontier
     sizes shrink roughly with the square root of the factor for the
@@ -53,18 +55,19 @@ class ExperimentConfig:
 
     @property
     def alpha(self) -> int:
-        """Hybrid frontier-change threshold, scaled from 768."""
-        return max(2, int(768 / self._threshold_divisor))
+        """Hybrid frontier-change threshold, scaled from ``ALPHA``."""
+        return max(2, int(ALPHA / self._threshold_divisor))
 
     @property
     def beta(self) -> int:
-        """Hybrid next-frontier threshold, scaled from 512."""
-        return max(2, int(512 / self._threshold_divisor))
+        """Hybrid next-frontier threshold, scaled from ``BETA``."""
+        return max(2, int(BETA / self._threshold_divisor))
 
     @property
     def min_frontier(self) -> int:
-        """Sampling per-iteration edge-parallel guard, scaled from 512."""
-        return max(2, int(512 / self._threshold_divisor))
+        """Sampling per-iteration edge-parallel guard, scaled from
+        ``MIN_FRONTIER``."""
+        return max(2, int(MIN_FRONTIER / self._threshold_divisor))
 
 
 def load_suite_graph(name: str, cfg: ExperimentConfig) -> CSRGraph:

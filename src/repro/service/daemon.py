@@ -173,7 +173,8 @@ class BCService:
         self._by_content: dict = {}
         for job in sorted(self.jobs.values(), key=lambda j: j.submit_seq):
             self._by_content[job.spec.content_key()] = job.job_id
-        #: Storage-full requeues per job (bounded; then the job fails).
+        #: Storage-full requeues per live job (bounded; then the job
+        #: fails).
         self._storage_requeues: dict = {}
         self.scheduler.on_decision = lambda d: self._narrate("sched", **d)
 
@@ -220,12 +221,15 @@ class BCService:
     def _set_state(self, job: JobRecord, state: str) -> None:
         """Move ``job`` to ``state``, keeping the per-tenant live
         counts in step.  A terminal job's story is in the journal, so
-        the registry drops its events and spans and keeps its totals."""
+        the registry drops its events and spans and keeps its totals,
+        and its storage-full strikes go with it (a resubmit starts
+        afresh)."""
         self._live[job.spec.tenant] += ((state in _LIVE_STATES)
                                         - (job.state in _LIVE_STATES))
         job.state = state
         if state not in _LIVE_STATES:
             self.metrics.drop_history()
+            self._storage_requeues.pop(job.job_id, None)
 
     #: States under which a content-identical resubmit is folded into
     #: the existing job rather than enqueued again.  Terminal failures

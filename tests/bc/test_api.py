@@ -85,15 +85,6 @@ class TestSampleSources:
         s = sample_sources(small_sw, 20, seed=0)
         assert np.unique(s).size == 20
 
-    def test_degree_biased_prefers_hubs(self, star):
-        picks = [sample_sources(star, 1, seed=s, method="degree")[0]
-                 for s in range(40)]
-        assert picks.count(0) > 10  # the hub carries 6/12 of the weight
-
-    def test_unknown_method(self, star):
-        with pytest.raises(ValueError):
-            sample_sources(star, 1, method="magic")
-
     def test_negative_k(self, star):
         with pytest.raises(ValueError):
             sample_sources(star, -1)

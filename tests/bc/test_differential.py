@@ -1,10 +1,10 @@
 """Differential test matrix: every BC implementation against Brandes.
 
 One parametrized grid — (implementation x graph) — is the repo's
-single source of value-correctness truth.  Each implementation (the
-literal kernels, the vectorised engine, the batched engine, and the
-simulated device under every strategy) must reproduce the Brandes
-reference exactly on every structural class the generators produce:
+single source of value-correctness truth.  Each of the 12
+implementations (the three literal kernels, the vectorised engine, the
+batched engine, and the simulated device under each of its seven
+strategies) must reproduce the Brandes reference exactly on every structural class the generators produce:
 meshes, scale-free graphs with isolated vertices, high-diameter roads,
 small worlds, communities, router topologies, web crawls, plus the
 degenerate cases (single vertex, edgeless, disconnected) and directed
@@ -60,29 +60,6 @@ def _device_bc(strategy, fold=False):
 
     run.__name__ = f"device_{strategy}"
     return run
-
-
-def _dynamic_bc(g):
-    """Exercise ``bc/dynamic.py``: round-trip an edge update (delete
-    then reinsert, or insert then delete on edgeless graphs) starting
-    from the exact BC vector.  The incremental affected-roots updates
-    must land back exactly on the full-Brandes values."""
-    from repro.bc import dynamic
-
-    if not g.undirected:
-        pytest.skip("bc/dynamic updates are undirected-only")
-    bc = betweenness_centrality(g)
-    if g.num_vertices < 2:
-        return bc
-    src = g.edge_sources()
-    if src.size:
-        u, v = int(src[0]), int(g.adj[0])
-        g1, bc1, _ = dynamic.delete_edge(g, bc, u, v)
-        _, bc2, _ = dynamic.insert_edge(g1, bc1, u, v)
-        return bc2
-    g1, bc1, _ = dynamic.insert_edge(g, bc, 0, 1)
-    _, bc2, _ = dynamic.delete_edge(g1, bc1, 0, 1)
-    return bc2
 
 
 def _folded_literal(forward):
@@ -147,7 +124,6 @@ ALGORITHMS = {
     "device_hybrid": _device_bc("hybrid"),
     "device_sampling": _device_bc("sampling"),
     "device_batched": _device_bc("batched"),
-    "dynamic": _dynamic_bc,
 }
 
 #: Folded variant of every implementation: traverse the degree-1 core,
@@ -165,7 +141,6 @@ FOLDED_ALGORITHMS = {
     "device_hybrid": _device_bc("hybrid", fold=True),
     "device_sampling": _device_bc("sampling", fold=True),
     "device_batched": _device_bc("batched", fold=True),
-    "dynamic": _dynamic_bc,  # starts from the folded-by-default engine
 }
 
 #: Graph case -> zero-arg builder.  One representative per generator

@@ -1,25 +1,25 @@
 """Unit tests for strategy policies (Algorithms 4 and 5 decision rules)."""
 
+import inspect
 import math
 
-import numpy as np
 import pytest
 
-from repro.bc.hybrid import DEFAULT_ALPHA, DEFAULT_BETA, select_strategy
 from repro.bc.policies import (
+    ALPHA,
+    BETA,
     EDGE_PARALLEL,
+    MIN_FRONTIER,
     WORK_EFFICIENT,
     FixedPolicy,
     FrontierGuardPolicy,
     HybridPolicy,
 )
-from repro.bc.sampling import (
-    DEFAULT_GAMMA,
-    DEFAULT_N_SAMPS,
-    choose_edge_parallel,
-    sample_roots,
-)
+from repro.bc.sampling import DEFAULT_GAMMA, DEFAULT_N_SAMPS, choose_edge_parallel
 from repro.errors import StrategyError
+from repro.gpusim import Device
+from repro.harness.runner import ExperimentConfig
+from tests.properties.test_property_trace import select_strategy
 
 
 class TestFixedPolicy:
@@ -35,9 +35,18 @@ class TestFixedPolicy:
 
 class TestHybridPolicy:
     def test_paper_defaults(self):
-        assert DEFAULT_ALPHA == 768 and DEFAULT_BETA == 512
+        # One set of thresholds (paper Section IV-B/C), read by every
+        # default: the policies, Device.run_bc and the unscaled harness.
+        assert (ALPHA, BETA, MIN_FRONTIER) == (768, 512, 512)
         p = HybridPolicy()
-        assert p.alpha == 768 and p.beta == 512
+        assert (p.alpha, p.beta) == (ALPHA, BETA)
+        assert FrontierGuardPolicy().min_frontier == MIN_FRONTIER
+        params = inspect.signature(Device.run_bc).parameters
+        assert ((params["alpha"].default, params["beta"].default,
+                 params["min_frontier"].default) == (ALPHA, BETA, MIN_FRONTIER))
+        cfg = ExperimentConfig(scale_factor=1)
+        assert (cfg.alpha, cfg.beta, cfg.min_frontier) == (ALPHA, BETA,
+                                                           MIN_FRONTIER)
 
     def test_starts_work_efficient(self):
         # Section IV-B: a wrong edge-parallel start costs >10x, a wrong
@@ -73,7 +82,8 @@ class TestHybridPolicy:
         p = HybridPolicy()
         for cur in (WORK_EFFICIENT, EDGE_PARALLEL):
             for q, qn in [(0, 2000), (1000, 1010), (5000, 100), (100, 90)]:
-                assert p.next_strategy(cur, q, qn) == select_strategy(cur, q, qn)
+                assert p.next_strategy(cur, q, qn) == select_strategy(
+                    cur, q, qn, ALPHA, BETA)
 
     def test_negative_params(self):
         with pytest.raises(StrategyError):
@@ -126,16 +136,3 @@ class TestSamplingDecision:
         depth = int(2 * math.log2(n))
         assert choose_edge_parallel([depth], n, gamma=4.0)
         assert not choose_edge_parallel([depth], n, gamma=1.0)
-
-
-class TestSampleRoots:
-    def test_takes_first_k(self):
-        out = sample_roots(100, n_samps=5)
-        assert out.tolist() == [0, 1, 2, 3, 4]
-
-    def test_respects_given_roots(self):
-        out = sample_roots(100, n_samps=2, roots=np.array([7, 3, 9]))
-        assert out.tolist() == [7, 3]
-
-    def test_fewer_roots_than_samples(self):
-        assert sample_roots(3, n_samps=512).tolist() == [0, 1, 2]

@@ -129,6 +129,20 @@ class TestSampling:
         assert run.fixed_roots == 6
         assert 0 < run.fixed_cycles < run.cycles
 
+    @pytest.mark.parametrize("roots, n_samps", [
+        (np.arange(20), 6),          # the first n_samps roots classify
+        (np.array([7, 3, 9]), 2),    # ... in the order given
+        (np.arange(3), 512),         # fewer roots than n_samps: all
+    ], ids=["first-k", "unsorted", "fewer-roots"])
+    def test_fixed_phase_prefix(self, dev, small_sw, roots, n_samps):
+        run = dev.run_bc(small_sw, strategy="sampling", roots=roots,
+                         n_samps=n_samps, fold=False)
+        k = min(n_samps, roots.size)
+        assert run.fixed_roots == k
+        assert [rt.root for rt in run.trace.roots[:k]] == roots[:k].tolist()
+        assert 0 < run.fixed_cycles <= run.cycles
+        assert (run.fixed_cycles < run.cycles) == (k < roots.size)
+
     def test_phase2_respects_guard(self, dev, small_sw):
         run = dev.run_bc(small_sw, strategy="sampling",
                          roots=np.arange(12), n_samps=4, min_frontier=30)

@@ -84,45 +84,3 @@ class TestHelpers:
         # {1, 3, 5, 6} at the second iteration.
         r = bfs(fig1, 3)
         assert sorted((r.levels[1] + 1).tolist()) == [1, 3, 5, 6]
-
-
-class TestMultiSourceBFS:
-    def test_single_source_matches_bfs(self, fig1):
-        from repro.graph.traversal import multi_source_bfs
-
-        assert np.array_equal(multi_source_bfs(fig1, [3]),
-                              bfs(fig1, 3).distances)
-
-    def test_nearest_source_semantics(self, path5):
-        from repro.graph.traversal import multi_source_bfs
-
-        d = multi_source_bfs(path5, [0, 4])
-        assert d.tolist() == [0, 1, 2, 1, 0]
-
-    def test_pointwise_minimum(self, small_sw):
-        from repro.graph.traversal import multi_source_bfs
-
-        sources = [0, 17, 80]
-        combined = multi_source_bfs(small_sw, sources)
-        singles = np.stack([bfs(small_sw, s).distances for s in sources])
-        singles = np.where(singles < 0, np.iinfo(np.int64).max, singles)
-        expect = singles.min(axis=0)
-        expect = np.where(expect == np.iinfo(np.int64).max, -1, expect)
-        assert np.array_equal(combined, expect)
-
-    def test_empty_sources(self, fig1):
-        from repro.graph.traversal import multi_source_bfs
-
-        assert np.all(multi_source_bfs(fig1, []) == -1)
-
-    def test_out_of_range(self, fig1):
-        from repro.graph.traversal import multi_source_bfs
-
-        with pytest.raises(IndexError):
-            multi_source_bfs(fig1, [12])
-
-    def test_unreachable(self, two_components):
-        from repro.graph.traversal import multi_source_bfs
-
-        d = multi_source_bfs(two_components, [0])
-        assert d[6] == -1 and d[3] == -1

@@ -14,7 +14,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bc.hybrid import select_strategy
+from repro.bc.policies import EDGE_PARALLEL, WORK_EFFICIENT
 from repro.graph.build import from_edges
 from repro.gpusim import Device
 from repro.observability import (
@@ -24,6 +24,16 @@ from repro.observability import (
     verify_decisions,
 )
 from repro.observability.trace import decided_strategy_by_depth
+
+
+def select_strategy(current, q_curr_len, q_next_len, alpha, beta):
+    """Algorithm 4 as written in the paper, independent of
+    :class:`~repro.bc.policies.HybridPolicy`: keep ``current`` unless
+    the frontier changed by more than ``alpha``, then edge-parallel iff
+    the next frontier exceeds ``beta``."""
+    if abs(int(q_next_len) - int(q_curr_len)) <= alpha:
+        return current
+    return EDGE_PARALLEL if int(q_next_len) > beta else WORK_EFFICIENT
 
 
 @st.composite

@@ -144,3 +144,35 @@ def test_service_respects_cache_budget(tmp_path):
         for job_id, rec in svc.jobs.items():
             values, _ = svc.result(job_id)
             assert values.size > 0
+
+
+def test_storage_full_strikes_end_with_their_job(tmp_path):
+    """A storage-full strike count lives only while its job does: jobs
+    that finish after a strike keep none, and a job that failed on its
+    fourth strike and is resubmitted starts from zero strikes (one
+    ENOSPC put later it requeues and finishes instead of failing)."""
+    def job(seed, **kw):
+        return JobSpec(graph="smallworld", scale_factor=1024,
+                       strategy="sampling", roots=4, seed=seed, **kw)
+
+    st = ServiceStorage(
+        faults=ActiveFaults(FaultPlan.parse("enospc:0@cachex2"), seed=0))
+    with BCService(tmp_path / "a", storage=st) as svc:
+        ids = [svc.submit(job(i)).job_id for i in range(3)]
+        svc.run_pending()
+        assert [svc.jobs[j].state for j in ids] == ["done"] * 3
+        assert svc._storage_requeues == {}
+
+    # Each exhausted put takes 2 firings: 8 fail the job on its 4th
+    # strike, the last 2 strike its resubmit once.
+    st = ServiceStorage(
+        faults=ActiveFaults(FaultPlan.parse("enospc:0@cachex10"), seed=0))
+    with BCService(tmp_path / "b", storage=st) as svc:
+        first = svc.submit(job(0))
+        svc.run_pending()
+        assert svc.jobs[first.job_id].state == "failed"
+        assert svc._storage_requeues == {}
+        svc.submit(job(0, job_id=first.job_id))
+        svc.run_pending()
+        assert svc.jobs[first.job_id].state == "done"
+        assert svc._storage_requeues == {}

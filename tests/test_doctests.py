@@ -5,11 +5,11 @@ import doctest
 import pytest
 
 import repro.bc.api
-import repro.bc.hybrid
+import repro.bc.policies
 import repro.verify
 
 
-@pytest.mark.parametrize("module", [repro.bc.api, repro.bc.hybrid,
+@pytest.mark.parametrize("module", [repro.bc.api, repro.bc.policies,
                                     repro.verify])
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
