@@ -15,7 +15,6 @@ from .errors import ClusterConfigurationError
 __all__ = [
     "sorted_unique",
     "concat_ranges",
-    "chunk_max_sums",
     "chunk_max_sum",
     "as_index_array",
     "check_nonnegative_int",
@@ -73,45 +72,19 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray,
     return (starts - (ends - counts)).repeat(counts) + np.arange(total)
 
 
-def chunk_max_sums(weights: np.ndarray, segment: np.ndarray, key: np.ndarray,
-                   num_segments: int) -> np.ndarray:
-    """Per segment, the sum of its chunks' maxima, as float64.
-
-    Row ``i`` of ``weights`` belongs to segment ``segment[i]`` and to
-    chunk ``key[i]`` of that segment; the rows of one chunk must be
-    contiguous (``(segment, key)`` non-decreasing).  Models serialised
-    execution of groups of concurrent threads where each thread performs
-    ``weights[i]`` sequential units of work: a group finishes when its
-    slowest thread does, so a segment (one kernel level) takes the sum
-    of its groups' maxima.  Maxima are added in chunk order; an empty
-    segment costs zero.
-    """
-    weights = np.asarray(weights)
-    if weights.size == 0:
-        return np.zeros(num_segments, dtype=np.float64)
-    segment = np.asarray(segment)
-    key = np.asarray(key)
-    new = np.empty(weights.size, dtype=bool)
-    new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    new[1:] |= segment[1:] != segment[:-1]
-    starts = np.flatnonzero(new)
-    return np.bincount(segment[starts], np.maximum.reduceat(weights, starts),
-                       minlength=num_segments)
-
-
 def chunk_max_sum(weights: np.ndarray, chunk: int) -> int:
-    """Sum of per-chunk maxima of ``weights`` split into chunks of ``chunk``
-    (one segment of :func:`chunk_max_sums`).  An empty ``weights`` costs
+    """Sum of per-chunk maxima of ``weights`` split into chunks of
+    ``chunk``: serialised execution of groups of concurrent threads,
+    each thread doing ``weights[i]`` sequential units of work, a group
+    finishing when its slowest thread does.  An empty ``weights`` costs
     zero."""
     weights = np.asarray(weights).ravel()
     if chunk <= 0:
         raise ValueError("chunk must be positive")
-    k = weights.size
-    if k == 0:
+    if weights.size == 0:
         return 0
-    return int(chunk_max_sums(weights, np.zeros(k, dtype=np.int64),
-                              np.arange(k) // chunk, 1)[0])
+    starts = np.arange(0, weights.size, chunk)
+    return int(np.maximum.reduceat(weights, starts).sum())
 
 
 def as_index_array(x, n: int, name: str = "indices") -> np.ndarray:

@@ -10,8 +10,8 @@ batch's values are its roots' rows of that loop, and the ``batched``
 device strategy (:meth:`repro.gpusim.Device.run_bc`) differs from the
 others only in how it is charged: one whole-device
 :class:`~repro.gpusim.charge.FrontierProfile` per batch, whose frontier
-and edge frontier at each depth are the sums over the batch's roots of
-their own (``FrontierProfile.of_group``) profiles at that depth.
+and edge frontier at each depth are the sums over the batch's rows of
+their ``FrontierProfile.of_group`` block at that depth.
 
 Every step of the simulated batch touches the summed frontier of all
 its roots, so batching behaves like the edge-parallel method: cheap on
@@ -38,12 +38,11 @@ __all__ = ["batched_betweenness_centrality", "batched_dependencies",
 
 
 class _DepthSums:
-    """Root-loop observer summing every group's per-depth frontier
-    pairs and their degrees, depth-aligned across groups."""
+    """Root-loop observer summing every group's block columns (frontier
+    pairs and their degrees) over its rows, depth-aligned."""
 
     def __init__(self, g: CSRGraph):
-        self.degree = g.degrees
-        self.n = g.num_vertices
+        self.g = g
         self.sizes = np.zeros(0, dtype=np.int64)
         self.edges = np.zeros(0, dtype=np.int64)
 
@@ -57,9 +56,10 @@ class _DepthSums:
     def after_forward(self, grp, r: int) -> None:
         if r:
             return
-        sizes = np.array([lv.size for lv in grp.levels], dtype=np.int64)
-        degrees = self.degree[np.concatenate(grp.levels) % self.n]
-        edges = np.add.reduceat(degrees, np.cumsum(sizes) - sizes)
+        block = FrontierProfile.of_group(self.g, grp)
+        grid = np.zeros((2, *grp.frontier_sizes.shape), dtype=np.int64)
+        grid[:, grp.frontier_sizes > 0] = block.sizes, block.edges
+        sizes, edges = grid.sum(axis=1)
         self.sizes = self._add(self.sizes, sizes)
         self.edges = self._add(self.edges, edges)
 

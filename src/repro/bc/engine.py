@@ -8,9 +8,9 @@ root, charged from the root's frontier profile under the strategy the
 policy selected for each iteration.  The values come from the
 executor's one root loop, :func:`~repro.bc.accumulation.root_dependencies`
 (lockstep groups of roots), with charging as its per-root forward hook:
-a group's roots are decided and costed together
+a group is decided and costed as one block
 (:func:`repro.gpusim.charge.charge_rows`), and everything else per root
-— recording its metrics and decision block
+— recording its row and decision block
 (:func:`repro.gpusim.charge.record_root`), observer calls, ``bc +=`` —
 runs root by root, so traces, decision records and ``bc`` bytes do not
 depend on the group width.  :func:`run_root` is the one-root case.
@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..gpusim.charge import FrontierProfile, charge_rows, record_root
+from ..gpusim.charge import (EngineSeries, FrontierProfile, charge_rows,
+                             record_root)
 from ..gpusim.cost import CostModel
 from ..gpusim.trace import RootTrace
 from ..observability.registry import NULL_REGISTRY
@@ -45,9 +46,9 @@ __all__ = ["run_root", "run_roots"]
 
 
 class _Charger:
-    """:func:`run_roots`' observer: charges each group's roots at once,
-    then records each root at its own turn and hands it to the run's
-    own observer, so decision records precede any corruption that
+    """:func:`run_roots`' observer: charges each group as one block,
+    then records each root's row at its own turn and hands it to the
+    run's observer, so decision records precede any corruption that
     observer raises and no later root is recorded after it."""
 
     def __init__(self, g: CSRGraph, observer, policy: Policy,
@@ -59,17 +60,17 @@ class _Charger:
         self.costs = costs
         self.chunk = chunk
         self.device_chunk = device_chunk
-        self.metrics = metrics
+        self.series = EngineSeries(metrics)
         self.traces: list = []
-        self._rows: list = []
+        self._block = None
 
     def after_forward(self, grp, r: int) -> None:
         if r == 0:  # a new group
-            self._rows = charge_rows(FrontierProfile.of_group(self.g, grp),
-                                     self.policy, self.costs, self.chunk,
-                                     self.device_chunk)
-        self.traces.append(record_root(self._rows[r], self.policy,
-                                       self.metrics))
+            self._block = charge_rows(FrontierProfile.of_group(self.g, grp),
+                                      self.policy, self.costs, self.chunk,
+                                      self.device_chunk)
+        self.traces.append(record_root(self._block.row(r), self.policy,
+                                       self.series))
         if self.observer is not None:
             self.observer.after_forward(grp, r)
 

@@ -165,13 +165,12 @@ class ForwardGroup:
     def frontier_sizes(self) -> np.ndarray:
         """``(k, len(levels))`` frontier size of every row at every
         depth (zero past a row's last depth)."""
-        k, depths = self.level_scales.shape
-        counts = [lv.size for lv in self.levels]
-        if k == 1:
-            return np.array([counts], dtype=np.int64)
-        cell = (np.concatenate(self.levels) // self.num_vertices * depths
-                + np.arange(depths).repeat(counts))
-        return np.bincount(cell, minlength=k * depths).reshape(k, depths)
+        if self.size == 1:
+            return np.array([[lv.size for lv in self.levels]], dtype=np.int64)
+        # A level's keys are sorted, so row r's lie in [r * n, (r + 1) * n).
+        bounds = np.arange(self.size + 1) * self.num_vertices
+        ends = np.array([lv.searchsorted(bounds) for lv in self.levels])
+        return np.diff(ends, axis=1).T.copy()
 
     @functools.cached_property
     def depths(self) -> list:

@@ -13,10 +13,10 @@ information Algorithm 4 uses — and each policy states it twice:
   later answer "why edge-parallel at depth 3?".  This is the one place
   each rule's audit text is defined.
 * :meth:`Policy.decide_levels` returns the strategy of every depth of
-  a root from its whole frontier-size series in one array pass — what
+  roots from their stacked frontier sizes in one array pass — what
   :func:`repro.gpusim.charge.charge_rows` costs.  Level ``d + 1`` runs
   ``decide(strategy[d], sizes[d], sizes[d + 1]).strategy``, so
-  replaying :meth:`decide` over the series gives the same strategies.
+  replaying :meth:`decide` over a root's series gives the same ones.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ class Policy(ABC):
         length and the upcoming frontier length."""
 
     @abstractmethod
-    def decide_levels(self, sizes) -> np.ndarray:
-        """The strategy of every depth of a root whose frontier sizes
-        are ``sizes`` (one per depth): :meth:`initial` at depth 0, and
-        at depth ``d + 1`` the strategy :meth:`decide` picks after
-        depth ``d``.  A string array, one entry per depth."""
+    def decide_levels(self, sizes, splits=()) -> np.ndarray:
+        """The strategy of every depth of roots whose frontier sizes are
+        ``np.split(sizes, splits)``: :meth:`initial` at a root's depth 0,
+        and at its depth ``d + 1`` what :meth:`decide` picks after depth
+        ``d``.  A string array, one entry per depth."""
 
     def initial_decision(self) -> Decision:
         """The first iteration's strategy as an auditable record."""
@@ -134,7 +134,7 @@ class FixedPolicy(Policy):
             inputs={"q_curr": int(q_curr_len), "q_next": int(q_next_len)},
         )
 
-    def decide_levels(self, sizes) -> np.ndarray:
+    def decide_levels(self, sizes, splits=()) -> np.ndarray:
         return np.full(len(sizes), self.strategy)
 
 
@@ -202,17 +202,17 @@ class HybridPolicy(Policy):
                  f"q_next={q_next} <= beta={self.beta}: work-efficient",
         )
 
-    def decide_levels(self, sizes) -> np.ndarray:
-        # Level d + 1 takes the choice of the last switch (a change
-        # beyond alpha) at or before level d; none yet keeps the start.
+    def decide_levels(self, sizes, splits=()) -> np.ndarray:
+        # Level d switches on a change beyond alpha unless it starts a
+        # root; each level takes its root's last switch (none: the start).
         sizes = np.asarray(sizes, dtype=np.int64)
-        nxt = sizes[1:]
-        switch = np.abs(nxt - sizes[:-1]) > self.alpha
-        last = np.maximum.accumulate(
-            np.where(switch, np.arange(nxt.size), -1))
-        codes = np.zeros(sizes.size, dtype=np.intp)
-        codes[1:] = np.where(last >= 0, (nxt > self.beta)[last], 0)
-        return _WE_EP[codes]
+        splits = np.asarray(splits, dtype=np.intp)
+        switch = np.abs(np.diff(sizes, prepend=sizes[:1])) > self.alpha
+        switch[splits] = False
+        last = np.where(switch, np.arange(sizes.size), 0)
+        last[splits] = splits
+        pick = switch & (sizes > self.beta)
+        return _WE_EP[pick[np.maximum.accumulate(last)].astype(np.intp)]
 
 
 class FrontierGuardPolicy(Policy):
@@ -260,9 +260,10 @@ class FrontierGuardPolicy(Policy):
                  f"{self.min_frontier}: work-efficient",
         )
 
-    def decide_levels(self, sizes) -> np.ndarray:
+    def decide_levels(self, sizes, splits=()) -> np.ndarray:
         guarded = np.asarray(sizes, dtype=np.int64) >= self.min_frontier
-        guarded[:1] = False  # the first frontier is just the root
+        guarded[:1] = False  # a root's first frontier is just the root
+        guarded[np.asarray(splits, dtype=np.intp)] = False
         return _WE_EP[guarded.astype(np.intp)]
 
 
@@ -296,5 +297,5 @@ class BatchedPolicy(Policy):
                         rule="batch advances one frontier-matrix step",
                         inputs={"batch_roots": self.batch_roots})
 
-    def decide_levels(self, sizes) -> np.ndarray:
+    def decide_levels(self, sizes, splits=()) -> np.ndarray:
         return np.full(len(sizes), BATCHED)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .._util import chunk_max_sums, concat_ranges
+from .._util import concat_ranges
 
 __all__ = ["CostModel", "DEFAULT_COSTS"]
 
@@ -131,19 +131,25 @@ class CostModel:
         long = deg - short
         return short * self.edge_scattered + long * self.edge_streamed
 
-    def _serialized(self, row_cycles: np.ndarray, level: np.ndarray,
-                    key: np.ndarray, num_levels: int,
-                    chunk: int) -> np.ndarray:
-        """Per-level chunked execution time of per-thread costs: the rows
-        of one level sharing a ``key`` run as one chunk (see module
-        doc).  Without imbalance each level costs its mean.
+    def _serialized(self, degrees: np.ndarray, sizes: np.ndarray,
+                    starts: np.ndarray, chunk: int) -> np.ndarray:
+        """Per-level chunked execution time of per-thread costs: level
+        ``l``'s ``sizes[l]`` rows are consecutive in ``degrees``; each of
+        ``starts`` begins a chunk (see module doc), as slow as its
+        highest-degree row (edge costs are cycle counts, never negative,
+        so :meth:`_row_cycles` is non-decreasing).  Without imbalance
+        each level costs its mean.
 
         A level's chunk maxima (or row costs) are summed in order.  With
         integer-valued edge costs, as in every shipped model, each sum
         is exact and so equals the sum in any other order."""
-        if self.imbalance:
-            return np.trunc(chunk_max_sums(row_cycles, level, key, num_levels))
-        return np.bincount(level, row_cycles, minlength=num_levels) / chunk
+        if not self.imbalance:  # every row alone
+            starts = np.arange(degrees.size)
+        top = self._row_cycles(
+            np.maximum.reduceat(degrees, starts) if starts.size else [])
+        total = np.bincount(np.searchsorted(np.cumsum(sizes), starts, "right"),
+                            top, minlength=sizes.size)
+        return np.trunc(total) if self.imbalance else total / chunk
 
     # -- work-efficient (Algorithms 2 and 3) --------------------------
     def we_levels(self, degrees: np.ndarray, sizes, chunk: int) -> tuple:
@@ -155,10 +161,10 @@ class CostModel:
         """
         deg = np.asarray(degrees)
         sizes = np.asarray(sizes, dtype=np.int64)
-        level = np.repeat(np.arange(sizes.size), sizes)
-        pos = concat_ranges(np.zeros_like(sizes), sizes)
-        serial = self._serialized(self._row_cycles(deg), level, pos // chunk,
-                                  sizes.size, chunk)
+        chunks = -(-sizes // chunk)
+        starts = ((np.cumsum(sizes) - sizes).repeat(chunks)
+                  + concat_ranges(np.zeros_like(chunks), chunks) * chunk)
+        serial = self._serialized(deg, sizes, starts, chunk)
         queue = np.ceil(sizes / chunk) * self.queue_op
         forward = serial + queue * 2  # Q_next->Q_curr, S append
         if self.enqueue == "prefix-sum":
@@ -166,6 +172,7 @@ class CostModel:
             # edge of the level (one flag per inspected edge), paying
             # O(edge_frontier / chunk) scan passes — the overhead the
             # paper measured and rejected.
+            level = np.repeat(np.arange(sizes.size), sizes)
             ef = np.bincount(level, deg, minlength=sizes.size)
             passes = np.array([math.log2(max(e, 2.0)) for e in ef.tolist()])
             forward = forward + ef / chunk * self.prefix_scan_factor * passes
@@ -224,9 +231,11 @@ class CostModel:
         ``sizes`` holds each level's frontier size.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
-        level = np.repeat(np.arange(sizes.size), sizes)
-        serial = self._serialized(self._row_cycles(degrees), level,
-                                  np.asarray(ids) // chunk, sizes.size, chunk)
+        # A chunk starts each level and wherever v // chunk changes.
+        new = np.diff(np.asarray(ids) // chunk, prepend=-1) != 0
+        new[(np.cumsum(sizes) - sizes)[sizes > 0]] = True
+        serial = self._serialized(np.asarray(degrees), sizes,
+                                  np.flatnonzero(new), chunk)
         check = math.ceil(num_vertices / chunk) * self.vertex_check
         return ((check + serial + self.launch) * self.cycle_scale,
                 (check + serial * 0.8 + self.launch) * self.cycle_scale)

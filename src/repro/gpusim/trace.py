@@ -5,9 +5,9 @@ edge-frontier size (Table I), the strategy that processed the level
 (hybrid switching behaviour), and the cycles charged — which is what
 Table I correlates frontier sizes against.
 
-:func:`repro.gpusim.charge.charge_rows` builds a :class:`RootTrace`
-from :class:`LevelColumns` — one list per field, one entry per forward
-depth — and a run rarely reads more than a root's total cycles and
+:func:`repro.gpusim.charge.record_root` builds a :class:`RootTrace`
+from its root's row of a :class:`LevelColumns` block — one list per
+field — and a run rarely reads more than a root's total cycles and
 depth.  So a trace built from columns keeps them: :attr:`RootTrace.cycles`,
 :attr:`~RootTrace.max_depth` and the frontier series read the columns,
 and the :class:`LevelTrace` list is materialised on first access of
@@ -39,25 +39,34 @@ class LevelTrace:
 
 
 class LevelColumns(NamedTuple):
-    """A charged root's levels as columns, one entry per forward depth.
+    """Charged levels as columns, one lockstep group's rows stacked:
+    row ``r`` (root ``roots[r]``) is entries ``offsets[r]:offsets[r+1]``.
 
-    Depth ``d`` ran under ``strategy[d]`` with vertex frontier
-    ``size[d]`` and edge frontier ``edges[d]``, and cost ``forward[d]``
-    cycles in the forward stage and ``backward[d]`` in the backward one.
-    Only depths ``1 .. len(size) - 2`` have a backward level (the
-    deepest level has no successors, the root no dependency), so the
-    other ``backward`` entries are ignored.
+    Depth ``d`` ran under ``strategy`` with vertex frontier ``size`` and
+    edge frontier ``edges``, and cost ``forward`` cycles in the forward
+    stage and ``backward`` in the backward one.  Only a row's depths
+    ``1 .. depth - 2`` have a backward level (the deepest level has no
+    successors, the root no dependency); others are ignored.
     """
 
-    root: int
+    roots: list
+    offsets: list
     strategy: list
     size: list
     edges: list
     forward: list
     backward: list
 
+    def row(self, r: int) -> "LevelColumns":
+        """Row ``r`` as a one-row block."""
+        lo, hi = self.offsets[r], self.offsets[r + 1]
+        return LevelColumns([self.roots[r]], [0, hi - lo],
+                            self.strategy[lo:hi], self.size[lo:hi],
+                            self.edges[lo:hi], self.forward[lo:hi],
+                            self.backward[lo:hi])
+
     def backward_cycles(self) -> list:
-        """The backward levels' cycles, deepest first (trace order)."""
+        """A one-row block's backward cycles, deepest first."""
         return self.backward[1:len(self.size) - 1][::-1]
 
 
@@ -72,8 +81,8 @@ class RootTrace:
 
     @classmethod
     def from_columns(cls, columns: LevelColumns) -> "RootTrace":
-        """The trace of a charged root, its levels built on first read."""
-        trace = cls(columns.root)
+        """The trace of a one-row block, its levels built on first read."""
+        trace = cls(columns.roots[0])
         trace._columns = columns
         return trace
 

@@ -46,6 +46,10 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
+
+import numpy as np
 
 from .clock import SpanClock
 
@@ -66,6 +70,8 @@ DEFAULT_BUCKETS = tuple(float(4**k) for k in range(-4, 16))
 
 
 def _label_key(labels: dict) -> tuple:
+    if not labels:  # most one-shot calls: nothing to sort
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -78,18 +84,18 @@ class Counter:
     value: float = 0.0
 
     def inc(self, value: float = 1.0) -> None:
-        self.inc_all((value,))
+        value = float(value)
+        if not value >= 0.0:  # also rejects NaN
+            raise ValueError(
+                f"counter {self.name!r} cannot decrease by {value!r}")
+        self.value += value
 
     def inc_all(self, values) -> None:
         """:meth:`inc` by each of ``values`` in turn: the same float
         additions in the same order, in one call.  A rejected value
         leaves the counter as the values before it left it."""
         for value in values:
-            value = float(value)
-            if not value >= 0.0:  # also rejects NaN
-                raise ValueError(
-                    f"counter {self.name!r} cannot decrease by {value!r}")
-            self.value += value
+            self.inc(value)
 
 
 @dataclass
@@ -122,26 +128,37 @@ class Histogram:
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError("histogram buckets must be non-empty and ascending")
         self.buckets = bounds
+        self._bounds = np.array(bounds)
         if not self.counts:
             self.counts = [0] * (len(bounds) + 1)
 
     def observe(self, value: float) -> None:
-        self.observe_all((value,))
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError(f"histogram {self.name!r} cannot observe NaN")
+        # The first bucket with value <= bound; past the last one, the
+        # +inf tail.
+        self.counts[bisect_left(self.buckets, value)] += 1
+        self.count += 1
+        self.total += value
 
     def observe_all(self, values) -> None:
-        """:meth:`observe` each of ``values`` in turn, in one call.  A
-        rejected value leaves the histogram as the values before it
-        left it."""
-        buckets, counts = self.buckets, self.counts
-        for value in values:
-            value = float(value)
-            if math.isnan(value):
-                raise ValueError(f"histogram {self.name!r} cannot observe NaN")
-            # The first bucket with value <= bound; past the last one,
-            # the +inf tail.
-            counts[bisect_left(buckets, value)] += 1
-            self.count += 1
-            self.total += value
+        """:meth:`observe` each of ``values`` in turn, in one call: the
+        same buckets (one ``searchsorted``, whose default
+        ``side="left"`` is ``bisect_left``) and the same float additions
+        to ``total``, in order.  A rejected value leaves the histogram
+        as the values before it left it."""
+        values = np.asarray(values, dtype=np.float64).ravel()
+        total = reduce(add, values.tolist(), self.total)
+        # A NaN value makes the total NaN (as inf - inf does).
+        if math.isnan(total) and np.isnan(values).any():
+            self.observe_all(values[:np.isnan(values).argmax()])
+            raise ValueError(f"histogram {self.name!r} cannot observe NaN")
+        counts = self.counts
+        for bucket in self._bounds.searchsorted(values).tolist():
+            counts[bucket] += 1
+        self.count += values.size
+        self.total = total
 
 
 @dataclass
@@ -307,6 +324,9 @@ _NULL_SPAN = _NullSpan()
 
 
 class _NullCounter(Counter):
+    def inc(self, value=1.0) -> None:
+        pass
+
     def inc_all(self, values) -> None:
         pass
 
@@ -317,6 +337,9 @@ class _NullGauge(Gauge):
 
 
 class _NullHistogram(Histogram):
+    def observe(self, value) -> None:
+        pass
+
     def observe_all(self, values) -> None:
         pass
 

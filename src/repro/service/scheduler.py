@@ -305,13 +305,17 @@ class Scheduler:
                          device=dev.name)
 
     # ------------------------------------------------------------------
-    def execute(self, spec: JobSpec, g, *, prior_attempts: int = 0,
+    def execute(self, spec: JobSpec, g, *, roots=None,
+                prior_attempts: int = 0,
                 degrade_reason: str | None = None,
                 on_start=None, on_requeue=None) -> JobOutcome:
         """Run one admitted job to a terminal outcome.
 
         Parameters
         ----------
+        roots:
+            The job's :func:`sample_roots`, if the caller has drawn
+            them already; drawn here otherwise.
         prior_attempts:
             Attempts already charged against the job (crash recovery
             resumes the retry budget, it does not reset it).
@@ -327,7 +331,8 @@ class Scheduler:
         """
         graph_key = g.digest()[:12]
         breaker_key = (graph_key, spec.strategy)
-        roots = sample_roots(g, spec)
+        if roots is None:
+            roots = sample_roots(g, spec)
         delays: list = []
 
         if not self.breaker.allow(breaker_key):

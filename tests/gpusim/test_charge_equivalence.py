@@ -5,8 +5,14 @@ costs each strategy's levels in one array call.  The reference below is
 the per-level loop it replaced, with the per-level kernel formulas it
 called, copied verbatim.  Traces (including the Python types of their
 fields), decision events and the registry export must all match.
+
+A lockstep group is charged as one block
+(:func:`repro.gpusim.charge.charge_rows` of
+:meth:`~repro.gpusim.charge.FrontierProfile.of_group`); each of its
+rows, recorded at its turn, must be what charging its root alone gives.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bc.batched import batched_dependencies
-from repro.bc.frontier import forward_sweep
+from repro.bc.frontier import forward_sweep, sweep_group
 from repro.bc.policies import (
     BATCHED,
     EDGE_PARALLEL,
@@ -28,7 +34,13 @@ from repro.bc.policies import (
     HybridPolicy,
 )
 from repro.errors import StrategyError
-from repro.gpusim.charge import FrontierProfile, charge
+from repro.gpusim.charge import (
+    EngineSeries,
+    FrontierProfile,
+    charge,
+    charge_rows,
+    record_root,
+)
 from repro.gpusim.cost import CostModel
 from repro.gpusim.trace import LevelTrace, RootTrace
 from repro.graph.build import from_edges
@@ -278,6 +290,13 @@ def test_batched_charge(g, costs, data):
                        COSTS[costs], 256)
 
 
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_zero_depth_profile(policy):
+    """A traversal with no levels costs nothing and, as in the
+    level-by-level loop, creates no ``engine.*`` series."""
+    assert_same_charge([FrontierProfile(root=3, sizes=[], edges=[])],
+                       POLICIES[policy], CostModel(), 4)
+
 def _star_chain(blocks=6, width=40):
     """Hubs joined by fans of leaves: wide, unevenly loaded levels, so
     levels span many chunks and hybrid switches both ways."""
@@ -320,3 +339,105 @@ def test_device_chunk_required(strategy):
     with pytest.raises(StrategyError, match="device_chunk"):
         per_level_charge(profile, policy, PerLevelKernels(CostModel()), 256,
                          None, _registry())
+
+
+# -- a lockstep group charged as one block -----------------------------
+def _types(values):
+    return [type(v) for v in values]
+
+
+def assert_block_is_per_root(g, roots, policy, costs, chunk):
+    """Charge ``roots`` as one lockstep block and record each row at
+    its turn; compare with charging each root alone, on one registry
+    each way."""
+    grp = sweep_group(g, roots)
+    block = charge_rows(FrontierProfile.of_group(g, grp), policy(), costs,
+                        chunk, device_chunk=DEVICE_CHUNK)
+    assert block.roots == list(roots)
+    assert len(block.offsets) == len(roots) + 1
+    block_reg, alone_reg = _registry(), _registry()
+    series = EngineSeries(block_reg)
+    for r, root in enumerate(roots):
+        alone = FrontierProfile.of_sweep(g, forward_sweep(g, root))
+        want = charge_rows(alone, policy(), costs, chunk,
+                           device_chunk=DEVICE_CHUNK)
+        got = block.row(r)
+        assert got == want
+        assert [_types(col) for col in got] == [_types(col) for col in want]
+        trace = record_root(got, policy(), series)
+        ref = charge(alone, policy(), costs, chunk,
+                     device_chunk=DEVICE_CHUNK, metrics=alone_reg)
+        assert trace.cycles == ref.cycles
+        assert trace == ref and repr(trace) == repr(ref)
+        assert ([_types(dataclasses.astuple(lv)) for lv in trace.levels]
+                == [_types(dataclasses.astuple(lv)) for lv in ref.levels])
+    assert block_reg.events == alone_reg.events
+    assert dumps(block_reg.export()) == dumps(alone_reg.export())
+
+
+@st.composite
+def groups(draw):
+    """A graph whose last vertex is isolated (a depth-0 row when it is
+    drawn as a root) and 1-8 roots, duplicates allowed."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=100))
+    g = from_edges(edges, num_vertices=n + 1,
+                   undirected=not draw(st.booleans()))
+    roots = draw(st.lists(st.integers(0, n), min_size=1, max_size=8))
+    return g, roots
+
+
+def _hybrid(alpha, beta):
+    return lambda: HybridPolicy(alpha=alpha, beta=beta)
+
+
+def _guard(min_frontier):
+    return lambda: FrontierGuardPolicy(min_frontier=min_frontier)
+
+
+#: Every non-batched policy, plus drawn thresholds low enough that
+#: hybrid switches mid-row and across row boundaries, and that the
+#: guard would fire at a root's first level (a frontier of one).
+POLICY_FACTORIES = st.one_of(
+    st.sampled_from(sorted(POLICIES)).map(POLICIES.get),
+    st.builds(_hybrid, st.integers(0, 4), st.integers(0, 6)),
+    st.builds(_guard, st.integers(0, 3)))
+
+
+@given(groups(), st.sampled_from(sorted(COSTS)), POLICY_FACTORIES,
+       st.sampled_from([2, 5, 256]))
+@settings(max_examples=100, deadline=None)
+def test_group_block_is_per_root_charge(group, costs, policy, chunk):
+    g, roots = group
+    assert_block_is_per_root(g, roots, policy, COSTS[costs], chunk)
+
+
+def _star_path_isolated():
+    """A 10-leaf star (hub 0), a path 11-14 and an isolated vertex 15."""
+    edges = [(0, leaf) for leaf in range(1, 11)]
+    edges += [(11, 12), (12, 13), (13, 14)]
+    return from_edges(edges, num_vertices=16)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 0), (1, 2), (0, 0), (9, 0)])
+def test_hybrid_switch_stays_in_its_row(alpha, beta):
+    """The hub's row switches to edge-parallel at its step 0, and the
+    next row starts after a frontier drop of 9: neither switch reaches
+    the path's row, the isolated root or the repeated hub."""
+    g = _star_path_isolated()
+    roots = [0, 11, 15, 0, 11]
+    assert_block_is_per_root(g, roots, _hybrid(alpha, beta), CostModel(), 4)
+    block = charge_rows(FrontierProfile.of_group(g, sweep_group(g, roots)),
+                        HybridPolicy(alpha=alpha, beta=beta), CostModel(), 4)
+    switched = [EDGE_PARALLEL in block.row(r).strategy
+                for r in range(len(roots))]
+    assert switched == [alpha < 9, False, False, alpha < 9, False]
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_group_block_over_many_chunks(policy):
+    g = _star_chain()
+    assert_block_is_per_root(g, [0, 41, 1, 0, 200], POLICIES[policy],
+                             CostModel(), 4)

@@ -1,8 +1,12 @@
 """Unit tests for the metrics registry, span clock and exporters."""
 
 import json
+import math
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observability import (
     DEFAULT_BUCKETS,
@@ -166,6 +170,54 @@ class TestBulkUpdates:
         assert bulk.counter("c").value == one.counter("c").value
         a, b = one.histogram("h"), bulk.histogram("h")
         assert (a.counts, a.count, a.total) == (b.counts, b.count, b.total)
+
+
+def _bisect_loop(hist, values):
+    """The per-value reference: ``(counts, count, total)`` after
+    observing ``values`` one by one up to the first NaN."""
+    counts, count, total = list(hist.counts), hist.count, hist.total
+    for value in values:
+        value = float(value)
+        if math.isnan(value):
+            break
+        counts[bisect_left(hist.buckets, value)] += 1
+        count += 1
+        total += value
+    return counts, count, total
+
+
+#: Bucket bounds themselves, infinities, zeros, negatives, huge and
+#: tiny magnitudes, and integers.
+OBSERVED = st.one_of(
+    st.sampled_from(DEFAULT_BUCKETS),
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300]),
+    st.floats(allow_nan=False),
+    st.integers(-10**6, 10**6))
+
+
+@given(st.lists(OBSERVED, max_size=40), st.lists(OBSERVED, max_size=5),
+       st.none() | st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_observe_all_is_the_bisect_left_loop(values, before, nan_at):
+    """``observe_all`` buckets with one ``searchsorted`` and adds the
+    values to ``total`` in order; with a NaN, the values before it are
+    applied and then ``ValueError`` is raised."""
+    hist = MetricsRegistry().histogram("h")
+    for value in before:
+        hist.observe(value)
+    if nan_at is not None:
+        values.insert(min(nan_at, len(values)), math.nan)
+    counts, count, total = _bisect_loop(hist, values)
+    if nan_at is None:
+        hist.observe_all(values)
+    else:
+        with pytest.raises(ValueError, match="NaN"):
+            hist.observe_all(values)
+    assert hist.counts == counts and hist.count == count
+    assert [type(c) for c in hist.counts] == [int] * len(counts)
+    assert type(hist.count) is int and type(hist.total) is float
+    assert hist.total == total or (math.isnan(hist.total)
+                                   and math.isnan(total))
 
 
 class TestDeferredEvents:
