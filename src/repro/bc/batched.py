@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..gpusim.charge import FrontierProfile, charge
+from ..gpusim.charge import FrontierProfile, charge, level_degrees
 from ..observability.registry import NULL_REGISTRY
 from .accumulation import root_dependencies
 from .brandes import normalize_bc
@@ -38,8 +38,8 @@ __all__ = ["batched_betweenness_centrality", "batched_dependencies",
 
 
 class _DepthSums:
-    """Root-loop observer summing every group's block columns (frontier
-    pairs and their degrees) over its rows, depth-aligned."""
+    """Root-loop observer summing every group's per-depth frontier
+    pairs and their degrees, depth-aligned across groups."""
 
     def __init__(self, g: CSRGraph):
         self.g = g
@@ -56,10 +56,9 @@ class _DepthSums:
     def after_forward(self, grp, r: int) -> None:
         if r:
             return
-        block = FrontierProfile.of_group(self.g, grp)
-        grid = np.zeros((2, *grp.frontier_sizes.shape), dtype=np.int64)
-        grid[:, grp.frontier_sizes > 0] = block.sizes, block.edges
-        sizes, edges = grid.sum(axis=1)
+        sizes = np.array([lv.size for lv in grp.levels], dtype=np.int64)
+        _, degrees = level_degrees(self.g, grp)
+        edges = np.add.reduceat(degrees, np.cumsum(sizes) - sizes)
         self.sizes = self._add(self.sizes, sizes)
         self.edges = self._add(self.edges, edges)
 

@@ -8,16 +8,14 @@ frontier's vertex ids and degrees), and charged in array form, one
 lockstep group's rows as one block:
 
 * :func:`charge_rows` decides every row's strategies in one segmented
-  :meth:`Policy.decide_levels` pass and charges each strategy's levels,
-  across all rows, in one array call of its :class:`CostModel` kernel
-  (its only caller).  It returns the block's
-  :class:`~repro.gpusim.trace.LevelColumns` and records nothing.
+  :meth:`Policy.decide_levels` pass, charges each strategy's levels
+  across all rows in one call of its :class:`CostModel` kernel (its
+  only caller) and returns the block's columns; it records nothing.
 * :func:`record_root`, called at each root's own turn in the root
   loop, makes the root's :class:`~repro.gpusim.trace.RootTrace` from
-  its row (the :class:`~repro.gpusim.trace.LevelTrace` list is built on
-  first read) and records its metrics: each per-level ``engine.*``
-  series (resolved once per run) updated once, and one deferred block
-  of ``decision.initial``/``decision.step`` audit records, which
+  its row and records its metrics: each ``engine.*`` series (resolved
+  once per run) updated once, and one deferred block of
+  ``decision.initial``/``decision.step`` records, which
   :meth:`Policy.decide` builds only if the registry's events are read
   (:meth:`~repro.observability.MetricsRegistry.defer`).
 * :func:`charge` is the one-row composition of the two.
@@ -29,7 +27,6 @@ the reference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
 
@@ -50,72 +47,81 @@ from .cost import CostModel
 from .trace import LevelColumns, RootTrace
 
 __all__ = ["EngineSeries", "FrontierProfile", "charge", "charge_rows",
-           "record_root"]
+           "level_degrees", "record_root"]
 
 
-@dataclass(frozen=True)
+def level_degrees(g, grp) -> tuple:
+    """A group's frontier vertex ids and degrees, level by level."""
+    ids = np.concatenate(grp.levels)
+    if grp.size > 1:  # a row's keys are its vertices plus row * n
+        ids -= np.tile(np.arange(grp.size) * g.num_vertices,
+                       len(grp.levels)).repeat(grp.frontier_sizes.T.ravel())
+    return ids, g.degrees[ids]
+
+
 class FrontierProfile:
-    """Value-free shape of traversals, one entry per forward depth;
-    row ``r`` (of root ``root[r]``) is depths ``offsets[r]:offsets[r +
-    1]``, or one traversal of root ``root`` if ``offsets`` is None.
+    """Value-free shape of traversals of one graph, one entry per
+    forward depth, rows stacked: row ``r``, the traversal of root
+    ``roots[r]``, is depths ``offsets[r]:offsets[r + 1]``.  Built
+    without ``offsets``, it is one traversal of ``root``: one row.
 
-    ``sizes``/``edges`` are the vertex and edge frontiers (for a batch:
-    active (root, vertex) pairs and their summed degrees).  Per-root
-    traversals also carry the frontier ``ids`` of every depth,
-    concatenated row by row (each row's ``S`` array), and their
-    ``degrees``, which the work- and vertex-parallel kernels charge.
+    ``sizes``/``edges`` (lists of ints) are the vertex and edge
+    frontiers (for a batch: active (root, vertex) pairs and their summed
+    degrees).  Per-root traversals also carry every depth's frontier
+    ``ids`` (each row's ``S`` array) and their ``degrees``, which the
+    work- and vertex-parallel kernels charge.
     """
 
-    root: int | list
-    sizes: list | np.ndarray
-    edges: list | np.ndarray
-    ids: np.ndarray | None = None
-    degrees: np.ndarray | None = None
-    num_vertices: int = 0
-    num_directed_edges: int = 0
-    offsets: list | None = None
+    def __init__(self, root, sizes: list, edges: list, ids=None,
+                 degrees=None, num_vertices: int = 0,
+                 num_directed_edges: int = 0, offsets: list | None = None):
+        self.roots = [root] if offsets is None else root
+        self.offsets = [0, len(sizes)] if offsets is None else offsets
+        self.sizes, self.edges = sizes, edges
+        self.ids, self.degrees = ids, degrees
+        self.num_vertices = num_vertices
+        self.num_directed_edges = num_directed_edges
+
+    @property
+    def root(self) -> int:
+        """The root of a one-row profile."""
+        (root,) = self.roots
+        return root
 
     @classmethod
     def of_sweep(cls, g, fwd) -> "FrontierProfile":
-        """Profile of a per-root sweep: its one-root group's one row."""
-        grp = ForwardGroup(np.array([fwd.source]), g.num_vertices,
-                           fwd.distances, fwd.sigma, fwd.levels, fwd.dag,
-                           fwd.level_scales[None])
-        return cls.of_group(g, grp)[0]
+        """Profile of a per-root sweep: its one-root group's block."""
+        return cls.of_group(g, ForwardGroup(
+            np.array([fwd.source]), g.num_vertices, fwd.distances,
+            fwd.sigma, fwd.levels, fwd.dag, fwd.level_scales[None]))
 
     @classmethod
     def of_group(cls, g, grp) -> "FrontierProfile":
-        """The block of a lockstep
-        :class:`~repro.bc.frontier.ForwardGroup`: row ``r`` is the
-        profile of root ``r``'s own sweep."""
+        """The block of a lockstep :class:`~repro.bc.frontier.ForwardGroup`:
+        row ``r`` is the profile of root ``r``'s own sweep."""
         counts = grp.frontier_sizes
         cells = counts > 0  # a row's depths are a prefix
         sizes = counts[cells]
-        ids = np.concatenate(grp.levels)
+        ids, degrees = level_degrees(g, grp)
         if grp.size > 1:
             # Level-major keys -> row-major: cell (r, d)'s keys start
-            # after all cells of earlier depths and of earlier rows at d;
-            # row r's keys are its vertices plus r * n.
+            # after all cells of earlier depths and of earlier rows at d.
             flat = counts.ravel(order="F")  # cells in level-major order
             start = (np.cumsum(flat) - flat).reshape(counts.shape, order="F")
-            ids = ids[concat_ranges(start[cells], sizes)]
-            ids -= (np.arange(grp.size) * g.num_vertices).repeat(
-                counts.sum(axis=1))
-        degrees = g.degrees[ids]
+            rows = concat_ranges(start[cells], sizes)
+            ids, degrees = ids[rows], degrees[rows]
         edges = np.add.reduceat(degrees, np.cumsum(sizes) - sizes)
-        return cls(root=grp.sources.tolist(), sizes=sizes, edges=edges,
-                   ids=ids, degrees=degrees, num_vertices=g.num_vertices,
-                   num_directed_edges=g.num_directed_edges,
+        return cls(grp.sources.tolist(), sizes.tolist(), edges.tolist(),
+                   ids, degrees, g.num_vertices, g.num_directed_edges,
                    offsets=list(accumulate(grp.depths, initial=0)))
 
     def __getitem__(self, r: int) -> "FrontierProfile":
-        """Row ``r`` of a block, as a one-row profile."""
+        """Row ``r``, as a one-row profile."""
         lo, hi = self.offsets[r], self.offsets[r + 1]
-        sizes, edges = np.asarray(self.sizes), np.asarray(self.edges)
-        v = slice(sizes[:lo].sum(), sizes[:hi].sum())
-        return replace(self, root=self.root[r], sizes=sizes[lo:hi].tolist(),
-                       edges=edges[lo:hi].tolist(), ids=self.ids[v],
-                       degrees=self.degrees[v], offsets=None)
+        v = slice(sum(self.sizes[:lo]), sum(self.sizes[:hi]))
+        return FrontierProfile(
+            self.roots[r], self.sizes[lo:hi], self.edges[lo:hi], self.ids[v],
+            self.degrees[v], self.num_vertices, self.num_directed_edges)
 
 
 def _kernel_cycles(strategy: str, profile: FrontierProfile, sizes, edges,
@@ -153,27 +159,24 @@ def charge_rows(profile: FrontierProfile, policy: Policy, costs: CostModel,
 
     One segmented :meth:`Policy.decide_levels` call gives every row's
     strategies; then each strategy's levels, across all rows, are
-    charged (forward and backward) in one array call of its
+    charged (forward and backward) in one call of its
     :class:`CostModel` kernel.  ``device_chunk`` is the whole-device
-    concurrency the ``gpu-fan`` and ``batched`` kernels cooperate
-    across.
+    concurrency of the ``gpu-fan`` and ``batched`` kernels.
     """
-    roots, offsets = ((profile.root, profile.offsets) if profile.offsets
-                      else ([profile.root], [0, len(profile.sizes)]))
-    sizes = np.asarray(profile.sizes, dtype=np.int64)
-    edges = np.asarray(profile.edges, dtype=np.int64)
-    decided = policy.decide_levels(sizes, offsets[1:-1])
+    sizes = np.array(profile.sizes, dtype=np.int64)
+    edges = np.array(profile.edges, dtype=np.int64)
+    decided = policy.decide_levels(sizes, profile.offsets[1:-1])
     strategy = decided.tolist()
-    forward = np.empty(sizes.size)
-    backward = np.empty(sizes.size)
+    forward, backward = np.empty((2, sizes.size))
     kinds = list(dict.fromkeys(strategy))
     for kind in kinds:
         depths = (slice(None) if len(kinds) == 1
                   else np.flatnonzero(decided == kind))
         forward[depths], backward[depths] = _kernel_cycles(
             kind, profile, sizes, edges, depths, costs, chunk, device_chunk)
-    return LevelColumns(roots, offsets, strategy, sizes.tolist(),
-                        edges.tolist(), forward.tolist(), backward.tolist())
+    return LevelColumns(profile.roots, profile.offsets, strategy,
+                        sizes.tolist(), edges.tolist(), forward.tolist(),
+                        backward.tolist())
 
 
 def _decision_records(policy: Policy, columns: LevelColumns) -> list:

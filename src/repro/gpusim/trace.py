@@ -61,9 +61,7 @@ class LevelColumns(NamedTuple):
         """Row ``r`` as a one-row block."""
         lo, hi = self.offsets[r], self.offsets[r + 1]
         return LevelColumns([self.roots[r]], [0, hi - lo],
-                            self.strategy[lo:hi], self.size[lo:hi],
-                            self.edges[lo:hi], self.forward[lo:hi],
-                            self.backward[lo:hi])
+                            *(column[lo:hi] for column in self[2:]))
 
     def backward_cycles(self) -> list:
         """A one-row block's backward cycles, deepest first."""

@@ -46,10 +46,6 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
-
-import numpy as np
 
 from .clock import SpanClock
 
@@ -128,7 +124,6 @@ class Histogram:
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError("histogram buckets must be non-empty and ascending")
         self.buckets = bounds
-        self._bounds = np.array(bounds)
         if not self.counts:
             self.counts = [0] * (len(bounds) + 1)
 
@@ -143,22 +138,11 @@ class Histogram:
         self.total += value
 
     def observe_all(self, values) -> None:
-        """:meth:`observe` each of ``values`` in turn, in one call: the
-        same buckets (one ``searchsorted``, whose default
-        ``side="left"`` is ``bisect_left``) and the same float additions
-        to ``total``, in order.  A rejected value leaves the histogram
-        as the values before it left it."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        total = reduce(add, values.tolist(), self.total)
-        # A NaN value makes the total NaN (as inf - inf does).
-        if math.isnan(total) and np.isnan(values).any():
-            self.observe_all(values[:np.isnan(values).argmax()])
-            raise ValueError(f"histogram {self.name!r} cannot observe NaN")
-        counts = self.counts
-        for bucket in self._bounds.searchsorted(values).tolist():
-            counts[bucket] += 1
-        self.count += values.size
-        self.total = total
+        """:meth:`observe` each of ``values`` in turn, in one call.  A
+        rejected value leaves the histogram as the values before it left
+        it."""
+        for value in values:
+            self.observe(value)
 
 
 @dataclass
@@ -327,9 +311,6 @@ class _NullCounter(Counter):
     def inc(self, value=1.0) -> None:
         pass
 
-    def inc_all(self, values) -> None:
-        pass
-
 
 class _NullGauge(Gauge):
     def set(self, value: float) -> None:
@@ -338,9 +319,6 @@ class _NullGauge(Gauge):
 
 class _NullHistogram(Histogram):
     def observe(self, value) -> None:
-        pass
-
-    def observe_all(self, values) -> None:
         pass
 
 

@@ -451,7 +451,7 @@ class BCService:
 
         degrade_reason = "overload" if job.admit_degraded else None
         outcome = self.scheduler.execute(
-            spec, g, roots=roots, prior_attempts=job.attempt,
+            spec, g, roots, prior_attempts=job.attempt,
             degrade_reason=degrade_reason,
             on_start=on_start, on_requeue=on_requeue)
 

@@ -305,7 +305,7 @@ class Scheduler:
                          device=dev.name)
 
     # ------------------------------------------------------------------
-    def execute(self, spec: JobSpec, g, *, roots=None,
+    def execute(self, spec: JobSpec, g, roots: np.ndarray, *,
                 prior_attempts: int = 0,
                 degrade_reason: str | None = None,
                 on_start=None, on_requeue=None) -> JobOutcome:
@@ -314,8 +314,7 @@ class Scheduler:
         Parameters
         ----------
         roots:
-            The job's :func:`sample_roots`, if the caller has drawn
-            them already; drawn here otherwise.
+            The job's :func:`sample_roots`, drawn once by the caller.
         prior_attempts:
             Attempts already charged against the job (crash recovery
             resumes the retry budget, it does not reset it).
@@ -331,8 +330,6 @@ class Scheduler:
         """
         graph_key = g.digest()[:12]
         breaker_key = (graph_key, spec.strategy)
-        if roots is None:
-            roots = sample_roots(g, spec)
         delays: list = []
 
         if not self.breaker.allow(breaker_key):

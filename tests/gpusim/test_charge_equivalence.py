@@ -297,6 +297,7 @@ def test_zero_depth_profile(policy):
     assert_same_charge([FrontierProfile(root=3, sizes=[], edges=[])],
                        POLICIES[policy], CostModel(), 4)
 
+
 def _star_chain(blocks=6, width=40):
     """Hubs joined by fans of leaves: wide, unevenly loaded levels, so
     levels span many chunks and hybrid switches both ways."""

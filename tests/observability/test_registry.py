@@ -199,7 +199,7 @@ OBSERVED = st.one_of(
        st.none() | st.integers(0, 40))
 @settings(max_examples=100, deadline=None)
 def test_observe_all_is_the_bisect_left_loop(values, before, nan_at):
-    """``observe_all`` buckets with one ``searchsorted`` and adds the
+    """``observe_all`` buckets as ``bisect_left`` does and adds the
     values to ``total`` in order; with a NaN, the values before it are
     applied and then ``ValueError`` is raised."""
     hist = MetricsRegistry().histogram("h")

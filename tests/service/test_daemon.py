@@ -90,29 +90,6 @@ def test_submit_process_result_roundtrip(tmp_path):
             svc.submit(spec(1, seed=999))
 
 
-
-def test_a_job_draws_its_roots_once(tmp_path, monkeypatch):
-    """The scheduler runs the roots the daemon keyed the job by; it
-    does not draw them a second time."""
-    from repro.service import daemon, scheduler
-
-    draws = []
-    draw = scheduler.sample_roots
-
-    def counted(g, job_spec):
-        draws.append(job_spec.job_id)
-        return draw(g, job_spec)
-
-    monkeypatch.setattr(daemon, "sample_roots", counted)
-    monkeypatch.setattr(scheduler, "sample_roots",
-                        lambda g, job_spec: pytest.fail("drawn again"))
-    with BCService(tmp_path / "svc") as svc:
-        svc.submit(spec(1))
-        svc.submit(spec(2, faults="fail:0@compute+1"))  # retried
-        svc.run_pending()
-        assert {r.state for r in svc.jobs.values()} == {DONE}
-    assert draws == ["j000001", "j000002"]
-
 def test_crash_recovery_grid_every_truncation_point(tmp_path):
     """SIGKILL at any journal boundary: restart converges to the same
     terminal states, with no job lost, duplicated, or left mid-flight."""

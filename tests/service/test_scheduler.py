@@ -29,6 +29,11 @@ def spec(i=1, **kw):
     return JobSpec(job_id=f"j{i:06d}", **kw)
 
 
+def execute(sched: Scheduler, job: JobSpec, **kw):
+    """``sched.execute`` of ``job`` on the roots the daemon draws for it."""
+    return sched.execute(job, GRAPH, sample_roots(GRAPH, job), **kw)
+
+
 def collect_decisions(sched: Scheduler) -> list:
     """The decisions ``sched`` makes from now on, in order (collected
     through its ``on_decision`` hook)."""
@@ -42,7 +47,7 @@ def run_decision_trace(seed: int, faults: str, *, max_retries: int = 3):
     determinism artefact the property suite replays byte-for-byte."""
     sched = Scheduler(seed=seed, max_retries=max_retries)
     decisions = collect_decisions(sched)
-    outcome = sched.execute(spec(seed=seed, faults=faults), GRAPH)
+    outcome = execute(sched, spec(seed=seed, faults=faults))
     return (json.dumps(decisions, sort_keys=True),
             list(outcome.backoff_delays), outcome)
 
@@ -64,7 +69,7 @@ def test_backoff_is_deterministic_and_jittered():
 # -- retries and chaos ------------------------------------------------
 def test_clean_job_runs_exactly_once():
     sched = Scheduler()
-    out = sched.execute(spec(), GRAPH)
+    out = execute(sched, spec())
     assert out.ok and out.exact and out.attempts == 1
     assert out.degraded_reason is None and not out.backoff_delays
     assert out.values.shape == (GRAPH.num_vertices,)
@@ -72,17 +77,17 @@ def test_clean_job_runs_exactly_once():
 
 def test_transient_faults_retry_to_success():
     sched = Scheduler(max_retries=3)
-    out = sched.execute(spec(faults="fail:0@compute+1;oom:0x1"), GRAPH)
+    out = execute(sched, spec(faults="fail:0@compute+1;oom:0x1"))
     assert out.ok and out.exact
     assert out.attempts == 3  # fail-stop, oom, then clean
     assert len(out.backoff_delays) == 2
-    clean = Scheduler().execute(spec(), GRAPH)
+    clean = execute(Scheduler(), spec())
     np.testing.assert_allclose(out.values, clean.values)
 
 
 def test_retries_exhausted_fails_with_typed_kind():
     sched = Scheduler(max_retries=1)
-    out = sched.execute(spec(faults="oom:0x5"), GRAPH)
+    out = execute(sched, spec(faults="oom:0x5"))
     assert not out.ok
     assert out.error_kind == "retries-exhausted"
     assert out.attempts == 2
@@ -90,10 +95,10 @@ def test_retries_exhausted_fails_with_typed_kind():
 
 def test_sdc_detected_and_retried():
     sched = Scheduler(max_retries=2)
-    out = sched.execute(spec(faults="sdc:0@delta"), GRAPH)
+    out = execute(sched, spec(faults="sdc:0@delta"))
     assert out.ok and out.exact
     assert out.attempts == 2  # corrupt attempt detected, clean retry
-    clean = Scheduler().execute(spec(), GRAPH)
+    clean = execute(Scheduler(), spec())
     np.testing.assert_allclose(out.values, clean.values)
 
 
@@ -121,14 +126,14 @@ def test_scheduler_quarantines_failing_pair():
     sched = Scheduler(max_retries=0,
                       breaker=CircuitBreaker(threshold=2, cooldown=3))
     for i in (1, 2):
-        out = sched.execute(spec(i, seed=i, faults="oom:0x5"), GRAPH)
+        out = execute(sched, spec(i, seed=i, faults="oom:0x5"))
         assert out.error_kind == "retries-exhausted"
     # pair now open: next job fails fast without burning an attempt
-    out = sched.execute(spec(3, seed=3), GRAPH)
+    out = execute(sched, spec(3, seed=3))
     assert not out.ok and out.error_kind == "circuit-open"
     assert out.attempts == 0
     # a different strategy on the same graph is unaffected
-    ok = sched.execute(spec(4, seed=4, strategy="hybrid"), GRAPH)
+    ok = execute(sched, spec(4, seed=4, strategy="hybrid"))
     assert ok.ok
 
 
@@ -145,7 +150,7 @@ def test_breaker_snapshot_restore_roundtrip():
 def test_deadline_degrades_to_flagged_estimate():
     sched = Scheduler()
     decisions = collect_decisions(sched)
-    out = sched.execute(spec(roots=8, deadline_seconds=1e-9), GRAPH)
+    out = execute(sched, spec(roots=8, deadline_seconds=1e-9))
     assert out.ok
     assert out.exact is False
     assert out.degraded_reason == "deadline"
@@ -155,14 +160,14 @@ def test_deadline_degrades_to_flagged_estimate():
 
 def test_deadline_without_degrade_fails_typed():
     sched = Scheduler()
-    out = sched.execute(spec(roots=8, deadline_seconds=1e-9,
-                             allow_degrade=False), GRAPH)
+    out = execute(sched, spec(roots=8, deadline_seconds=1e-9,
+                              allow_degrade=False))
     assert not out.ok and out.error_kind == "deadline"
     assert "deadline" in out.error
 
 
 def test_generous_deadline_stays_exact():
-    out = Scheduler().execute(spec(deadline_seconds=1e6), GRAPH)
+    out = execute(Scheduler(), spec(deadline_seconds=1e6))
     assert out.ok and out.exact and out.degraded_reason is None
 
 
@@ -172,7 +177,7 @@ def test_straggler_run_redispatches_to_healthy_device():
     slow.device.straggler_factor = 8.0
     sched = Scheduler([slow, fast], redispatch_factor=4.0)
     decisions = collect_decisions(sched)
-    out = sched.execute(spec(), GRAPH)
+    out = execute(sched, spec())
     assert out.ok and out.redispatched
     assert out.device == "dev1"
     kinds = [d["decision"] for d in decisions]
@@ -186,13 +191,13 @@ def test_no_redispatch_when_every_device_straggles():
     a.device.straggler_factor = 8.0
     b.device.straggler_factor = 8.0
     sched = Scheduler([a, b], redispatch_factor=4.0)
-    out = sched.execute(spec(), GRAPH)
+    out = execute(sched, spec())
     assert out.ok and not out.redispatched
 
 
 def test_straggler_fault_triggers_redispatch():
     sched = Scheduler(redispatch_factor=4.0)
-    out = sched.execute(spec(faults="straggler:0x8"), GRAPH)
+    out = execute(sched, spec(faults="straggler:0x8"))
     assert out.ok and out.redispatched
 
 
@@ -202,11 +207,11 @@ def test_overload_degrade_runs_sampled_estimate():
     sched = Scheduler(metrics=metrics, overload_sample_fraction=0.5)
     decisions = collect_decisions(sched)
     s = spec(roots=8)
-    out = sched.execute(s, GRAPH, degrade_reason="overload")
+    out = execute(sched, s, degrade_reason="overload")
     assert out.ok
     assert out.exact is False and out.degraded_reason == "overload"
     # flagged estimate approximates the exact run (same scale)
-    exact = Scheduler().execute(s, GRAPH)
+    exact = execute(Scheduler(), s)
     assert out.values.sum() == pytest.approx(exact.values.sum(), rel=1.0)
     assert any(d["decision"] == "overload-degrade"
                for d in decisions)
@@ -215,8 +220,8 @@ def test_overload_degrade_runs_sampled_estimate():
 # -- placement and determinism ---------------------------------------
 def test_jobs_spread_across_devices():
     sched = Scheduler([SimDevice("dev0"), SimDevice("dev1")])
-    d1 = sched.execute(spec(1, seed=1), GRAPH).device
-    d2 = sched.execute(spec(2, seed=2), GRAPH).device
+    d1 = execute(sched, spec(1, seed=1)).device
+    d2 = execute(sched, spec(2, seed=2)).device
     assert {d1, d2} == {"dev0", "dev1"}
 
 
@@ -233,7 +238,7 @@ def test_decision_log_is_byte_deterministic():
 def test_prior_attempts_resume_retry_budget():
     # 2 prior attempts + max_retries=2 leaves exactly one more try
     sched = Scheduler(max_retries=2)
-    out = sched.execute(spec(faults="oom:0x5"), GRAPH, prior_attempts=2)
+    out = execute(sched, spec(faults="oom:0x5"), prior_attempts=2)
     assert not out.ok and out.attempts == 3
 
 
