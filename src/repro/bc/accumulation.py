@@ -50,13 +50,13 @@ def accumulate_level(
     delta: np.ndarray,
     sigma_ratio_scale: float = 1.0,
     target_weights: np.ndarray | None = None,
+    coef: np.ndarray | None = None,
 ) -> None:
     """Compute ``delta`` for all vertices of one level, in place.
 
     ``owner``/``succ`` are the level's DAG edges (see
     :attr:`~repro.bc.frontier.ForwardResult.dag`): ``succ[i]`` is a
-    successor of ``level[owner[i]]``.  A level without successors is
-    left untouched.
+    successor of ``level[owner[i]]``.
 
     ``sigma_ratio_scale`` corrects for per-level sigma rescaling: when
     the successors' stored sigmas were divided by ``f`` during the
@@ -68,13 +68,38 @@ def accumulate_level(
     degree-1 folding transform (:mod:`repro.bc.preprocess`) uses this
     to make one core vertex stand for its whole absorbed subtree;
     ``None`` keeps the classic unit-weight accumulation.
+
+    ``coef`` holds every successor's coefficient ``(target_weights[v] +
+    delta[v]) / sigma[v]``, indexed like ``sigma``, and receives this
+    level's: :func:`accumulate_group` keeps it from level to level, so
+    each DAG edge costs one gather.  Without it (one level on its own)
+    the successors' coefficients are computed from ``delta`` per edge,
+    with the same floating-point operations, and a level without
+    successors is left untouched.
     """
-    if succ.size == 0:
-        return
-    endpoint = 1.0 if target_weights is None else target_weights[succ]
-    contrib = (endpoint + delta[succ]) / sigma[succ]
+    if coef is None:
+        if succ.size == 0:
+            return
+        contrib = _coefficients(succ, sigma[succ], delta[succ],
+                                target_weights)
+    else:
+        contrib = coef.take(succ)
+    level_sigma = sigma.take(level)
     acc = np.bincount(owner, contrib, minlength=level.size)
-    delta[level] = sigma[level] * acc * sigma_ratio_scale
+    level_delta = level_sigma * acc * sigma_ratio_scale
+    delta[level] = level_delta
+    if coef is not None:
+        coef[level] = _coefficients(level, level_sigma, level_delta,
+                                    target_weights)
+
+
+def _coefficients(keys: np.ndarray, sigma: np.ndarray, delta: np.ndarray,
+                  target_weights: np.ndarray | None) -> np.ndarray:
+    """``(target_weights + delta) / sigma`` of the vertices ``keys``,
+    given their ``sigma`` and ``delta``: each DAG edge into one of them
+    contributes this times its owner's sigma."""
+    endpoint = 1.0 if target_weights is None else target_weights.take(keys)
+    return (endpoint + delta) / sigma
 
 
 def accumulate_group(grp: ForwardGroup,
@@ -83,17 +108,20 @@ def accumulate_group(grp: ForwardGroup,
     ``(k, n)`` dependencies, row ``r`` for ``grp.sources[r]``.
 
     ``target_weights`` are optional per-vertex target multiplicities
-    (see :func:`accumulate_level`); ``None`` means unit weights.
+    (see :func:`accumulate_level`); ``None`` means unit weights.  One
+    :func:`accumulate_level` call per depth, deepest first, carries the
+    coefficients of each level to the one above; the deepest level has
+    no DAG edges, so it only sets its coefficients.
     """
     delta = np.zeros(grp.sigma.size, dtype=np.float64)
+    coef = np.empty(grp.sigma.size, dtype=np.float64)
     target_weights = grp.by_key(target_weights)
-    ratio = grp.ratio_scales()
-    # Start one level above the deepest (its vertices have no successors).
-    for depth in range(len(grp.levels) - 2, 0, -1):
+    ratio = grp.ratio_scales() + [1.0]
+    for depth in range(len(grp.levels) - 1, 0, -1):
         owner, succ = grp.dag[depth]
         accumulate_level(grp.levels[depth], owner, succ, grp.sigma, delta,
                          sigma_ratio_scale=ratio[depth],
-                         target_weights=target_weights)
+                         target_weights=target_weights, coef=coef)
     return delta.reshape(grp.size, grp.num_vertices)
 
 
@@ -125,8 +153,9 @@ def root_dependencies(g: CSRGraph, sources,
     """Yield each root's dependency vector, in the order of ``sources``:
     the executor's one root loop.
 
-    Roots are swept and accumulated in lockstep groups of ``width``
-    roots (default :func:`~repro.bc.frontier.group_width`); each yielded
+    Roots are swept and accumulated in lockstep groups of at most
+    ``width`` roots (default :func:`~repro.bc.frontier.group_width`),
+    as few as that allows and balanced in size; each yielded
     vector is a row of its group's result, byte-identical to
     :func:`dependency_accumulation` of a one-root sweep, scaled by
     ``source_weights[i]`` (aligned with ``sources``) when given.
@@ -145,8 +174,12 @@ def root_dependencies(g: CSRGraph, sources,
     sources = np.asarray(sources, dtype=np.int64).ravel()
     if width is None:
         width = group_width(g)
-    for lo in range(0, sources.size, width):
-        grp = sweep_group(g, sources[lo:lo + width], metrics=metrics)
+    # As few groups as ``width`` allows, their sizes within one of each
+    # other: a lone last root would pay every level of a whole group.
+    groups = -(-sources.size // width)
+    for i in range(groups):
+        lo, hi = i * sources.size // groups, (i + 1) * sources.size // groups
+        grp = sweep_group(g, sources[lo:hi], metrics=metrics)
         delta = None
         for r in range(grp.size):
             if observer is not None:

@@ -128,7 +128,7 @@ def run_roots(
         is folded into ``bc``.  ``None`` reproduces the classic
         unweighted traversal exactly.
     width:
-        Roots per lockstep group; defaults to
+        Most roots per lockstep group; defaults to
         :func:`~repro.bc.frontier.group_width` of ``g``.
     """
     if metrics is None:

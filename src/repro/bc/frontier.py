@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import concat_ranges, sorted_unique
+from .._util import concat_ranges
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 
@@ -71,8 +71,10 @@ SIGMA_RESCALE_LIMIT = 1e100
 #: networks, meshes, folded cores) and NumPy's per-call overhead
 #: dominates; a graph whose ``n + m`` exceeds half of this runs one root
 #: at a time, which keeps wide scale-free frontiers inside the cache.
-#: Measured in DESIGN section 5 ("Lockstep roots").
-GROUP_CELLS = 1 << 17
+#: The budget also bounds a group's memory: its DAG edges and per-key
+#: state grow with ``k * (n + m)``.  Measured in DESIGN section 5
+#: ("Lockstep roots", ``benchmarks/lockstep_widths.py``).
+GROUP_CELLS = 1 << 19
 
 
 @dataclass
@@ -209,27 +211,28 @@ class ForwardGroup:
                              level_scales=self.level_scales[r, :self.depths[r]])
 
 
-def _rescale(sigma: np.ndarray, q_next: np.ndarray, rows, k: int):
+def _rescale(sigma: np.ndarray, q_next: np.ndarray, vals: np.ndarray,
+             n: int, k: int):
     """Keep the new level's sigma inside float64 range (see
     :data:`SIGMA_RESCALE_LIMIT`): each row whose largest count exceeds
-    the limit is divided by it.  ``rows`` holds each key's row (``None``
-    for one root).  Returns the level's factor per row, or ``None``
-    when every factor is one."""
-    vals = sigma[q_next]
-    mx = vals.max()
-    if mx <= SIGMA_RESCALE_LIMIT:
-        return None
-    if rows is None:
-        sigma[q_next] = vals / mx
-        return mx
+    the limit is divided by it.  ``vals`` is ``sigma[q_next]``, whose
+    largest entry exceeds the limit.  Returns the level's rescaled
+    ``vals`` and its factor per row (one number for one root)."""
+    if k == 1:
+        mx = np.maximum.reduce(vals)
+        vals = vals / mx
+        sigma[q_next] = vals
+        return vals, mx
     # Segmented max over the sorted keys: each row's keys are one run.
+    rows = q_next // n
     first = np.flatnonzero(np.diff(rows, prepend=-1))
     seg_max = np.maximum.reduceat(vals, first)
     factor = np.where(seg_max > SIGMA_RESCALE_LIMIT, seg_max, 1.0)
-    sigma[q_next] = vals / factor.repeat(np.diff(first, append=vals.size))
+    vals = vals / factor.repeat(np.diff(first, append=vals.size))
+    sigma[q_next] = vals
     out = np.ones(k)
     out[rows[first]] = factor
-    return out
+    return vals, out
 
 
 def _bottom_up_valid(g: CSRGraph, k: int) -> bool:
@@ -302,29 +305,37 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
     d = np.full(kn, UNREACHED, dtype=np.int64)
     sigma = np.zeros(kn, dtype=np.float64)
     verts = sources
-    rows = None if k == 1 else np.arange(k, dtype=np.int64)
-    frontier = sources if rows is None else sources + rows * n
+    # Each frontier key's row offset ``row * n`` (None for one root).
+    offsets = None if k == 1 else np.arange(0, kn, n, dtype=np.int64)
+    frontier = sources if offsets is None else sources + offsets
     d[frontier] = 0
     sigma[frontier] = 1.0
+    frontier_sigma = sigma.take(frontier)
     levels = [frontier]
     scales = [None]
     dag = []
     depth = 0
+    # One step per level, in ndarray methods: at hundreds of small
+    # levels per root, NumPy's per-call overhead is the sweep's cost.
     while True:
-        counts = degree[verts]
-        ends = np.add.accumulate(counts)
+        counts = degree.take(verts)
+        ends = counts.cumsum()
         frontier_edges = int(ends[-1])
         unvisited -= frontier_edges
         if bottom_up and unvisited + kn < frontier_edges:
             owner, succ = _bottom_up(g, d, depth, frontier, k)
         else:
-            nbrs = adj[concat_ranges(indptr[verts], counts, ends)]
-            if rows is not None:
-                nbrs += (rows * n).repeat(counts)
+            # The frontier's adjacency, concatenated: each edge's index
+            # is its row start plus its offset past the row's first edge.
+            at = (indptr.take(verts) - (ends - counts)).repeat(counts)
+            at += np.arange(frontier_edges)
+            nbrs = adj.take(at)
+            if offsets is not None:
+                nbrs += offsets.repeat(counts)
             # Level-synchronous: no vertex is at depth + 1 yet, so the
             # still-unreached neighbours are exactly the successors the
             # backward stage would find (the DAG edges into depth + 1).
-            hit = np.flatnonzero(d[nbrs] == UNREACHED)
+            hit = (d.take(nbrs) == UNREACHED).nonzero()[0]
             succ = nbrs.take(hit)
             owner = np.arange(frontier.size).repeat(counts).take(hit)
         dag.append((owner, succ))
@@ -335,18 +346,29 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
         # to mark and scan densely than to sort.
         if succ.size > kn >> 3:
             d[succ] = depth + 1
-            q_next = np.flatnonzero(d == depth + 1)
-        else:
-            q_next = sorted_unique(succ)
+            q_next = (d == depth + 1).nonzero()[0]
+        else:  # _util.sorted_unique, without its wrappers
+            q_next = succ.copy()
+            q_next.sort()
+            fresh = np.empty(q_next.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(q_next[1:], q_next[:-1], out=fresh[1:])
+            q_next = q_next[fresh]
             d[q_next] = depth + 1
         # Path counting over the DAG edges (atomicAdd, line 9).
-        np.add.at(sigma, succ, sigma[frontier][owner])
-        if rows is None:
+        np.add.at(sigma, succ, frontier_sigma.take(owner))
+        # Level-synchronous => sigma of depth+1 is final here.
+        frontier_sigma = sigma.take(q_next)
+        factors = None
+        if np.maximum.reduce(frontier_sigma) > SIGMA_RESCALE_LIMIT:
+            frontier_sigma, factors = _rescale(sigma, q_next, frontier_sigma,
+                                               n, k)
+        scales.append(factors)
+        if offsets is None:
             verts = q_next
         else:
-            rows, verts = np.divmod(q_next, n)
-        # Level-synchronous => sigma of depth+1 is final here.
-        scales.append(_rescale(sigma, q_next, rows, k))
+            verts = q_next % n
+            offsets = q_next - verts
         frontier = q_next
         depth += 1
         levels.append(frontier)

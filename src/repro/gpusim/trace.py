@@ -76,6 +76,7 @@ class RootTrace:
         self.root = root
         self._levels = [] if levels is None else levels
         self._columns = None
+        self._cycles = None
 
     @classmethod
     def from_columns(cls, columns: LevelColumns) -> "RootTrace":
@@ -104,6 +105,7 @@ class RootTrace:
 
     def add(self, level: LevelTrace) -> None:
         self.levels.append(level)
+        self._cycles = None
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(root={self.root!r}, "
@@ -118,14 +120,18 @@ class RootTrace:
 
     @property
     def cycles(self) -> float:
-        """Total cycles this root cost on its SM."""
-        cols = self._columns
-        if cols is not None:
-            # The builtin sum over the levels' cycles in trace order, as
-            # below (Python >= 3.12 compensates it, so order and the
-            # summing function both matter for the bytes).
-            return float(sum(cols.forward + cols.backward_cycles()))
-        return float(sum(lv.cycles for lv in self.levels))
+        """Total cycles this root cost on its SM: the builtin ``sum`` of
+        the levels' cycles in trace order (Python >= 3.12 compensates
+        it, so order and the summing function both matter for the
+        bytes), computed on first read and kept until :meth:`add`."""
+        if self._cycles is None:
+            cols = self._columns
+            if cols is not None:
+                self._cycles = float(sum(cols.forward
+                                         + cols.backward_cycles()))
+            else:
+                self._cycles = float(sum(lv.cycles for lv in self.levels))
+        return self._cycles
 
     @property
     def max_depth(self) -> int:

@@ -118,6 +118,16 @@ class TestColumnarRootTrace:
             {"work-efficient", "edge-parallel"} if policy != "fixed"
             else {"edge-parallel"})
 
+    @pytest.mark.parametrize("policy", ["hybrid", "guard", "fixed"])
+    def test_cycles_computed_once(self, policy):
+        for rt in self._charged(policy):
+            cycles = rt.cycles
+            assert rt.cycles is cycles  # kept, not re-summed per read
+            # The builtin sum of the levels' cycles, in trace order.
+            assert cycles == float(sum(lv.cycles for lv in rt.levels))
+            rt.add(_lv(rt.max_depth + 1, "forward", cycles=5.0))
+            assert rt.cycles == float(sum(lv.cycles for lv in rt.levels))
+
     def test_add_after_columns(self):
         (rt, *_) = self._charged("hybrid")
         depth = rt.max_depth

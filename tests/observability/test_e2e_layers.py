@@ -6,6 +6,7 @@ program would make ``benchmarks/e2e/run.py --trace 1`` fail at install
 time; this test fails first.
 """
 
+import importlib
 import importlib.util
 import os
 
@@ -31,7 +32,16 @@ TARGETS = [(layer, module, attr) for layer, _, targets in LAYERS.LAYERS
                          ids=[f"{m}:{a}" for _, m, a in TARGETS])
 def test_target_resolves(layer, module, attr):
     owner, name = LAYERS._resolve(module, attr)
-    assert callable(getattr(owner, name)), f"{layer}: {module}.{attr}"
+    target = getattr(owner, name)
+    assert callable(target), f"{layer}: {module}.{attr}"
+    # A name imported into another module (the engine's forward_sweep,
+    # the device's fold) is the defining module's object, not a copy.
+    home = importlib.import_module(target.__module__)
+    path = target.__qualname__.split(".")
+    for part in path:
+        home = getattr(home, part)
+    assert home is target, \
+        f"{layer}: {module}.{attr} is not {target.__module__}.{path}"
 
 
 def _current(module, attr):
