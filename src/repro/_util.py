@@ -30,7 +30,8 @@ def sorted_unique(a) -> np.ndarray:
     which on the frontier and edge-key arrays here is tens of times
     slower than sorting and dropping adjacent repeats.
     """
-    a = np.sort(np.asarray(a).ravel())
+    a = np.array(a).ravel()  # a copy, sorted in place
+    a.sort()
     if a.size < 2:
         return a
     keep = np.empty(a.size, dtype=bool)
@@ -69,7 +70,9 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray,
     if ends is None:
         ends = np.add.accumulate(counts)
     total = int(ends[-1]) if ends.size else 0
-    return (starts - (ends - counts)).repeat(counts) + np.arange(total)
+    out = (starts - (ends - counts)).repeat(counts)
+    out += np.arange(total)
+    return out
 
 
 def chunk_max_sum(weights: np.ndarray, chunk: int) -> int:

@@ -12,16 +12,19 @@ the forward sweep already found instead (:attr:`ForwardResult.dag`): in
 NumPy a second gather costs more than keeping one root's DAG edges.
 The cost model still charges the successor scan.
 
-Levels are processed deepest-first; vertices on the deepest level have
-no successors, so the sweep starts one level up (Algorithm 2, line 12),
-and depth 0 (the root) is skipped since a root never contributes to its
-own score.
+Levels are processed deepest-first, and depth 0 (the root) is skipped
+since a root never contributes to its own score.  Vertices on the
+deepest level have no successors (Algorithm 2, line 12 starts one level
+up): the backward stage visits that level only to write each vertex's
+coefficient ``w / sigma`` for the level above, and its ``delta`` stays
+zero.
 
 :func:`accumulate_group` runs the backward stage of a lockstep group
 (:func:`~repro.bc.frontier.sweep_group`) one group depth at a time over
 the ``row * n + vertex`` keys; a row whose traversal is shallower has
-no DAG edges at its deepest level, so each root still accumulates
-exactly its depths ``max_depth - 1`` down to 1.
+no DAG edges at its deepest level, which is visited the same way, so
+each root's ``delta`` is nonzero only at its depths ``max_depth - 1``
+down to 1.
 :func:`dependency_accumulation` is the one-root case, and
 :func:`root_dependencies`, the executor's one root loop, yields
 per-root dependency vectors of any root list through it.

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import concat_ranges
+from .._util import concat_ranges, sorted_unique
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 
@@ -50,6 +50,8 @@ __all__ = [
     "ForwardGroup",
     "ForwardResult",
     "GROUP_CELLS",
+    "GROUP_KEYS",
+    "GROUP_LEVEL_EDGES",
     "SIGMA_RESCALE_LIMIT",
     "forward_sweep",
     "group_width",
@@ -65,16 +67,28 @@ UNREACHED = -1
 #: renormalised independently as long as the scale factor is recorded.
 SIGMA_RESCALE_LIMIT = 1e100
 
-#: Size of one lockstep group, in vertex-plus-edge cells of the
-#: traversed graph: :func:`group_width` runs ``GROUP_CELLS // (n + m)``
-#: roots together.  Grouping pays where levels are many and small (road
-#: networks, meshes, folded cores) and NumPy's per-call overhead
-#: dominates; a graph whose ``n + m`` exceeds half of this runs one root
-#: at a time, which keeps wide scale-free frontiers inside the cache.
-#: The budget also bounds a group's memory: its DAG edges and per-key
-#: state grow with ``k * (n + m)``.  Measured in DESIGN section 5
-#: ("Lockstep roots", ``benchmarks/lockstep_widths.py``).
-GROUP_CELLS = 1 << 19
+#: Keys of one lockstep group: :func:`group_width` runs at most
+#: ``GROUP_KEYS // n`` roots together.  Grouping pays where levels are
+#: many and small (road networks, meshes, folded cores) and NumPy's
+#: per-call overhead dominates.  Past 64k keys it saves little: 16
+#: roots of the 16k-vertex delaunay core run at most 3% faster in
+#: groups of 8 than of 4, and 7-15% slower in one group of 16.
+GROUP_KEYS = 1 << 16
+
+#: Vertex-plus-edge cells of one lockstep group: at most
+#: ``GROUP_CELLS // (n + m)`` roots, which bounds a group's memory (its
+#: DAG edges and per-key state grow with ``k * (n + m)``).
+GROUP_CELLS = 1 << 22
+
+#: Edges one level of a lockstep group may gather: at most
+#: ``GROUP_LEVEL_EDGES // two_hop`` roots, where ``two_hop`` counts the
+#: edges two hops from the highest-degree vertex (its neighbours'
+#: degrees), a root's widest level on a graph with a hub.  A group
+#: would gather ``k`` such levels at once, out of cache, so a graph
+#: with a large hub runs one root at a time.  All three budgets are
+#: measured in DESIGN section 5 ("Lockstep roots",
+#: ``benchmarks/lockstep_widths.py``).
+GROUP_LEVEL_EDGES = 1 << 18
 
 
 @dataclass
@@ -126,10 +140,18 @@ class ForwardResult:
 
 
 def group_width(g: CSRGraph) -> int:
-    """Roots per lockstep group on ``g``: ``GROUP_CELLS // (n + m)``,
-    at least one (``m`` counts directed edges)."""
-    return max(1, GROUP_CELLS // max(1, g.num_vertices
-                                     + g.num_directed_edges))
+    """Roots per lockstep group on ``g``, at least one: the fewest that
+    :data:`GROUP_KEYS`, :data:`GROUP_CELLS` and :data:`GROUP_LEVEL_EDGES`
+    allow (``m`` counts directed edges)."""
+    n, m = g.num_vertices, g.num_directed_edges
+    two_hop = 0
+    if m:
+        degree = g.degrees
+        hub = int(degree.argmax())
+        two_hop = int(degree.take(g.adj[g.indptr[hub]:g.indptr[hub + 1]])
+                      .sum())
+    return max(1, min(GROUP_KEYS // max(1, n), GROUP_CELLS // max(1, n + m),
+                      GROUP_LEVEL_EDGES // max(1, two_hop)))
 
 
 @dataclass
@@ -325,11 +347,7 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
         if bottom_up and unvisited + kn < frontier_edges:
             owner, succ = _bottom_up(g, d, depth, frontier, k)
         else:
-            # The frontier's adjacency, concatenated: each edge's index
-            # is its row start plus its offset past the row's first edge.
-            at = (indptr.take(verts) - (ends - counts)).repeat(counts)
-            at += np.arange(frontier_edges)
-            nbrs = adj.take(at)
+            nbrs = adj.take(concat_ranges(indptr.take(verts), counts, ends))
             if offsets is not None:
                 nbrs += offsets.repeat(counts)
             # Level-synchronous: no vertex is at depth + 1 yet, so the
@@ -347,13 +365,8 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
         if succ.size > kn >> 3:
             d[succ] = depth + 1
             q_next = (d == depth + 1).nonzero()[0]
-        else:  # _util.sorted_unique, without its wrappers
-            q_next = succ.copy()
-            q_next.sort()
-            fresh = np.empty(q_next.size, dtype=bool)
-            fresh[0] = True
-            np.not_equal(q_next[1:], q_next[:-1], out=fresh[1:])
-            q_next = q_next[fresh]
+        else:
+            q_next = sorted_unique(succ)
             d[q_next] = depth + 1
         # Path counting over the DAG edges (atomicAdd, line 9).
         np.add.at(sigma, succ, frontier_sigma.take(owner))

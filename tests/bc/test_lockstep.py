@@ -223,13 +223,27 @@ def test_sources_validated(fig1):
         sweep_group(fig1, [])
 
 
-def test_group_width_rule(fig1):
+def test_group_width_rule(monkeypatch):
     from repro.bc import frontier
 
-    cells = fig1.num_vertices + fig1.num_directed_edges
-    assert group_width(fig1) == frontier.GROUP_CELLS // cells
-    big = from_edges([(i, i + 1) for i in range(frontier.GROUP_CELLS)])
+    # Hub 0 has leaves 1-5; leaf 1 also reaches 6 and 7, so the edges
+    # two hops from the hub are 3 + 1 + 1 + 1 + 1 = 7.
+    g = from_edges([(0, v) for v in range(1, 6)] + [(1, 6), (1, 7)])
+    n, m = g.num_vertices, g.num_directed_edges
+    assert group_width(g) == min(frontier.GROUP_KEYS // n,
+                                 frontier.GROUP_CELLS // (n + m),
+                                 frontier.GROUP_LEVEL_EDGES // 7)
+    for budget, per_root in (("GROUP_KEYS", n), ("GROUP_CELLS", n + m),
+                             ("GROUP_LEVEL_EDGES", 7)):
+        with monkeypatch.context() as patch:
+            patch.setattr(frontier, budget, 3 * per_root + 1)
+            assert group_width(g) == 3
+            patch.setattr(frontier, budget, per_root - 1)
+            assert group_width(g) == 1
+    big = from_edges([(i, i + 1) for i in range(frontier.GROUP_KEYS)])
     assert group_width(big) == 1
+    assert group_width(from_edges([], num_vertices=3)) == (
+        frontier.GROUP_KEYS // 3)
 
 
 @pytest.mark.parametrize("policy", [FixedPolicy("work-efficient"),
