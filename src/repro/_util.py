@@ -14,6 +14,7 @@ from .errors import ClusterConfigurationError
 
 __all__ = [
     "sorted_unique",
+    "unique_of_sorted",
     "concat_ranges",
     "chunk_max_sum",
     "as_index_array",
@@ -32,12 +33,18 @@ def sorted_unique(a) -> np.ndarray:
     """
     a = np.array(a).ravel()  # a copy, sorted in place
     a.sort()
+    return unique_of_sorted(a)
+
+
+def unique_of_sorted(a: np.ndarray) -> np.ndarray:
+    """Distinct values of the sorted 1-D array ``a``: the first of each
+    run of repeats (``a`` itself when it has fewer than two)."""
     if a.size < 2:
         return a
     keep = np.empty(a.size, dtype=bool)
     keep[0] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+    return a.take(keep.nonzero()[0])
 
 
 def concat_ranges(starts: np.ndarray, counts: np.ndarray,

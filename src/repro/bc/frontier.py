@@ -15,11 +15,14 @@ al.'s direction-optimizing BFS): top-down over the frontier's
 adjacency, or, once the unreached side is the smaller, bottom-up over
 the adjacency of every unreached vertex, looking for neighbours on the
 frontier.  Bottom-up runs only on canonical CSR
-(:meth:`~repro.graph.csr.CSRGraph.canonical`), where one sort puts its
-DAG edges in top-down order, so both directions give the same bytes
-(DESIGN section 5, "Direction-optimizing sweep").  The executor's
-direction is invisible to the cost model, which charges Algorithm 2's
-top-down work either way.
+(:meth:`~repro.graph.csr.CSRGraph.canonical`).  There it finds the
+DAG edges of a top-down scan, listed successor-major instead of
+owner-major.  Either way each owner's successors and each successor's
+owners ascend, the only orders the path counting and the backward
+stage's sums see, so both directions give the same values (DESIGN
+section 5, "Direction-optimizing sweep").  The executor's direction is
+invisible to the cost model, which charges Algorithm 2's top-down work
+either way.
 
 All strategy variants produce *identical* values — they differ in how
 threads are assigned to this work, which is what the cost model (in
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import concat_ranges, sorted_unique
+from .._util import concat_ranges, sorted_unique, unique_of_sorted
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 
@@ -107,8 +110,11 @@ class ForwardResult:
         array and their offsets the ``ends`` array.
     level_scales: rescaling factor applied at each depth (>= 1.0).
     dag: per depth, the ``(owner, succ)`` shortest-path DAG edges leaving
-        that level, in adjacency order: ``owner`` is the tail's position
-        in ``levels[depth]``, ``succ`` the head's vertex id at depth + 1.
+        that level: ``owner`` is the tail's position in
+        ``levels[depth]``, ``succ`` the head's vertex id at depth + 1.
+        A top-down level lists them owner-major (in adjacency order), a
+        bottom-up one successor-major; either way each owner's
+        successors and each successor's owners ascend.
 
     A row of a :class:`ForwardGroup` (:meth:`ForwardGroup.row`) carries
     ``source``, ``distances``, ``sigma`` and ``level_scales`` only;
@@ -167,7 +173,8 @@ class ForwardGroup:
     levels: per group depth, the sorted keys of every row's frontier at
         that depth (a row whose traversal ended is absent).
     dag: per group depth, ``(owner, succ)``: ``owner`` a position in
-        ``levels[depth]``, ``succ`` the successor's key.
+        ``levels[depth]``, ``succ`` the successor's key, in the order of
+        :attr:`ForwardResult.dag`.
     level_scales: ``(k, len(levels))`` rescaling factors; entries past a
         row's last depth are 1.0.
     """
@@ -257,19 +264,12 @@ def _rescale(sigma: np.ndarray, q_next: np.ndarray, vals: np.ndarray,
     return vals, out
 
 
-def _bottom_up_valid(g: CSRGraph, k: int) -> bool:
-    """Whether a ``k``-root sweep of ``g`` may scan levels bottom-up:
-    ``g`` is canonical CSR and a packed ``(owner, succ)`` sort key of
-    :func:`_bottom_up` fits in int64."""
-    return 2 * (k * g.num_vertices).bit_length() <= 63 and g.canonical()
-
-
 def _bottom_up(g: CSRGraph, d: np.ndarray, depth: int, frontier: np.ndarray,
                k: int):
     """One level's DAG edges found bottom-up: every unreached key scans
     its adjacency for neighbours at ``depth``.  Returns ``(owner,
-    succ)`` in top-down order: by owner, then by adjacency position,
-    which on canonical CSR is ascending ``succ``."""
+    succ)`` successor-major: by ascending ``succ``, then by adjacency
+    position, which on canonical CSR is ascending owner."""
     n = g.num_vertices
     unreached = np.flatnonzero(d == UNREACHED)
     verts = unreached if k == 1 else unreached % n
@@ -277,16 +277,10 @@ def _bottom_up(g: CSRGraph, d: np.ndarray, depth: int, frontier: np.ndarray,
     nbrs = g.adj[concat_ranges(g.indptr[verts], counts)]
     if k > 1:
         nbrs += (unreached - verts).repeat(counts)
-    hit = np.flatnonzero(d[nbrs] == depth)
+    hit = (d.take(nbrs) == depth).nonzero()[0]
     pos = np.empty(k * n, dtype=np.int64)
     pos[frontier] = np.arange(frontier.size)
-    # Hits come successor-major; one sort of packed ``owner << shift |
-    # succ`` keys puts them in top-down order (see _bottom_up_valid).
-    shift = (k * n).bit_length()
-    keys = pos[nbrs.take(hit)] << shift
-    keys |= unreached.repeat(counts).take(hit)
-    keys.sort()
-    return keys >> shift, keys & ((1 << shift) - 1)
+    return pos.take(nbrs.take(hit)), unreached.repeat(counts).take(hit)
 
 
 def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
@@ -295,16 +289,19 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
 
     Per level, the frontiers of all rows are gathered, discovered and
     path-counted with one set of array operations over ``row * n +
-    vertex`` keys; each row's values, DAG edges and rescaling factors
-    are byte-identical to a one-root sweep from that root.  With one
-    root the keys are the vertex ids and no key arithmetic is done.
+    vertex`` keys; each row's values and rescaling factors are
+    byte-identical to a one-root sweep from that root, and so are its
+    DAG edges up to the level's direction (see
+    :attr:`ForwardResult.dag`).  With one root the keys are the vertex
+    ids and no key arithmetic is done.
 
     Each level scans whichever side inspects fewer edges: the
     frontier's adjacency (top-down) or, on a canonical graph
     (:meth:`~repro.graph.csr.CSRGraph.canonical`), that of every
     unreached key (bottom-up, :func:`_bottom_up`), which it picks when
     ``unvisited_edges + k * n < frontier_edges``.  Both give the same
-    DAG edges in the same order.
+    DAG edges, top-down owner-major and bottom-up successor-major, and
+    the same values.
 
     ``metrics`` (optional :class:`~repro.observability.MetricsRegistry`)
     records each root's ``frontier.*`` totals, in root order.
@@ -322,7 +319,7 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
     indptr, adj = g.indptr, g.adj
     degree = indptr[1:] - indptr[:-1]
     kn = k * n
-    bottom_up = _bottom_up_valid(g, k)
+    bottom_up = g.canonical()
     unvisited = k * adj.size  # edges of the still-unreached keys
     d = np.full(kn, UNREACHED, dtype=np.int64)
     sigma = np.zeros(kn, dtype=np.float64)
@@ -344,7 +341,8 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
         ends = counts.cumsum()
         frontier_edges = int(ends[-1])
         unvisited -= frontier_edges
-        if bottom_up and unvisited + kn < frontier_edges:
+        up = bottom_up and unvisited + kn < frontier_edges
+        if up:
             owner, succ = _bottom_up(g, d, depth, frontier, k)
         else:
             nbrs = adj.take(concat_ranges(indptr.take(verts), counts, ends))
@@ -360,13 +358,14 @@ def sweep_group(g: CSRGraph, sources, metrics=None) -> ForwardGroup:
         if succ.size == 0:
             break
         # Discovery: first touch sets the depth (atomicCAS, line 5).
-        # A successor list longer than an eighth of the keys is cheaper
-        # to mark and scan densely than to sort.
-        if succ.size > kn >> 3:
+        # Bottom-up successors come sorted, so the next frontier is one
+        # key per run.  A top-down successor list longer than an eighth
+        # of the keys is cheaper to mark and scan densely than to sort.
+        if not up and succ.size > kn >> 3:
             d[succ] = depth + 1
             q_next = (d == depth + 1).nonzero()[0]
         else:
-            q_next = sorted_unique(succ)
+            q_next = unique_of_sorted(succ) if up else sorted_unique(succ)
             d[q_next] = depth + 1
         # Path counting over the DAG edges (atomicAdd, line 9).
         np.add.at(sigma, succ, frontier_sigma.take(owner))

@@ -324,25 +324,10 @@ def per_root_correction(fold: FoldResult, root: int) -> tuple[int, np.ndarray]:
     along the root's own peel path, where the far side of each hop —
     ``N - weights[p] - 1`` targets — is what the root's paths cross.
     """
-    root = int(root)
-    sub, parent, comp = fold.weights, fold.parent, fold.comp_size
-    n = fold.original.num_vertices
-    if not 0 <= root < n:
-        raise IndexError(f"root {root} out of range [0, {n})")
-    corr = np.zeros(n, dtype=np.float64)
-    if fold.is_identity:
-        return root, corr
-    in_comp = fold.comp_label == fold.comp_label[root]
-    corr[in_comp] = sub[in_comp] - 1.0
-    corr[root] = 0.0
-    N = comp[root]
-    p = root
-    while parent[p] != -1:
-        q = int(parent[p])
-        corr[q] = N - sub[p] - 1.0
-        p = q
-    core_root = int(fold.core_index[fold.host[root]])
-    return core_root, corr
+    plan = root_plan(fold.original, [int(root)], fold=fold)
+    if plan.extra is None:  # identity fold
+        return int(root), np.zeros(plan.graph.num_vertices)
+    return int(plan.run_roots[0]), plan.extra
 
 
 def root_set(g: CSRGraph, sources=None) -> np.ndarray:
@@ -445,12 +430,23 @@ def root_plan(g: CSRGraph, sources=None,
                                             dtype=np.int64),
                         target_weights=tw, source_weights=tw, fold=fold,
                         extra=fold.credit)
-    run_roots = np.empty(roots.size, dtype=np.int64)
-    extra = np.zeros(g.num_vertices, dtype=np.float64)
-    for i, a in enumerate(roots.tolist()):
-        run_roots[i], corr = per_root_correction(fold, a)
-        extra += corr
-    return RootPlan(graph=fold.core, roots=roots, run_roots=run_roots,
+    # The per-root corrections, summed in one pass: a vertex is interior
+    # to ``w - 1`` paths of each root in its component, except at the
+    # root itself (none) and at each hop p -> q of the root's peel path,
+    # where q is interior to ``N - w[p] - 1``.  Every term is an
+    # integer-valued float, so the sum is exact in any order.
+    w, parent, label = fold.weights, fold.parent, fold.comp_label
+    extra = np.bincount(label[roots], minlength=w.size)[label] * (w - 1.0)
+    np.subtract.at(extra, roots, w[roots] - 1.0)
+    p, size = roots, fold.comp_size[roots]
+    while p.size:
+        q = parent[p]
+        up = (q != -1).nonzero()[0]
+        p, q, size = p[up], q[up], size[up]
+        np.add.at(extra, q, size - w[p] - w[q])
+        p = q
+    return RootPlan(graph=fold.core, roots=roots,
+                    run_roots=fold.core_index[fold.host[roots]],
                     target_weights=tw, fold=fold, extra=extra)
 
 

@@ -4,7 +4,9 @@ The backward stage of Algorithm 3 finds each vertex's successors by
 re-reading its adjacency list and keeping neighbours one level deeper.
 The executor instead reuses the ``(owner, succ)`` edges the forward
 sweep recorded.  These tests pin the two together byte for byte: the
-reference below is the re-gathering accumulation, copied verbatim.
+reference below is the re-gathering accumulation, copied verbatim.  A
+level the sweep scanned bottom-up lists its edges stably reordered by
+successor (see ``test_direction``).
 """
 
 import numpy as np
@@ -15,6 +17,11 @@ from repro.bc.accumulation import dependency_accumulation
 from repro.bc.frontier import SIGMA_RESCALE_LIMIT, forward_sweep
 from repro.bc.preprocess import fold_degree_one
 from repro.graph.build import from_edges
+from tests.bc.test_direction import (
+    assert_sum_orders,
+    spy_bottom_up,
+    successor_major,
+)
 
 
 def _regather_level(g, level, distances, sigma, delta, sigma_ratio_scale,
@@ -66,13 +73,19 @@ def successor_checked_edges(g, fwd, depth):
 
 
 def assert_same(g, root, target_weights=None):
-    fwd = forward_sweep(g, root)
+    with spy_bottom_up() as up:
+        fwd = forward_sweep(g, root)
     assert len(fwd.dag) == len(fwd.levels)
     for depth in range(len(fwd.levels)):
         owner, succ = fwd.dag[depth]
-        want_owner, want_succ = successor_checked_edges(g, fwd, depth)
-        assert owner.tolist() == want_owner
-        assert succ.tolist() == want_succ
+        want_owner, want_succ = (np.array(edges, dtype=np.int64) for edges
+                                 in successor_checked_edges(g, fwd, depth))
+        if depth in up:
+            want_owner, want_succ = successor_major(want_owner, want_succ)
+        assert_sum_orders(owner, succ)
+        assert owner.dtype == succ.dtype == np.int64
+        assert owner.tobytes() == want_owner.tobytes()
+        assert succ.tobytes() == want_succ.tobytes()
     got = dependency_accumulation(g, fwd, target_weights=target_weights)
     want = regather_accumulation(g, fwd, target_weights=target_weights)
     assert got.tobytes() == want.tobytes()

@@ -1,14 +1,17 @@
-"""The direction-optimizing sweep reproduces the top-down bytes.
+"""The direction-optimizing sweep reproduces the top-down values.
 
 :func:`repro.bc.frontier.sweep_group` scans a level bottom-up (every
 unreached key looks for neighbours at the current depth) when that
 inspects fewer edges than the frontier's adjacency.  On canonical CSR
-the bottom-up level must yield the very ``(owner, succ)`` arrays of a
-top-down scan, so every :class:`ForwardGroup` field and the backward
-stage's bytes match the one-root reference of ``test_lockstep``.  A spy
-on the bottom-up step checks that the graphs below do exercise it, and
-that it never runs where it would be invalid.
+a bottom-up level yields the top-down scan's ``(owner, succ)`` edges
+stably reordered by successor, and every other :class:`ForwardGroup`
+field and the backward stage's bytes match the one-root reference of
+``test_lockstep``.  A spy on the bottom-up step records which depths
+took it, checks that the graphs below do exercise it, and that it
+never runs where it would be invalid.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -29,9 +32,9 @@ from tests.bc.test_lockstep import (
 from tests.gpusim.test_golden_digests import _overflow
 
 
-@pytest.fixture
-def bottom_up_calls(monkeypatch):
-    """Count the sweep's bottom-up levels."""
+@contextlib.contextmanager
+def spy_bottom_up():
+    """Record the depth of every level the sweep scans bottom-up."""
     calls = []
     real = frontier._bottom_up
 
@@ -39,8 +42,33 @@ def bottom_up_calls(monkeypatch):
         calls.append(args[2])
         return real(*args)
 
-    monkeypatch.setattr(frontier, "_bottom_up", spy)
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier, "_bottom_up", spy)
+        yield calls
+
+
+@pytest.fixture
+def bottom_up_calls():
+    """The depths of the sweep's bottom-up levels."""
+    with spy_bottom_up() as calls:
+        yield calls
+
+
+def successor_major(owner, succ):
+    """A top-down level's DAG edges in the order a bottom-up scan finds
+    them: stably reordered by successor."""
+    order = np.argsort(succ, kind="stable")
+    return owner[order], succ[order]
+
+
+def assert_sum_orders(owner, succ):
+    """Each owner's successors, and each successor's owners, ascend in
+    the order the level lists them: the per-bin summation orders of
+    ``np.add.at`` (sigma) and ``bincount`` (delta)."""
+    for key, val in ((owner, succ), (succ, owner)):
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        assert np.all((key[1:] != key[:-1]) | (val[1:] >= val[:-1]))
 
 
 def expected_group(g, roots):
@@ -75,7 +103,8 @@ def assert_matches_top_down(g, roots, width, target_weights=None):
     roots = np.asarray(roots, dtype=np.int64)
     for lo in range(0, roots.size, width):
         part = roots[lo:lo + width]
-        grp = sweep_group(g, part)
+        with spy_bottom_up() as up:
+            grp = sweep_group(g, part)
         refs, levels, dag, scales = expected_group(g, part.tolist())
         assert grp.sources.tobytes() == part.tobytes()
         assert grp.num_vertices == g.num_vertices
@@ -88,8 +117,12 @@ def assert_matches_top_down(g, roots, width, target_weights=None):
         for got, want in zip(grp.levels, levels):
             assert got.tobytes() == want.tobytes()
         assert len(grp.dag) == len(dag)
-        for (owner, succ), (want_owner, want_succ) in zip(grp.dag, dag):
+        for depth, ((owner, succ), (want_owner, want_succ)) in enumerate(
+                zip(grp.dag, dag)):
+            if depth in up:
+                want_owner, want_succ = successor_major(want_owner, want_succ)
             assert owner.dtype == succ.dtype == np.int64
+            assert_sum_orders(owner, succ)
             assert owner.tobytes() == want_owner.tobytes()
             assert succ.tobytes() == want_succ.tobytes()
         delta = accumulate_group(grp, target_weights)
@@ -281,10 +314,3 @@ def test_bottom_up_never_runs_where_invalid(make, bottom_up_calls):
     sweep_group(from_edges(_dense_edges()), [0])
     assert bottom_up_calls
 
-
-def test_packed_key_overflow_disables_bottom_up():
-    g = from_edges(_dense_edges())
-    n = g.num_vertices
-    fits = ((1 << 31) - 1) // n  # k * n < 2**31: keys fit in 62 bits
-    assert frontier._bottom_up_valid(g, fits)
-    assert not frontier._bottom_up_valid(g, 4 * fits)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bc.accumulation import dependency_accumulation
 from repro.bc.brandes import brandes_reference
@@ -11,6 +13,7 @@ from repro.bc.preprocess import (
     fold_degree_one,
     folded_betweenness_centrality,
     per_root_correction,
+    root_plan,
 )
 from repro.graph.build import from_edges
 
@@ -142,6 +145,73 @@ class TestAssembly:
         fold = fold_degree_one(path(4))
         with pytest.raises(IndexError):
             per_root_correction(fold, 99)
+
+
+def loop_corrections(fold, roots):
+    """The per-root loop ``root_plan`` used to build an explicit root
+    set's ``run_roots`` and ``extra`` with, copied as the reference."""
+    sub, parent, comp = fold.weights, fold.parent, fold.comp_size
+    n = fold.original.num_vertices
+    run_roots = np.empty(len(roots), dtype=np.int64)
+    extra = np.zeros(n, dtype=np.float64)
+    for i, root in enumerate(roots):
+        corr = np.zeros(n, dtype=np.float64)
+        in_comp = fold.comp_label == fold.comp_label[root]
+        corr[in_comp] = sub[in_comp] - 1.0
+        corr[root] = 0.0
+        N = comp[root]
+        p = root
+        while parent[p] != -1:
+            q = int(parent[p])
+            corr[q] = N - sub[p] - 1.0
+            p = q
+        run_roots[i] = int(fold.core_index[fold.host[root]])
+        extra += corr
+    return run_roots, extra
+
+
+def assert_plan_matches_loop(g, roots):
+    fold = fold_degree_one(g)
+    plan = root_plan(g, roots, fold=fold)
+    if not fold.is_identity:
+        want_roots, want_extra = loop_corrections(fold, roots)
+        assert plan.run_roots.tobytes() == want_roots.tobytes()
+        assert plan.extra.tobytes() == want_extra.tobytes()
+    for root in set(roots):
+        core_root, corr = per_root_correction(fold, root)
+        want_root, want_corr = loop_corrections(fold, [root])
+        assert core_root == want_root[0]
+        assert corr.tobytes() == want_corr.tobytes()
+
+
+class TestRootCorrections:
+    """``root_plan``'s one-pass corrections equal the per-root loop."""
+
+    def test_components_paths_duplicates(self):
+        # A 4-cycle with a 3-hop tail and a pendant, a triangle with a
+        # 2-hop tail, a path (folds to one vertex) and an isolated vertex.
+        g = from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5),
+                        (5, 6), (2, 7), (8, 9), (9, 10), (10, 8), (10, 11),
+                        (11, 12), (13, 14), (14, 15)], num_vertices=17)
+        fold = fold_degree_one(g)
+        assert fold.parent[6] == 5 and fold.parent[5] == 4
+        assert fold.comp_label[0] != fold.comp_label[8]
+        # Duplicates, roots on another root's peel path, folded and
+        # core roots, in every component.
+        assert_plan_matches_loop(g, [6, 6, 5, 4, 0, 7, 12, 11, 8, 14, 13,
+                                     16, 6])
+        assert_plan_matches_loop(g, [3])
+        assert_plan_matches_loop(g, list(range(17)))
+
+    @given(st.integers(1, 30), st.lists(st.tuples(st.integers(0, 29),
+                                                  st.integers(0, 29)),
+                                        max_size=40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, n, edges, data):
+        g = from_edges([(u % n, v % n) for u, v in edges], num_vertices=n)
+        roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=12))
+        assert_plan_matches_loop(g, roots)
 
 
 class TestDigest:
