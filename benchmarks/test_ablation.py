@@ -24,7 +24,9 @@ from repro.harness.runner import pick_roots
 
 
 def _run_seconds(device, g, strategy, roots, **kw):
-    return device.run_bc(g, strategy=strategy, roots=roots, **kw).seconds
+    # The paper's algorithm: no degree-1 folding.
+    return device.run_bc(g, strategy=strategy, roots=roots, fold=False,
+                         **kw).seconds
 
 
 def test_ablation_imbalance_model(benchmark):

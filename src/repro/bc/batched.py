@@ -7,11 +7,11 @@ BLAS-shaped work.  The executor's one root loop,
 :func:`~repro.bc.accumulation.root_dependencies`, already is that
 batching: it sweeps and accumulates roots in lockstep groups.  So a
 batch's values are its roots' rows of that loop, and the ``batched``
-device strategy (:meth:`repro.gpusim.Device.run_bc`) differs from the
-others only in how it is charged: one whole-device
-:class:`~repro.gpusim.charge.FrontierProfile` per batch, whose frontier
-and edge frontier at each depth are the sums over the batch's rows of
-their ``FrontierProfile.of_group`` block at that depth.
+device strategy (:meth:`repro.gpusim.Device.run_strategies`) is one
+more charge of the device's one sweep: one whole-device
+:meth:`~repro.gpusim.charge.FrontierProfile.summed` profile per batch,
+whose frontier and edge frontier at each depth are the sums of its
+roots' rows at that depth.
 
 Every step of the simulated batch touches the summed frontier of all
 its roots, so batching behaves like the edge-parallel method: cheap on
@@ -27,43 +27,27 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..gpusim.charge import FrontierProfile, charge, level_degrees
-from ..observability.registry import NULL_REGISTRY
-from .accumulation import root_dependencies
+from ..gpusim.charge import Charges, FrontierProfile
 from .brandes import normalize_bc
 from .preprocess import FoldResult, root_plan
 
-__all__ = ["batched_betweenness_centrality", "batched_dependencies",
-           "run_batch"]
+__all__ = ["batched_betweenness_centrality", "batched_dependencies"]
 
 
-class _DepthSums:
-    """Root-loop observer summing every group's per-depth frontier
-    pairs and their degrees, depth-aligned across groups."""
+class _Rows(Charges):
+    """Root-loop charges that charge nothing: root ``i``'s dependencies
+    become row ``i`` of the loop's ``bc``, and its frontier rows are
+    kept."""
 
-    def __init__(self, g: CSRGraph):
-        self.g = g
-        self.sizes = np.zeros(0, dtype=np.int64)
-        self.edges = np.zeros(0, dtype=np.int64)
+    def __init__(self):
+        super().__init__(None, None, 0)
+        self.rows: list = []
 
-    @staticmethod
-    def _add(total: np.ndarray, part: np.ndarray) -> np.ndarray:
-        if part.size > total.size:
-            total, part = part, total
-        total[:part.size] += part
-        return total
+    def root(self, r: int) -> None:
+        self.rows.append(self.profile.series(r))
 
-    def after_forward(self, grp, r: int) -> None:
-        if r:
-            return
-        sizes = np.array([lv.size for lv in grp.levels], dtype=np.int64)
-        _, degrees = level_degrees(self.g, grp)
-        edges = np.add.reduceat(degrees, np.cumsum(sizes) - sizes)
-        self.sizes = self._add(self.sizes, sizes)
-        self.edges = self._add(self.edges, edges)
-
-    def after_accumulation(self, grp, r: int, delta) -> None:
-        pass
+    def add(self, bc: np.ndarray, delta: np.ndarray) -> None:
+        bc[len(self.rows) - 1] = delta
 
 
 def batched_dependencies(g: CSRGraph, roots: np.ndarray,
@@ -83,49 +67,21 @@ def batched_dependencies(g: CSRGraph, roots: np.ndarray,
         Optional callback ``on_level(depth, frontier_pairs,
         edge_pairs)`` fired once per depth, after the batch has run,
         with the number of (root, vertex) pairs at that depth and their
-        summed degrees — the frontier profile :func:`run_batch`
-        charges.
+        summed degrees — the batch's
+        :meth:`~repro.gpusim.charge.FrontierProfile.summed` profile,
+        which the ``batched`` device strategy charges.
     """
+    from . import engine  # deferred: the engine imports gpusim
+
     roots = np.asarray(roots, dtype=np.int64).ravel()
     delta = np.empty((roots.size, g.num_vertices), dtype=np.float64)
-    sums = None if on_level is None else _DepthSums(g)
-    for r, row in enumerate(root_dependencies(g, roots, target_weights,
-                                              observer=sums)):
-        delta[r] = row
-    if sums is not None:
-        for depth, (pairs, epairs) in enumerate(zip(sums.sizes.tolist(),
-                                                    sums.edges.tolist())):
-            on_level(depth, pairs, epairs)
+    rows = _Rows()
+    engine.run_roots(g, roots, delta, rows, target_weights=target_weights)
+    if on_level is not None and rows.rows:
+        batch = FrontierProfile.summed(int(roots[0]), rows.rows)
+        for depth, pairs in enumerate(zip(batch.sizes, batch.edges)):
+            on_level(depth, *pairs)
     return delta
-
-
-def run_batch(g: CSRGraph, batch: np.ndarray, bc: np.ndarray, policy,
-              costs, chunk: int, device_chunk: int, metrics=None,
-              source_weights: np.ndarray | None = None,
-              target_weights: np.ndarray | None = None):
-    """:func:`repro.bc.engine.run_root` for a whole batch: its values,
-    folded into ``bc`` (row-weighted by ``source_weights``), plus one
-    charge of its summed (pair, edge-pair) profile under ``policy``;
-    the trace is keyed by the first root."""
-    if metrics is None:
-        metrics = NULL_REGISTRY
-    sizes: list = []
-    edges: list = []
-
-    def on_level(depth, pairs, epairs):
-        sizes.append(pairs)
-        edges.append(epairs)
-
-    delta = batched_dependencies(g, batch, target_weights, on_level=on_level)
-    trace = charge(FrontierProfile(root=int(batch[0]), sizes=sizes,
-                                   edges=edges),
-                   policy, costs, chunk, device_chunk=device_chunk,
-                   metrics=metrics)
-    metrics.inc("engine.roots", batch.size)
-    if source_weights is not None:
-        delta *= source_weights[batch][:, None]
-    bc += delta.sum(axis=0)
-    return trace
 
 
 def batched_betweenness_centrality(

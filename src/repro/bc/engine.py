@@ -14,6 +14,10 @@ a group is decided and costed as one block
 (:func:`repro.gpusim.charge.record_root`), observer calls, ``bc +=`` —
 runs root by root, so traces, decision records and ``bc`` bytes do not
 depend on the group width.  :func:`run_root` is the one-root case.
+Charging is a :class:`~repro.gpusim.charge.Charges` object: one
+policy's, or the device's charges of every strategy it runs
+(:meth:`repro.gpusim.Device.run_strategies`), so one sweep is charged
+every way.
 
 Every strategy computes identical values — the strategies differ only
 in the thread-to-work assignment being costed — so correctness is
@@ -27,11 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..gpusim.charge import (EngineSeries, FrontierProfile, charge_rows,
-                             record_root)
+from ..gpusim.charge import Charges, FrontierProfile
 from ..gpusim.cost import CostModel
 from ..gpusim.trace import RootTrace
-from ..observability.registry import NULL_REGISTRY
 from .accumulation import accumulate_level  # noqa: F401  (see below)
 from .accumulation import root_dependencies
 from .frontier import forward_sweep  # noqa: F401  (see below)
@@ -45,32 +47,17 @@ from .policies import Policy
 __all__ = ["run_root", "run_roots"]
 
 
-class _Charger:
-    """:func:`run_roots`' observer: charges each group as one block,
-    then records each root's row at its own turn and hands it to the
-    run's observer, so decision records precede any corruption that
-    observer raises and no later root is recorded after it."""
+class _Loop:
+    """The root loop's observer: each group's profile and each root's
+    turn go to the charges, then to the run's observer."""
 
-    def __init__(self, g: CSRGraph, observer, policy: Policy,
-                 costs: CostModel, chunk: int, device_chunk: int | None,
-                 metrics):
-        self.g = g
-        self.observer = observer
-        self.policy = policy
-        self.costs = costs
-        self.chunk = chunk
-        self.device_chunk = device_chunk
-        self.series = EngineSeries(metrics)
-        self.traces: list = []
-        self._block = None
+    def __init__(self, g: CSRGraph, charges, observer):
+        self.g, self.charges, self.observer = g, charges, observer
 
     def after_forward(self, grp, r: int) -> None:
         if r == 0:  # a new group
-            self._block = charge_rows(FrontierProfile.of_group(self.g, grp),
-                                      self.policy, self.costs, self.chunk,
-                                      self.device_chunk)
-        self.traces.append(record_root(self._block.row(r), self.policy,
-                                       self.series))
+            self.charges.group(FrontierProfile.of_group(self.g, grp))
+        self.charges.root(r)
         if self.observer is not None:
             self.observer.after_forward(grp, r)
 
@@ -83,9 +70,9 @@ def run_roots(
     g: CSRGraph,
     sources,
     bc: np.ndarray,
-    policy: Policy,
-    costs: CostModel,
-    chunk: int,
+    charges,
+    costs: CostModel | None = None,
+    chunk: int | None = None,
     device_chunk: int | None = None,
     metrics=None,
     observer=None,
@@ -93,11 +80,16 @@ def run_roots(
     target_weights: np.ndarray | None = None,
     width: int | None = None,
 ) -> list:
-    """Process BC roots under ``policy``, charging ``costs``; returns
-    one :class:`~repro.gpusim.trace.RootTrace` per root, in order.
+    """Process BC roots, sweeping each once, and charge them; returns
+    the charges' traces (one :class:`~repro.gpusim.trace.RootTrace`
+    per root, in order, for a policy).
 
     Parameters
     ----------
+    charges:
+        A :class:`~repro.gpusim.charge.Charges`, or a
+        :class:`~repro.bc.policies.Policy` to charge every root under,
+        with ``costs``, ``chunk``, ``device_chunk`` and ``metrics``.
     bc:
         Shared accumulator; each root's dependencies are added in place,
         in root order (the per-GPU partial score vector of Section V-D).
@@ -108,12 +100,10 @@ def run_roots(
         Device-wide concurrency, required for the ``gpu-fan`` strategy
         (all SMs cooperate on a single root).
     metrics:
-        Optional :class:`~repro.observability.MetricsRegistry`; records
-        per-level ``engine.*`` counters (frontier/edge counts, cycles,
-        strategy chosen per level) and ``decision.*`` trace events (the
-        policy's per-iteration strategy selections with their full α/β
-        inputs, consumed by :mod:`repro.observability.trace`).  Defaults
-        to the no-op registry, so uninstrumented runs pay nothing.
+        Optional :class:`~repro.observability.MetricsRegistry` of a
+        policy's charges: per-level ``engine.*`` counters and the
+        policy's ``decision.*`` trace events, with their full α/β
+        inputs (:mod:`repro.observability.trace`).
     observer:
         Optional per-root hook of
         :func:`~repro.bc.accumulation.root_dependencies` (such as
@@ -131,18 +121,14 @@ def run_roots(
         Most roots per lockstep group; defaults to
         :func:`~repro.bc.frontier.group_width` of ``g``.
     """
-    if metrics is None:
-        metrics = NULL_REGISTRY
-    charger = _Charger(g, observer, policy, costs, chunk, device_chunk,
-                       metrics)
+    if isinstance(charges, Policy):
+        charges = Charges(charges, costs, chunk, device_chunk, metrics)
     for delta in root_dependencies(g, sources, target_weights,
-                                   observer=charger,
+                                   observer=_Loop(g, charges, observer),
                                    source_weights=source_weights,
                                    width=width):
-        bc += delta
-        metrics.inc("engine.roots")
-        metrics.observe("engine.root_cycles", charger.traces[-1].cycles)
-    return charger.traces
+        charges.add(bc, delta)
+    return charges.traces
 
 
 def run_root(

@@ -1,21 +1,20 @@
 """The benchmark grid: every device strategy over the Table II sample.
 
 One dataset per structural class (scale-free, mesh, Kronecker with
-isolated vertices, road, small-world) × the five trackable strategies.
-The document body (schema ``repro.bench/v1``) is *simulated* and
-therefore byte-deterministic for a fixed config — makespan cycles,
-simulated seconds, MTEPS, per-level totals — so perf diffs against it
-are exact; wall-clock measurements of the Python harness itself live
-under the single ``timing`` key the caller may attach.
+isolated vertices, road, small-world) × the six trackable strategies,
+charged from one sweep of each dataset's roots
+(:meth:`~repro.gpusim.Device.run_strategies`).  The document body
+(schema ``repro.bench/v1``) is *simulated* and therefore
+byte-deterministic for a fixed config — makespan cycles, simulated
+seconds, MTEPS, per-level totals — so perf diffs against it are exact;
+wall-clock measurements of the Python harness itself live under the
+single ``timing`` key the caller may attach.
 
-The sampling strategy's run is configured so Algorithm 5's decision is
-actually *exercised*, not just recorded: ``n_samps`` defaults to half
-the benchmarked roots (:func:`default_n_samps`), leaving a non-empty
-phase 2 that runs under the chosen method.  With the historical default
-(512 samples > 16 roots) every root was consumed by the classification
-phase, so ``sampling_chose_edge_parallel`` described a choice that never
-ran a single root — and the per-row ``sampling_median_depth`` /
-``sampling_depth_cutoff`` audit fields were unrecoverable.
+``n_samps`` defaults to half the benchmarked roots
+(:func:`default_n_samps`), so Algorithm 5's decision governs a
+non-empty steady phase, and each sampling and batched row's
+classification audit (``sampling_median_depth``,
+``sampling_depth_cutoff``) describes roots that ran.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 
 from ..graph.generators import make_dataset
 from ..gpusim import GTX_TITAN, Device
-from ..observability import MetricsRegistry
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -64,16 +62,6 @@ def default_n_samps(roots: int) -> int:
     return max(2, int(roots) // 2)
 
 
-def _sampling_decision(metrics: MetricsRegistry) -> dict | None:
-    """The run's recorded Algorithm 5 classification event, if any
-    (the ``batched`` strategy records the same depth rule under its own
-    event name)."""
-    for ev in metrics.events:
-        if ev["event"] in ("decision.sampling", "decision.batched"):
-            return ev
-    return None
-
-
 def run_bench_grid(
     scale_factor: int = 1024,
     roots: int = 16,
@@ -102,7 +90,9 @@ def run_bench_grid(
     wall_clock:
         Zero-argument wall-time source (defaults to
         ``time.perf_counter``); wall times are reported out-of-band in
-        ``wall_per_run``, never in the document body.
+        ``wall_per_run``, never in the document body: one entry per
+        dataset, its one :meth:`~repro.gpusim.Device.run_strategies`
+        call.
     include_service:
         Also run the service load-generator scenarios
         (:func:`repro.service.service_bench_rows`) and append their
@@ -131,16 +121,14 @@ def run_bench_grid(
         sample = np.sort(rng.choice(g.num_vertices,
                                     size=min(roots, g.num_vertices),
                                     replace=False))
+        t0 = wall_clock()
+        runs = device.run_strategies(g, strategies, roots=sample,
+                                     n_samps=int(n_samps), fold=fold)
+        wall_per_run[name] = wall_clock() - t0
         for strategy in strategies:
-            metrics = MetricsRegistry()
-            kwargs = ({"n_samps": int(n_samps)}
-                      if strategy in ("sampling", "batched") else {})
-            t0 = wall_clock()
-            run = device.run_bc(g, strategy=strategy, roots=sample,
-                                metrics=metrics, fold=fold, **kwargs)
-            wall_per_run[f"{name}/{strategy}"] = wall_clock() - t0
+            run = runs[strategy]
             levels = sum(len(rt.levels) for rt in run.trace.roots)
-            decision = _sampling_decision(metrics)
+            decision = run.classification
             results.append({
                 "dataset": name,
                 "strategy": strategy,

@@ -18,7 +18,9 @@ lockstep group's rows as one block:
   ``decision.initial``/``decision.step`` records, which
   :meth:`Policy.decide` builds only if the registry's events are read
   (:meth:`~repro.observability.MetricsRegistry.defer`).
-* :func:`charge` is the one-row composition of the two.
+* :func:`charge` is the one-row composition of the two, and
+  :class:`Charges` the root loop's: a group's block under each policy
+  its rows need, each row recorded at its root's turn.
 
 Traces, counters, histograms and events are those of a level-by-level
 replay (``tests/gpusim/test_charge_equivalence.py`` keeps that loop as
@@ -28,7 +30,7 @@ the reference).
 from __future__ import annotations
 
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -43,11 +45,12 @@ from ..bc.policies import (
     Policy,
 )
 from ..errors import StrategyError
+from ..observability.registry import NULL_REGISTRY
 from .cost import CostModel
 from .trace import LevelColumns, RootTrace
 
-__all__ = ["EngineSeries", "FrontierProfile", "charge", "charge_rows",
-           "level_degrees", "record_root"]
+__all__ = ["Charges", "EngineSeries", "FrontierProfile", "charge",
+           "charge_rows", "level_degrees", "record_root"]
 
 
 def level_degrees(g, grp) -> tuple:
@@ -114,6 +117,20 @@ class FrontierProfile:
         return cls(grp.sources.tolist(), sizes.tolist(), edges.tolist(),
                    ids, degrees, g.num_vertices, g.num_directed_edges,
                    offsets=list(accumulate(grp.depths, initial=0)))
+
+    @classmethod
+    def summed(cls, root, rows) -> "FrontierProfile":
+        """One traversal of ``root`` whose vertex and edge frontiers at
+        each depth are the sums of ``rows``' (:meth:`series` pairs,
+        depth-aligned): a batch of roots charged as one traversal."""
+        sizes, edges = zip(*rows)
+        return cls(root, *([sum(d) for d in zip_longest(*series, fillvalue=0)]
+                           for series in (sizes, edges)))
+
+    def series(self, r: int) -> tuple:
+        """Row ``r``'s vertex and edge frontiers, depth by depth."""
+        lo, hi = self.offsets[r], self.offsets[r + 1]
+        return self.sizes[lo:hi], self.edges[lo:hi]
 
     def __getitem__(self, r: int) -> "FrontierProfile":
         """Row ``r``, as a one-row profile."""
@@ -258,6 +275,42 @@ def record_root(columns: LevelColumns, policy: Policy,
             series["engine.cycles", stage, name].inc_all(values)
     series["engine.frontier_size", "forward"].observe_all(size)
     return trace
+
+
+class Charges:
+    """How the root loop (:func:`repro.bc.engine.run_roots`) charges
+    its roots: :meth:`group` gets each lockstep group's profile,
+    :meth:`root` row ``r``'s turn, before the run's observer, and
+    :meth:`add` the root's weighted dependencies, in root order.  These
+    charge every root under ``policy``, a group as one block per policy
+    (:meth:`record`)."""
+
+    def __init__(self, policy: Policy, costs: CostModel, chunk: int,
+                 device_chunk: int | None = None, metrics=None):
+        self.policy, self.device_chunk = policy, device_chunk
+        self.costs, self.chunk = costs, chunk
+        self.metrics = NULL_REGISTRY if metrics is None else metrics
+        self.series = EngineSeries(self.metrics)
+        self.traces: list = []
+
+    def group(self, profile: FrontierProfile) -> None:
+        self.profile, self.blocks = profile, {}
+
+    def record(self, r: int, policy: Policy) -> RootTrace:
+        """Row ``r``'s trace under ``policy``, its metrics recorded."""
+        if policy not in self.blocks:
+            self.blocks[policy] = charge_rows(self.profile, policy,
+                                              self.costs, self.chunk,
+                                              self.device_chunk)
+        return record_root(self.blocks[policy].row(r), policy, self.series)
+
+    def root(self, r: int) -> None:
+        self.traces.append(self.record(r, self.policy))
+
+    def add(self, bc: np.ndarray, delta: np.ndarray) -> None:
+        bc += delta
+        self.metrics.inc("engine.roots")
+        self.metrics.observe("engine.root_cycles", self.traces[-1].cycles)
 
 
 def charge(profile: FrontierProfile, policy: Policy, costs: CostModel,

@@ -49,6 +49,7 @@ from ..errors import GraphFormatError, SilentCorruptionError, StrategyError
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 from ..verify import RootObserver, VerificationPolicy
+from .charge import Charges, FrontierProfile, charge
 from .cost import DEFAULT_COSTS, CostModel
 from .memory import DeviceMemoryModel, strategy_footprint
 from .spec import GTX_TITAN, GPUSpec
@@ -70,6 +71,9 @@ STRATEGIES = (
     BATCHED,
     GPU_FAN,
 )
+
+#: Strategies whose first ``n_samps`` roots classify the graph.
+_CLASSIFIED = ("sampling", BATCHED)
 
 
 @dataclass
@@ -102,6 +106,9 @@ class DeviceRun:
     #: the fold was the identity) — carries the digest the service
     #: layer keys results under.
     fold: FoldResult | None = None
+    #: A sampling or batched run's classification record (sampled
+    #: depths, median, cutoff), as ``classification_record`` gives it.
+    classification: dict | None = None
 
     @property
     def num_roots(self) -> int:
@@ -166,21 +173,22 @@ class DeviceRun:
 
 @dataclass
 class _Run:
-    """One run's shared state: what the per-root loop needs, the trace
-    being built, and the strategy's result fields."""
+    """One strategy's share of a call: its charges and result fields.
+    Roots are charged under ``policy``, which is work-efficient for the
+    first ``fixed`` (the classification phase of sampling and batched),
+    or kept (``rows``, ``values``) for their batch."""
 
-    g: CSRGraph
-    bc: np.ndarray
-    chunk: int
-    metrics: object
-    observer: RootObserver | None
-    source_weights: np.ndarray | None
-    target_weights: np.ndarray | None
+    strategy: str
+    policy: object
+    fixed: int = 0
     trace: RunTrace = field(default_factory=RunTrace)
+    classification: dict | None = None
     chose: bool | None = None
-    fixed_cycles: float = 0.0
-    fixed_roots: int = 0
+    batches: bool = False
     roots_per_trace: int = 1
+    bc: np.ndarray | None = None
+    rows: list = field(default_factory=list)
+    values: np.ndarray | None = None
 
 
 def _list_schedule(costs_per_root, num_workers: int):
@@ -225,69 +233,64 @@ class Device:
                 and self.faults.sdc_pending_for(self.rank))
 
     # ------------------------------------------------------------------
-    def run_bc(
-        self,
-        g: CSRGraph,
-        strategy: str = "sampling",
-        roots=None,
-        *,
-        alpha: int = ALPHA,
-        beta: int = BETA,
-        n_samps: int = DEFAULT_N_SAMPS,
-        gamma: float = DEFAULT_GAMMA,
-        min_frontier: int = MIN_FRONTIER,
-        batch_size: int = 64,
-        strict_reader: bool = False,
-        check_memory: bool = True,
-        metrics=None,
-        verify="off",
-        fold: bool | FoldResult = True,
-    ) -> DeviceRun:
-        """Run BC on the device under ``strategy``.
+    def run_bc(self, g: CSRGraph, strategy: str = "sampling", roots=None, *,
+               alpha: int = ALPHA, beta: int = BETA,
+               n_samps: int = DEFAULT_N_SAMPS, gamma: float = DEFAULT_GAMMA,
+               min_frontier: int = MIN_FRONTIER, batch_size: int = 64,
+               strict_reader: bool = False, check_memory: bool = True,
+               metrics=None, verify="off",
+               fold: bool | FoldResult = True) -> DeviceRun:
+        """Run BC on the device under ``strategy``: the one-strategy
+        case of :meth:`run_strategies`, which documents the
+        parameters."""
+        return self.run_strategies(
+            g, (strategy,), roots, alpha=alpha, beta=beta, n_samps=n_samps,
+            gamma=gamma, min_frontier=min_frontier, batch_size=batch_size,
+            strict_reader=strict_reader, check_memory=check_memory,
+            metrics=metrics, verify=verify, fold=fold)[strategy]
+
+    def run_strategies(self, g: CSRGraph, strategies, roots=None, *,
+                       alpha: int = ALPHA, beta: int = BETA,
+                       n_samps: int = DEFAULT_N_SAMPS,
+                       gamma: float = DEFAULT_GAMMA,
+                       min_frontier: int = MIN_FRONTIER, batch_size: int = 64,
+                       strict_reader: bool = False, check_memory: bool = True,
+                       metrics=None, verify="off",
+                       fold: bool | FoldResult = True) -> dict:
+        """Run BC on the device once, charged under each of
+        ``strategies``; returns ``{strategy: DeviceRun}``, each what
+        :meth:`run_bc` of that strategy alone returns.  Strategies differ
+        only in how threads are assigned to each level's work, so every
+        root is swept once (:func:`repro.bc.engine.run_roots`) and each
+        lockstep group's profile is charged once per policy it needs.
 
         Parameters
         ----------
         roots:
-            Sources to process (all vertices by default).  Experiments
-            on large graphs pass a sample and extrapolate via
-            :meth:`DeviceRun.extrapolated_seconds`.
+            Sources to process (all vertices by default); a sample
+            extrapolates via :meth:`DeviceRun.extrapolated_seconds`.
         alpha, beta:
-            Hybrid thresholds (Algorithm 4); the paper's
-            :data:`~repro.bc.policies.ALPHA` /
+            Hybrid thresholds (Algorithm 4), the paper's
+            :data:`~repro.bc.policies.ALPHA` and
             :data:`~repro.bc.policies.BETA` by default.
         n_samps, gamma, min_frontier:
             Sampling parameters (Algorithm 5); defaults 512 / 4 /
             :data:`~repro.bc.policies.MIN_FRONTIER`.  The first
-            ``n_samps`` of ``roots``, in the order given, classify the
-            graph.
+            ``n_samps`` of ``roots``, in the order given, are charged
+            work-efficient and classify the graph.
         batch_size:
             Roots per batch of the ``batched`` strategy (Sarıyüce-style
-            multi-source traversal; reference [33]).  The strategy
-            classifies depth with its first ``n_samps`` roots exactly
-            like Algorithm 5; only when the sampled median depth is
-            below the ``gamma`` cutoff (small-diameter graphs) does it
-            run the remainder ``batch_size`` at a time, each batch
-            charged as one whole-device traversal whose per-depth
-            frontier and edge frontier are the sums of its roots'
-            lockstep profiles.  Values come from the same root loop as
-            every strategy, which rescales path counts per level, so
-            there is no overflow path.  Deep graphs run per-root
-            work-efficient traversal.
+            multi-source traversal; reference [33]).  It classifies like
+            Algorithm 5; on small-diameter graphs each batch of the
+            remaining roots is charged as one whole-device traversal of
+            its roots' summed frontiers, and its values summed.
         fold:
-            Apply the degree-1 folding preprocess before traversal (on
-            by default; exact — see :mod:`repro.bc.preprocess`).  Pass
-            ``False`` for the original graph, or a precomputed
-            :class:`~repro.bc.preprocess.FoldResult` to skip
-            re-folding.  Identity folds (directed or pendant-free
-            graphs) take the legacy path unchanged.  When a non-trivial
-            fold is active every strategy runs
-            :func:`~repro.bc.preprocess.root_plan`'s traversals of the
-            residual core (each core root weighted by its absorbed
-            subtree for a full run; one traversal from each root's
-            residual host for explicit ``roots``), trace entries are in
-            core vertex ids, and :meth:`DeviceRun.extrapolated_seconds`
-            extrapolates in core-traversal units.  The core-space sum
-            returns to original ids once, through the plan.
+            Degree-1 folding (:mod:`repro.bc.preprocess`; exact): on by
+            default, ``False``, or a precomputed
+            :class:`~repro.bc.preprocess.FoldResult`.  A non-trivial fold
+            runs :func:`~repro.bc.preprocess.root_plan`'s traversals of
+            the residual core, so traces are in core vertex ids and
+            extrapolation is in core-traversal units.
         strict_reader:
             Model the Jia et al. reference reader, which rejects graphs
             containing isolated vertices (Section V-B) — only honoured
@@ -295,43 +298,116 @@ class Device:
         check_memory:
             Allocate all device structures first and raise
             :class:`DeviceOutOfMemoryError` if they exceed capacity.
+            Every strategy passes both checks before any root is swept.
         metrics:
-            Optional :class:`~repro.observability.MetricsRegistry`.
-            Records ``device.*`` series (roots, cycles, makespan, bytes
-            allocated) plus the per-level ``engine.*`` series of every
-            root, inside a ``device.run_bc`` span, and the run's
-            decision-trace events (``run.params``, per-level
-            ``decision.*``, the sampling classification).  Export the
-            finished trace with :func:`repro.observability.run_profile`
-            (kernel profile) or
-            :func:`repro.observability.trace_document` (decision audit)
-            — one run, two exporters.
+            Optional :class:`~repro.observability.MetricsRegistry` of a
+            one-strategy call (``ValueError`` otherwise): ``device.*``
+            and per-level ``engine.*`` series in a ``device.run_bc``
+            span, and the decision-trace events that
+            :func:`repro.observability.trace_document` exports.
         verify:
             A :class:`~repro.verify.VerificationPolicy`, a mode string
-            (``"off"``/``"sampled"``/``"paranoid"``), or ``None``.
-            When enabled, each root's forward/accumulation state passes
-            the ABFT invariant suite and the final partial BC vector is
-            checksummed; a violation raises
+            (``"off"``/``"sampled"``/``"paranoid"``), or ``None``: the
+            ABFT invariant suite per root and a checksum of the partial
+            BC vector; a violation raises
             :class:`~repro.errors.SilentCorruptionError`.
         """
+        from ..bc import engine  # deferred: the engine imports gpusim
+
+        strategies = tuple(dict.fromkeys(strategies))
+        for strategy in strategies:
+            if strategy not in STRATEGIES:
+                raise StrategyError(
+                    f"unknown strategy {strategy!r}; known: {STRATEGIES}"
+                )
         if metrics is None:
             metrics = NULL_REGISTRY
-        if strategy not in STRATEGIES:
-            raise StrategyError(
-                f"unknown strategy {strategy!r}; known: {STRATEGIES}"
-            )
-        n = g.num_vertices
+        elif metrics.enabled and len(strategies) > 1:
+            raise ValueError("a metrics registry records one strategy's run")
+        if not strategies:
+            return {}
         # Degree-1 folding: the plan names the graph the kernels
         # traverse, their roots and weights, and how their sum returns
         # to original ids.
         plan = root_plan(g, roots, fold)
         roots, run_g, run_roots = plan.roots, plan.graph, plan.run_roots
-        target_weights, source_weights = (plan.target_weights,
-                                          plan.source_weights)
-        fold_result = plan.fold
+        memory = {s: self._admit(g, run_g, roots, s, strict_reader,
+                                 check_memory, batch_size)
+                  for s in strategies}
 
+        verify_policy = VerificationPolicy.coerce(verify)
+        observer = None
+        if verify_policy.enabled or self._sdc_pending():
+            observer = RootObserver(run_g, verify_policy, metrics,
+                                    faults=self.faults, rank=self.rank,
+                                    target_weights=plan.target_weights,
+                                    source_weights=plan.source_weights)
+
+        knobs = {"hybrid": dict(alpha=int(alpha), beta=int(beta)),
+                 "sampling": dict(n_samps=int(n_samps), gamma=float(gamma),
+                                  min_frontier=int(min_frontier)),
+                 BATCHED: dict(n_samps=int(n_samps), gamma=float(gamma),
+                               batch_size=int(batch_size))}
+        folded = {} if plan.fold is None else dict(
+            folded=True, core_vertices=int(run_g.num_vertices),
+            folded_vertices=int(plan.fold.num_folded),
+            fold_rounds=int(plan.fold.rounds),
+            fold_digest=plan.fold.digest(),
+            core_traversals=int(run_roots.size))
+        for strategy in strategies:
+            metrics.record("run.params", strategy=strategy,
+                           device=self.spec.name,
+                           num_vertices=int(g.num_vertices),
+                           num_edges=int(g.num_edges),
+                           num_roots=int(roots.size),
+                           **knobs.get(strategy, {}), **folded)
+
+        we = FixedPolicy(WORK_EFFICIENT)
+        policies = {"hybrid": HybridPolicy(alpha, beta), WORK_EFFICIENT: we,
+                    "sampling": we, BATCHED: we}
+        k = min(int(n_samps), run_roots.size)
+        runs = [_Run(s, policies.get(s) or FixedPolicy(s),
+                     k if s in _CLASSIFIED else 0) for s in strategies]
+        bc = np.zeros(run_g.num_vertices, dtype=np.float64)
+        sweep = _Sweep(self, run_g, run_roots, bc, runs, metrics,
+                       verified=observer is not None, gamma=gamma,
+                       min_frontier=int(min_frontier),
+                       batch_size=int(batch_size))
+        with metrics.span("device.run_bc", strategy=",".join(strategies),
+                          device=self.spec.name):
+            try:
+                engine.run_roots(
+                    run_g, run_roots, bc, sweep, observer=observer,
+                    source_weights=(None if plan.source_weights is None
+                                    else plan.source_weights[run_roots]),
+                    target_weights=plan.target_weights,
+                    width=1 if self._sdc_pending() else group_width(run_g))
+                for run in runs:  # classification phases that took every root
+                    if run.strategy in _CLASSIFIED and run.chose is None:
+                        sweep.classify(run)
+                if observer is not None:
+                    observer.finish(bc)
+            except SilentCorruptionError:
+                # No recovery story below the resilient driver: a
+                # poisoned result must not be returned as healthy.
+                metrics.inc("verify.corruption_detected", layer="device")
+                raise
+
+        values = _scores(plan, g, bc)
+        return {run.strategy: self._result(
+                    run, g, roots,
+                    _scores(plan, g, run.bc) if run.batches else values.copy(),
+                    memory[run.strategy], plan.fold, metrics)
+                for run in runs}
+
+    # ------------------------------------------------------------------
+    def _admit(self, g: CSRGraph, run_g: CSRGraph, roots, strategy: str,
+               strict_reader: bool, check_memory: bool,
+               batch_size: int) -> dict:
+        """The checks one strategy passes before any root is swept:
+        planned faults, the reference reader and the device
+        allocation; returns the memory report."""
         self._inject_faults(g, roots)
-
         if strict_reader and strategy in (EDGE_PARALLEL, VERTEX_PARALLEL):
             isolated = g.isolated_vertices()
             if isolated.size:
@@ -339,74 +415,42 @@ class Device:
                     f"reference reader cannot load graphs with isolated "
                     f"vertices ({isolated.size} present)"
                 )
-
-        memory_report: dict = {}
+        mem = DeviceMemoryModel(capacity=self.spec.memory_bytes)
         if check_memory:
-            mem = DeviceMemoryModel(capacity=self.spec.memory_bytes)
-            footprint = strategy_footprint(
-                run_g, self._memory_strategy(strategy),
-                num_blocks=self.spec.num_sms, batch_size=batch_size,
-            )
-            for what, nbytes in footprint.items():
+            for what, nbytes in strategy_footprint(
+                    run_g, WORK_EFFICIENT if strategy in ("hybrid", "sampling")
+                    else strategy, num_blocks=self.spec.num_sms,
+                    batch_size=batch_size).items():
                 mem.alloc(nbytes, what)
-            memory_report = mem.report()
+        return mem.report()
 
-        verify_policy = VerificationPolicy.coerce(verify)
-        observer = None
-        if verify_policy.enabled or self._sdc_pending():
-            observer = RootObserver(run_g, verify_policy, metrics,
-                                    faults=self.faults, rank=self.rank,
-                                    target_weights=target_weights,
-                                    source_weights=source_weights)
+    def _schedule(self, cycles, serial: bool = False):
+        """(makespan, per-SM cycles): greedy list scheduling of roots
+        onto SMs, or a device-serial sum when each entry owns the
+        whole device."""
+        if serial:
+            total = float(sum(cycles))
+            return total, np.full(self.spec.num_sms, total)
+        return _list_schedule(cycles, self.spec.num_sms)
 
-        params = {"strategy": strategy, "device": self.spec.name,
-                  "num_vertices": int(n), "num_edges": int(g.num_edges),
-                  "num_roots": int(roots.size)}
-        if strategy == "hybrid":
-            params.update(alpha=int(alpha), beta=int(beta))
-        elif strategy == "sampling":
-            params.update(n_samps=int(n_samps), gamma=float(gamma),
-                          min_frontier=int(min_frontier))
-        elif strategy == "batched":
-            params.update(n_samps=int(n_samps), gamma=float(gamma),
-                          batch_size=int(batch_size))
-        if fold_result is not None:
-            params.update(folded=True,
-                          core_vertices=int(run_g.num_vertices),
-                          folded_vertices=int(fold_result.num_folded),
-                          fold_rounds=int(fold_result.rounds),
-                          fold_digest=fold_result.digest(),
-                          core_traversals=int(run_roots.size))
-        metrics.record("run.params", **params)
-
-        run = _Run(g=run_g, bc=np.zeros(run_g.num_vertices, dtype=np.float64),
-                   chunk=self.spec.concurrent_threads_per_sm, metrics=metrics,
-                   observer=observer, source_weights=source_weights,
-                   target_weights=target_weights)
-        with metrics.span("device.run_bc", strategy=strategy,
-                          device=self.spec.name):
-            try:
-                self._execute(run, strategy, run_roots, alpha=alpha,
-                              beta=beta, n_samps=n_samps, gamma=gamma,
-                              min_frontier=min_frontier,
-                              batch_size=batch_size)
-                if observer is not None:
-                    observer.finish(run.bc)
-            except SilentCorruptionError:
-                # No recovery story below the resilient driver: a
-                # poisoned result must not be returned as healthy.
-                metrics.inc("verify.corruption_detected", layer="device")
-                raise
-
-        trace, bc = run.trace, plan.finish(run.bc)
-        makespan, fixed_cycles = trace.makespan_cycles, run.fixed_cycles
+    def _result(self, run: _Run, g: CSRGraph, roots, bc: np.ndarray,
+                memory_report: dict, fold_result, metrics) -> DeviceRun:
+        """Schedule one strategy's charged roots onto the device and
+        record its ``device.*`` series."""
+        strategy, trace = run.strategy, run.trace
+        cycles = [rt.cycles for rt in trace.roots]
+        # The classification phase is a fixed cost when extrapolating;
+        # GPU-FAN roots and batches each own the whole device.
+        fixed_cycles = (self._schedule(cycles[:run.fixed])[0] if run.fixed
+                        else 0.0)
+        makespan, trace.sm_cycles = self._schedule(
+            cycles[run.fixed:], serial=run.batches or strategy == GPU_FAN)
+        makespan += fixed_cycles
         slow = float(self.straggler_factor)
         if slow != 1.0:
             makespan *= slow
             fixed_cycles *= slow
-            trace.makespan_cycles = makespan
-        if g.undirected:
-            bc /= 2.0
+        trace.makespan_cycles = makespan
         metrics.inc("device.runs", strategy=strategy)
         metrics.inc("device.roots", roots.size, strategy=strategy)
         metrics.inc("device.cycles", makespan, strategy=strategy)
@@ -424,133 +468,107 @@ class Device:
             seconds=self.spec.seconds(makespan),
             strategy=strategy,
             spec=self.spec,
-            num_vertices=n,
+            num_vertices=g.num_vertices,
             num_edges=g.num_edges,
             roots=roots,
             memory_report=memory_report,
             sampling_chose_edge_parallel=run.chose,
             fixed_cycles=fixed_cycles,
-            fixed_roots=run.fixed_roots,
+            fixed_roots=run.fixed,
             roots_per_trace=run.roots_per_trace,
             fold=fold_result,
+            classification=run.classification,
         )
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _memory_strategy(strategy: str) -> str:
-        """Map run strategies to memory-footprint classes."""
-        if strategy in ("hybrid", "sampling"):
-            return WORK_EFFICIENT
-        return strategy
 
-    @staticmethod
-    def _policy(strategy: str, alpha, beta):
-        if strategy == "hybrid":
-            return HybridPolicy(alpha, beta)
-        return FixedPolicy(strategy)
+def _scores(plan, g: CSRGraph, acc: np.ndarray) -> np.ndarray:
+    """Original-id scores from the traversals' sum, halved on
+    undirected graphs."""
+    scores = plan.finish(acc)
+    if g.undirected:
+        scores /= 2.0
+    return scores
 
-    def _roots(self, run: "_Run", roots, policy,
-               device_chunk: int | None = None) -> list:
-        """The root loop: run ``roots`` under ``policy`` in lockstep
-        groups (one root at a time while silent-corruption faults are
-        planned, so each bit-flip strikes its own root's state before
-        accumulation), append their traces, return the per-root
-        cycles."""
-        from ..bc import engine  # deferred: the engine imports gpusim
 
-        roots = np.asarray(roots, dtype=np.int64)
-        traces = engine.run_roots(
-            run.g, roots, run.bc, policy, self.costs, run.chunk,
-            device_chunk=device_chunk, metrics=run.metrics,
-            observer=run.observer,
-            source_weights=(None if run.source_weights is None
-                            else run.source_weights[roots]),
-            target_weights=run.target_weights,
-            width=1 if self._sdc_pending() else group_width(run.g))
-        run.trace.roots.extend(traces)
-        return [rt.cycles for rt in traces]
+class _Sweep(Charges):
+    """The charges of a :meth:`Device.run_strategies` call: each run
+    records its row of its policy's block at the root's turn, or keeps
+    it for the root's batch."""
 
-    def _schedule(self, cycles, serial: bool = False):
-        """(makespan, per-SM cycles): greedy list scheduling of roots
-        onto SMs, or a device-serial sum when each entry owns the
-        whole device."""
-        if serial:
-            total = float(sum(cycles))
-            return total, np.full(self.spec.num_sms, total)
-        return _list_schedule(cycles, self.spec.num_sms)
+    def __init__(self, device: Device, g: CSRGraph, sources: np.ndarray,
+                 bc: np.ndarray, runs: list, metrics, *, verified: bool,
+                 gamma: float, min_frontier: int, batch_size: int):
+        # Each run brings its policy; the device chunk of GPU-FAN and
+        # the batches is unused by every other kernel.
+        super().__init__(None, device.costs,
+                         device.spec.concurrent_threads_per_sm,
+                         device.spec.total_threads, metrics)
+        self.g, self.sources, self.bc, self.runs = g, sources, bc, runs
+        self.turn = 0
+        self.verified, self.gamma = verified, gamma
+        self.min_frontier, self.batch_size = min_frontier, batch_size
 
-    def _classify(self, run: "_Run", roots, n_samps, gamma):
-        """Algorithm 5's classification phase, shared by sampling and
-        batched: the first ``n_samps`` roots run work-efficient (a fixed
-        cost when extrapolating) and their median BFS depth decides.
-        Returns the remaining roots and the classification record."""
-        k = min(int(n_samps), roots.size)
-        run.fixed_cycles, _ = self._schedule(
-            self._roots(run, roots[:k], FixedPolicy(WORK_EFFICIENT)))
-        run.fixed_roots = k
-        depths = [rt.max_depth for rt in run.trace.roots]
-        return roots[k:], classification_record(depths, run.g.num_vertices,
-                                                gamma=gamma)
+    def root(self, r: int) -> None:
+        i, self.turn = self.turn, self.turn + 1
+        for run in self.runs:
+            if i == run.fixed and run.strategy in _CLASSIFIED:
+                self.classify(run)
+            if run.batches:
+                run.rows.append(self.profile.series(r))
+            else:
+                run.trace.roots.append(self.record(r, run.policy))
 
-    def _execute(self, run: "_Run", strategy: str, roots, *, alpha, beta,
-                 n_samps, gamma, min_frontier, batch_size) -> None:
-        """Run ``strategy``'s phases, filling ``run``'s trace and result
-        fields.  Fixed, hybrid and GPU-FAN runs are one phase; sampling
-        and batched classify first and route the remaining roots."""
-        metrics = run.metrics
-        if strategy not in ("sampling", "batched"):
-            serial = strategy == GPU_FAN
-            cycles = self._roots(run, roots, self._policy(strategy, alpha, beta),
-                                 self.spec.total_threads if serial else None)
-            makespan, per_sm = self._schedule(cycles, serial)
+    def add(self, bc: np.ndarray, delta: np.ndarray) -> None:
+        i = self.turn - 1
+        for run in self.runs:
+            if run.batches:
+                self.batch_row(run, i, delta)
+            else:
+                self.metrics.inc("engine.roots")
+                self.metrics.observe("engine.root_cycles",
+                                     run.trace.roots[i].cycles)
+        bc += delta
+
+    def classify(self, run: _Run) -> None:
+        """Algorithm 5's classification, shared by sampling and
+        batched: the median BFS depth of the run's fixed roots decides
+        how the rest are charged."""
+        record = classification_record(
+            [rt.max_depth for rt in run.trace.roots], self.g.num_vertices,
+            gamma=self.gamma)
+        chose = bool(record["chose_edge_parallel"])
+        if run.strategy == "sampling":
+            method, audit = EDGE_PARALLEL, {"min_frontier": self.min_frontier}
+            if chose:
+                run.policy = FrontierGuardPolicy(self.min_frontier)
         else:
-            rest, classification = self._classify(run, roots, n_samps, gamma)
-            chose = bool(classification["chose_edge_parallel"])
-            if strategy == "sampling":
-                metrics.inc("device.sampling_classifications",
-                            chose=EDGE_PARALLEL if chose else WORK_EFFICIENT)
-                metrics.record("decision.sampling",
-                               min_frontier=int(min_frontier), **classification)
-                policy = (FrontierGuardPolicy(min_frontier) if chose
-                          else FixedPolicy(WORK_EFFICIENT))
-            else:
-                # The ABFT suite of a verification observer is per-root
-                # by construction, so verified runs never batch.
-                verified = run.observer is not None
-                chose = chose and not verified
-                metrics.inc("device.batched_classifications",
-                            chose=BATCHED if chose else WORK_EFFICIENT)
-                metrics.record("decision.batched", batch_size=int(batch_size),
-                               verified_per_root=verified, **classification)
-                policy = FixedPolicy(WORK_EFFICIENT)
-            if strategy == "batched" and chose and rest.size:
-                makespan, per_sm = self._batches(run, rest, int(batch_size),
-                                                 classification)
-            else:
-                makespan, per_sm = self._schedule(self._roots(run, rest, policy))
-            run.chose = chose
-            makespan = run.fixed_cycles + makespan
-        run.trace.makespan_cycles = makespan
-        run.trace.sm_cycles = per_sm
+            # The ABFT suite of a verification observer is per-root by
+            # construction, so verified runs never batch.
+            chose = chose and not self.verified
+            method, audit = BATCHED, {"batch_size": self.batch_size,
+                                      "verified_per_root": self.verified}
+            run.batches = chose and self.sources.size > run.fixed
+            if run.batches:  # the fixed roots' sum, and a batch's rows
+                run.bc, run.roots_per_trace = self.bc.copy(), self.batch_size
+                run.values = np.empty((min(self.batch_size, self.sources.size
+                                           - run.fixed), self.bc.size))
+        self.metrics.inc(f"device.{run.strategy}_classifications",
+                         chose=method if chose else WORK_EFFICIENT)
+        self.metrics.record(f"decision.{run.strategy}", **audit, **record)
+        run.classification, run.chose = record, chose
 
-    def _batches(self, run: "_Run", roots, batch_size: int, classification):
-        """Sarıyüce-style multi-source phase (reference [33]): the roots
-        run ``batch_size`` at a time, one whole-device batch after
-        another, each charged once from its roots' summed lockstep
-        profiles (:func:`repro.bc.batched.run_batch`)."""
-        from ..bc import batched  # deferred: bc.batched imports gpusim
-
-        cycles = []
-        for lo in range(0, roots.size, batch_size):
-            batch = roots[lo:lo + batch_size]
-            policy = BatchedPolicy(batch.size, classification["median_depth"],
-                                   classification["depth_cutoff"])
-            rt = batched.run_batch(
-                run.g, batch, run.bc, policy, self.costs, run.chunk,
-                self.spec.total_threads, metrics=run.metrics,
-                source_weights=run.source_weights,
-                target_weights=run.target_weights)
-            run.trace.roots.append(rt)
-            cycles.append(rt.cycles)
-        run.roots_per_trace = batch_size
-        return self._schedule(cycles, serial=True)
+    def batch_row(self, run: _Run, i: int, delta: np.ndarray) -> None:
+        """Keep steady root ``i``'s values for its batch; once the batch
+        is complete, charge it as one traversal and add its sum."""
+        j = (i - run.fixed) % self.batch_size
+        run.values[j] = delta
+        if j + 1 < self.batch_size and i + 1 < self.sources.size:
+            return
+        c = run.classification
+        run.trace.roots.append(charge(
+            FrontierProfile.summed(int(self.sources[i - j]), run.rows),
+            BatchedPolicy(j + 1, c["median_depth"], c["depth_cutoff"]),
+            self.costs, self.chunk, self.device_chunk, self.metrics))
+        self.metrics.inc("engine.roots", j + 1)
+        run.bc += run.values[:j + 1].sum(axis=0)
+        run.rows = []

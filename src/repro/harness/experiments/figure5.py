@@ -70,26 +70,25 @@ def run(cfg: ExperimentConfig | None = None,
         for scale in scales:
             g = build(int(scale), cfg.seed)
             roots = pick_roots(g, k, seed=cfg.seed)
-            samp = device.run_bc(g, strategy="sampling", roots=roots,
-                                 n_samps=max(1, roots.size // 3))
+            # GPU-FAN: check the O(n^2) footprint before running; a
+            # strategy that fits shares sampling's sweep.
+            fits = supports_graph(g, device.spec.memory_bytes)
+            runs = device.run_strategies(
+                g, ("sampling", "gpu-fan") if fits else ("sampling",),
+                roots=roots, n_samps=max(1, roots.size // 3), fold=False)
+            gf_s = runs["gpu-fan"].extrapolated_seconds() if fits else OOM
             # Jia et al. baseline: the reference reader rejects graphs
             # with isolated vertices.
             try:
                 ep = device.run_bc(g, strategy="edge-parallel", roots=roots,
-                                   strict_reader=True)
+                                   strict_reader=True, fold=False)
                 ep_s = ep.extrapolated_seconds()
             except GraphFormatError:
                 ep_s = READER_REJECTS
-            # GPU-FAN: check the O(n^2) footprint before running.
-            if supports_graph(g, device.spec.memory_bytes):
-                gf = device.run_bc(g, strategy="gpu-fan", roots=roots)
-                gf_s = gf.extrapolated_seconds()
-            else:
-                gf_s = OOM
             points.append(Figure5Point(
                 family=name, scale=int(scale),
                 num_vertices=g.num_vertices, num_edges=g.num_edges,
-                sampling_seconds=samp.extrapolated_seconds(),
+                sampling_seconds=runs["sampling"].extrapolated_seconds(),
                 edge_parallel_seconds=ep_s,
                 gpu_fan_seconds=gf_s,
             ))

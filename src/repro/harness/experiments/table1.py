@@ -42,7 +42,8 @@ def run(cfg: ExperimentConfig | None = None, roots_per_graph: int = 3) -> Table1
     for name in GRAPHS:
         g = load_suite_graph(name, cfg)
         roots = pick_roots(g, roots_per_graph, seed=cfg.seed)
-        dev_run = device.run_bc(g, strategy="work-efficient", roots=roots)
+        dev_run = device.run_bc(g, strategy="work-efficient", roots=roots,
+                                fold=False)
         for rt in dev_run.trace.roots:
             rows.append(frontier_time_correlations(rt, graph_name=name))
     return Table1Result(rows=tuple(rows))

@@ -30,12 +30,14 @@ class ExperimentConfig:
     and :data:`~repro.bc.policies.BETA` for the hybrid method, the
     :data:`~repro.bc.policies.MIN_FRONTIER` guard for sampling) are
     architecture constants tuned against paper-scale graphs.  When the
-    suite is built at ``1/scale_factor`` of paper size, typical frontier
-    sizes shrink roughly with the square root of the factor for the
-    mesh/road families (frontier ~ n / diameter, and mesh diameters
-    scale as sqrt(n)), so the harness scales the thresholds by
-    ``sqrt(scale_factor)`` to keep the level classification equivalent.
-    At ``scale_factor=1`` they are exactly the paper's values.
+    suite is built at ``1/scale_factor`` of paper size, the harness
+    divides them by ``sqrt(scale_factor)``, on the assumption that
+    typical frontiers shrink with the square root of the factor (mesh
+    and road frontiers ~ n / diameter, mesh diameters ~ sqrt(n)).  That
+    assumption is unverified, and the cost model does not support it:
+    at 1/8 the scaled thresholds come further from a per-level oracle
+    than the paper's on four of six scale-free datasets (ROADMAP item
+    1).  At ``scale_factor=1`` they are exactly the paper's values.
     """
 
     scale_factor: int = 64
