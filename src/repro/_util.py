@@ -4,9 +4,13 @@ These are the NumPy idioms that replace the inner loops a CUDA kernel
 would run: gathering the concatenated adjacency lists of a vertex
 frontier, deduplicating the next frontier, and computing per-chunk
 maxima used by the load-imbalance (warp/block serialisation) cost model.
+It also holds :func:`backoff_delay`, the one retry backoff of the
+scheduler, the client SDK, the load generator and the resilient driver.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -20,7 +24,13 @@ __all__ = [
     "as_index_array",
     "check_nonnegative_int",
     "partition_roots",
+    "DEFAULT_BACKOFF_BASE",
+    "DEFAULT_BACKOFF_CAP",
+    "backoff_delay",
 ]
+
+DEFAULT_BACKOFF_BASE = 0.05
+DEFAULT_BACKOFF_CAP = 2.0
 
 
 def sorted_unique(a) -> np.ndarray:
@@ -132,3 +142,23 @@ def partition_roots(num_roots: int, num_parts: int) -> list:
     bounds = np.linspace(0, num_roots, num_parts + 1).astype(np.int64)
     return [np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
             for i in range(num_parts)]
+
+
+def backoff_delay(attempt: int, *, base: float = DEFAULT_BACKOFF_BASE,
+                  cap: float = DEFAULT_BACKOFF_CAP, seed: int = 0,
+                  token: str = "") -> float:
+    """Deterministic exponential backoff with jitter for retry ``attempt``.
+
+    ``attempt`` counts from 1 (the delay before the first retry).  The
+    raw delay ``base * 2**(attempt-1)`` is capped at ``cap`` and
+    jittered into ``[raw/2, raw)`` — decorrelating retries across jobs —
+    with the jitter drawn from ``(seed, crc32(token), attempt)``, so the
+    full delay sequence is a pure function of the seed and the token.
+    """
+    if attempt < 1:
+        raise ValueError("attempt must be >= 1")
+    raw = min(float(cap), float(base) * 2.0 ** (attempt - 1))
+    rng = np.random.default_rng(
+        [int(seed), zlib.crc32(str(token).encode("utf-8")), int(attempt)]
+    )
+    return raw * (0.5 + 0.5 * float(rng.random()))

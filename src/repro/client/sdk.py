@@ -39,6 +39,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from .._util import backoff_delay
 from ..errors import (
     JobNotFoundError,
     ServiceOverloadError,
@@ -48,7 +49,6 @@ from ..observability.registry import NULL_REGISTRY
 from ..telemetry import trace_id_for
 from ..service.jobs import JobSpec, TERMINAL_STATES
 from ..service.journal import read_journal_chain, replay_state
-from ..service.scheduler import backoff_delay
 from ..service.storage import ServiceStorage
 
 __all__ = [
@@ -80,7 +80,7 @@ class RetryPolicy:
     """Client-side retry tunables.
 
     ``base``/``cap`` feed the shared
-    :func:`~repro.service.scheduler.backoff_delay`; ``max_retries``
+    :func:`~repro._util.backoff_delay`; ``max_retries``
     bounds how many times a retryable error is absorbed before it is
     re-raised to the caller (the original typed error, not a wrapper).
     """

@@ -1,11 +1,14 @@
 """Distributed betweenness centrality (Section V-D): the performance
 model behind Figure 6 and Table IV.
 
-:func:`simulate_distributed_run` measures per-root simulated cycle
-costs on a sample of roots with the single-GPU device, bootstraps them
-to the full root set, block-partitions them across all GPUs, and adds
-the graph-broadcast / score-reduce communication costs and the fixed
-per-run setup overhead that bends the small-scale speedup curves.
+:func:`scaling_sweep` measures per-root simulated cycle costs on a
+sample of roots with the single-GPU device, bootstraps them to the full
+root set, block-partitions them across all GPUs, list-schedules each
+GPU's roots onto its SMs exactly as the device schedules a run (one
+block per SM, each pulling the next root), and adds the graph-broadcast
+/ score-reduce communication costs and the fixed per-run setup overhead
+that bends the small-scale speedup curves.
+:func:`simulate_distributed_run` is its one-point case.
 
 The value-exact multi-GPU program — partition the roots, accumulate a
 local BC vector per rank, reduce — is
@@ -21,33 +24,16 @@ import numpy as np
 
 from .._util import partition_roots
 from ..graph.csr import CSRGraph
-from ..gpusim.device import Device
+from ..gpusim.device import Device, _list_schedule
 from ..gpusim.memory import FLOAT_BYTES, graph_footprint
 from .topology import ClusterSpec
 
 __all__ = [
     "partition_roots",
-    "sample_root_cycles",
     "ClusterRun",
     "simulate_distributed_run",
     "scaling_sweep",
 ]
-
-
-def sample_root_cycles(g: CSRGraph, device: Device, strategy: str,
-                       sample_roots: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Simulated cycles of each of ``sample_roots`` distinct roots drawn
-    from ``rng`` (fewer on a smaller graph; none drawn for zero), run
-    on ``device`` under ``strategy``, in draw order."""
-    n = g.num_vertices
-    k = min(int(sample_roots), n)
-    if k == 0:
-        return np.empty(0, dtype=np.float64)
-    sampled = rng.choice(n, size=k, replace=False)
-    run = device.run_bc(g, strategy=strategy, roots=sampled,
-                        n_samps=min(64, max(1, k // 2)))
-    return np.array([rt.cycles for rt in run.trace.roots], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -75,53 +61,63 @@ class ClusterRun:
         return self.teps() / 1e9
 
 
-def _per_gpu_makespan(root_cycles: np.ndarray, num_sms: int) -> float:
-    """Lower-bound makespan of one GPU's root list over its SMs: the
-    larger of perfect division and the single longest root."""
-    if root_cycles.size == 0:
-        return 0.0
-    return max(float(root_cycles.sum()) / num_sms, float(root_cycles.max()))
-
-
 def simulate_distributed_run(
     g: CSRGraph,
     cluster: ClusterSpec,
     strategy: str = "sampling",
     sample_roots: int = 64,
     seed: int = 0,
-    device: Device | None = None,
-    measured_cycles: np.ndarray | None = None,
 ) -> ClusterRun:
-    """Model a full n-root BC run on ``cluster``.
+    """Model a full n-root BC run on ``cluster``: the one-point
+    :func:`scaling_sweep` at ``cluster.num_nodes``."""
+    return scaling_sweep(g, cluster, (cluster.num_nodes,), strategy,
+                         sample_roots, seed)[0]
 
-    ``sample_roots`` sources are actually executed on a single
-    simulated GPU to obtain the empirical per-root cycle distribution;
-    the remaining roots' costs are bootstrap-resampled from it (valid
-    per the paper's uniform-per-root-cost argument, and the resampling
-    retains the variance that causes small-scale load imbalance).
-    Pass ``measured_cycles`` to reuse a distribution measured earlier
-    (the Figure 6 sweep shares one sample across node counts).
+
+def scaling_sweep(
+    g: CSRGraph,
+    cluster: ClusterSpec,
+    node_counts,
+    strategy: str = "sampling",
+    sample_roots: int = 64,
+    seed: int = 0,
+) -> list:
+    """Model a full n-root BC run on ``cluster`` at each of
+    ``node_counts`` (one Figure 6 curve).
+
+    ``sample_roots`` distinct sources, drawn from ``seed``, are executed
+    on one simulated GPU to obtain the empirical per-root cycle
+    distribution.  The same generator then bootstrap-resamples every
+    one of the n roots' costs from it (valid per the paper's
+    uniform-per-root-cost argument; the resampling retains the variance
+    that causes small-scale load imbalance), and every node count
+    schedules that one draw.
     """
     n = g.num_vertices
     rng = np.random.default_rng(seed)
-    if measured_cycles is not None:
-        measured = np.asarray(measured_cycles, dtype=np.float64)
-    else:
-        if device is None:
-            device = Device(cluster.gpu)
-        measured = sample_root_cycles(g, device, strategy, sample_roots,
-                                      rng)
-    if measured.size == 0:
-        measured = np.array([0.0])
-    # Bootstrap every root's cost from the empirical distribution.
+    k = min(int(sample_roots), n)
+    measured = np.array([0.0])
+    if k:
+        run = Device(cluster.gpu).run_bc(
+            g, strategy=strategy, roots=rng.choice(n, size=k, replace=False),
+            n_samps=min(64, max(1, k // 2)))
+        measured = np.array([rt.cycles for rt in run.trace.roots])
     all_cycles = rng.choice(measured, size=n, replace=True)
+    return [_distributed_run(g, cluster.with_nodes(int(nodes)), all_cycles)
+            for nodes in node_counts]
 
+
+def _distributed_run(g: CSRGraph, cluster: ClusterSpec,
+                     all_cycles: np.ndarray) -> ClusterRun:
+    """One node count's run over the bootstrapped per-root cycles."""
+    n = g.num_vertices
     num_gpus = cluster.num_gpus
-    parts = partition_roots(n, num_gpus)
-    per_gpu = np.array([
-        _per_gpu_makespan(all_cycles[p], cluster.gpu.num_sms) for p in parts
-    ])
-    compute_s = cluster.gpu.seconds(float(per_gpu.max(initial=0.0)))
+    # Each GPU list-schedules its block of roots over its SMs, as the
+    # device does; the slowest GPU finishes the compute phase.
+    compute_cycles = max(
+        _list_schedule(all_cycles[p].tolist(), cluster.gpu.num_sms)[0]
+        for p in partition_roots(n, num_gpus))
+    compute_s = cluster.gpu.seconds(compute_cycles)
 
     # Graph replication: Infiniband tree broadcast to every node, then a
     # PCIe copy to each of the node's GPUs (sequential per node: one
@@ -149,27 +145,3 @@ def simulate_distributed_run(
         reduce_seconds=reduce_s,
         setup_seconds=cluster.setup_seconds,
     )
-
-
-def scaling_sweep(
-    g: CSRGraph,
-    cluster: ClusterSpec,
-    node_counts,
-    strategy: str = "sampling",
-    sample_roots: int = 64,
-    seed: int = 0,
-) -> list:
-    """Run :func:`simulate_distributed_run` at several node counts
-    (one Figure 6 curve); the per-root sample is shared across points."""
-    measured = sample_root_cycles(g, Device(cluster.gpu), strategy,
-                                  sample_roots, np.random.default_rng(seed))
-    runs = []
-    for nodes in node_counts:
-        runs.append(
-            simulate_distributed_run(
-                g, cluster.with_nodes(int(nodes)), strategy=strategy,
-                sample_roots=sample_roots, seed=seed,
-                measured_cycles=measured,
-            )
-        )
-    return runs

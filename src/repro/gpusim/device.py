@@ -45,7 +45,7 @@ from ..bc.preprocess import FoldResult, root_plan
 from ..bc.preprocess import fold_degree_one  # noqa: F401  (see below)
 from ..bc.preprocess import per_root_correction  # noqa: F401  (see below)
 from ..bc.sampling import DEFAULT_GAMMA, DEFAULT_N_SAMPS, classification_record
-from ..errors import GraphFormatError, SilentCorruptionError, StrategyError
+from ..errors import SilentCorruptionError, StrategyError
 from ..graph.csr import CSRGraph
 from ..observability.registry import NULL_REGISTRY
 from ..verify import RootObserver, VerificationPolicy
@@ -192,16 +192,20 @@ class _Run:
 
 
 def _list_schedule(costs_per_root, num_workers: int):
-    """Greedy in-order list scheduling; returns (makespan, per-worker)."""
-    workers = [0.0] * max(1, int(num_workers))
-    heap = [(0.0, i) for i in range(len(workers))]
-    heapq.heapify(heap)
+    """Greedy in-order list scheduling; returns (makespan, per-worker).
+
+    Each root goes to the least-loaded worker, the lowest index on a
+    tie (one block per SM, each pulling the next root).  The cluster
+    model schedules each of its GPUs with it too.
+    """
+    heap = [(0.0, i) for i in range(max(1, int(num_workers)))]
     for c in costs_per_root:
-        load, i = heapq.heappop(heap)
-        load += float(c)
+        load, i = heap[0]
+        heapq.heapreplace(heap, (load + float(c), i))
+    workers = np.empty(len(heap))
+    for load, i in heap:
         workers[i] = load
-        heapq.heappush(heap, (load, i))
-    return max(workers), np.asarray(workers)
+    return float(workers.max()), workers
 
 
 class Device:
@@ -237,8 +241,7 @@ class Device:
                alpha: int = ALPHA, beta: int = BETA,
                n_samps: int = DEFAULT_N_SAMPS, gamma: float = DEFAULT_GAMMA,
                min_frontier: int = MIN_FRONTIER, batch_size: int = 64,
-               strict_reader: bool = False, check_memory: bool = True,
-               metrics=None, verify="off",
+               check_memory: bool = True, metrics=None, verify="off",
                fold: bool | FoldResult = True) -> DeviceRun:
         """Run BC on the device under ``strategy``: the one-strategy
         case of :meth:`run_strategies`, which documents the
@@ -246,16 +249,15 @@ class Device:
         return self.run_strategies(
             g, (strategy,), roots, alpha=alpha, beta=beta, n_samps=n_samps,
             gamma=gamma, min_frontier=min_frontier, batch_size=batch_size,
-            strict_reader=strict_reader, check_memory=check_memory,
-            metrics=metrics, verify=verify, fold=fold)[strategy]
+            check_memory=check_memory, metrics=metrics, verify=verify,
+            fold=fold)[strategy]
 
     def run_strategies(self, g: CSRGraph, strategies, roots=None, *,
                        alpha: int = ALPHA, beta: int = BETA,
                        n_samps: int = DEFAULT_N_SAMPS,
                        gamma: float = DEFAULT_GAMMA,
                        min_frontier: int = MIN_FRONTIER, batch_size: int = 64,
-                       strict_reader: bool = False, check_memory: bool = True,
-                       metrics=None, verify="off",
+                       check_memory: bool = True, metrics=None, verify="off",
                        fold: bool | FoldResult = True) -> dict:
         """Run BC on the device once, charged under each of
         ``strategies``; returns ``{strategy: DeviceRun}``, each what
@@ -291,10 +293,6 @@ class Device:
             runs :func:`~repro.bc.preprocess.root_plan`'s traversals of
             the residual core, so traces are in core vertex ids and
             extrapolation is in core-traversal units.
-        strict_reader:
-            Model the Jia et al. reference reader, which rejects graphs
-            containing isolated vertices (Section V-B) — only honoured
-            for the vertex-/edge-parallel baselines.
         check_memory:
             Allocate all device structures first and raise
             :class:`DeviceOutOfMemoryError` if they exceed capacity.
@@ -331,8 +329,8 @@ class Device:
         # to original ids.
         plan = root_plan(g, roots, fold)
         roots, run_g, run_roots = plan.roots, plan.graph, plan.run_roots
-        memory = {s: self._admit(g, run_g, roots, s, strict_reader,
-                                 check_memory, batch_size)
+        memory = {s: self._admit(g, run_g, roots, s, check_memory,
+                                 batch_size)
                   for s in strategies}
 
         verify_policy = VerificationPolicy.coerce(verify)
@@ -402,19 +400,11 @@ class Device:
 
     # ------------------------------------------------------------------
     def _admit(self, g: CSRGraph, run_g: CSRGraph, roots, strategy: str,
-               strict_reader: bool, check_memory: bool,
-               batch_size: int) -> dict:
+               check_memory: bool, batch_size: int) -> dict:
         """The checks one strategy passes before any root is swept:
-        planned faults, the reference reader and the device
-        allocation; returns the memory report."""
+        planned faults and the device allocation; returns the memory
+        report."""
         self._inject_faults(g, roots)
-        if strict_reader and strategy in (EDGE_PARALLEL, VERTEX_PARALLEL):
-            isolated = g.isolated_vertices()
-            if isolated.size:
-                raise GraphFormatError(
-                    f"reference reader cannot load graphs with isolated "
-                    f"vertices ({isolated.size} present)"
-                )
         mem = DeviceMemoryModel(capacity=self.spec.memory_bytes)
         if check_memory:
             for what, nbytes in strategy_footprint(

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...bc.gpu_fan import supports_graph
-from ...errors import GraphFormatError
 from ...graph.generators.delaunay import delaunay_n
 from ...graph.generators.kronecker import kron_g500
 from ...graph.generators.rgg import rgg_n_2
@@ -70,21 +69,18 @@ def run(cfg: ExperimentConfig | None = None,
         for scale in scales:
             g = build(int(scale), cfg.seed)
             roots = pick_roots(g, k, seed=cfg.seed)
-            # GPU-FAN: check the O(n^2) footprint before running; a
-            # strategy that fits shares sampling's sweep.
+            # GPU-FAN runs only where its O(n^2) footprint fits, and the
+            # Jia et al. reference reader rejects graphs with isolated
+            # vertices; every strategy that runs shares one sweep.
             fits = supports_graph(g, device.spec.memory_bytes)
+            reads = g.isolated_vertices().size == 0
             runs = device.run_strategies(
-                g, ("sampling", "gpu-fan") if fits else ("sampling",),
+                g, ("sampling",) + ("gpu-fan",) * fits
+                + ("edge-parallel",) * reads,
                 roots=roots, n_samps=max(1, roots.size // 3), fold=False)
             gf_s = runs["gpu-fan"].extrapolated_seconds() if fits else OOM
-            # Jia et al. baseline: the reference reader rejects graphs
-            # with isolated vertices.
-            try:
-                ep = device.run_bc(g, strategy="edge-parallel", roots=roots,
-                                   strict_reader=True, fold=False)
-                ep_s = ep.extrapolated_seconds()
-            except GraphFormatError:
-                ep_s = READER_REJECTS
+            ep_s = (runs["edge-parallel"].extrapolated_seconds() if reads
+                    else READER_REJECTS)
             points.append(Figure5Point(
                 family=name, scale=int(scale),
                 num_vertices=g.num_vertices, num_edges=g.num_edges,

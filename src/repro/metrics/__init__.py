@@ -1,8 +1,7 @@
-"""Measurement utilities: TEPS, correlations, frontier evolution."""
+"""Measurement utilities: correlations and frontier evolution."""
 
 from .correlation import FrontierCorrelation, frontier_time_correlations, pearson
 from .frontier import FrontierEvolution, classify_frontier_shape, frontier_evolution
-from .teps import TEPSReport, format_teps, gteps, mteps, teps
 
 __all__ = [
     "pearson",
@@ -11,9 +10,4 @@ __all__ = [
     "FrontierEvolution",
     "frontier_evolution",
     "classify_frontier_shape",
-    "teps",
-    "mteps",
-    "gteps",
-    "format_teps",
-    "TEPSReport",
 ]

@@ -20,7 +20,6 @@ from .driver import (
     CheckpointStore,
     RankIncident,
     ResilientRun,
-    estimate_per_root_seconds,
     resilient_distributed_bc,
 )
 from .faults import (
@@ -68,6 +67,5 @@ __all__ = [
     "CheckpointStore",
     "RankIncident",
     "ResilientRun",
-    "estimate_per_root_seconds",
     "resilient_distributed_bc",
 ]

@@ -15,7 +15,8 @@ computation naturally checkpointable and re-partitionable:
    the rank's later death.
 2. A rank that fail-stops mid-compute loses its in-progress unit; its
    orphaned roots are re-partitioned across the survivors after an
-   exponential backoff, up to ``max_retries`` rounds.  Transient faults
+   exponential backoff (:func:`repro._util.backoff_delay`, the
+   service's retry policy), up to ``max_retries`` rounds.  Transient faults
    (simulated :class:`~repro.errors.DeviceOutOfMemoryError`) are
    retried on the same rank.
 3. A rank that dies *at the final reduce* loses nothing: its
@@ -47,11 +48,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import partition_roots
+from .._util import backoff_delay, partition_roots
 from ..bc.frontier import group_width
 from ..bc.preprocess import FoldResult, root_plan
-from ..cluster.distributed import sample_root_cycles
-from ..cluster.topology import ClusterSpec
 from ..errors import (
     ClusterConfigurationError,
     RankFailure,
@@ -59,7 +58,6 @@ from ..errors import (
     SilentCorruptionError,
 )
 from ..graph.csr import CSRGraph
-from ..gpusim.device import Device
 from ..observability.clock import SpanClock
 from ..observability.registry import NULL_REGISTRY
 from ..verify import RootChecker, RootObserver, VerificationPolicy
@@ -76,7 +74,6 @@ __all__ = [
     "CheckpointStore",
     "RankIncident",
     "ResilientRun",
-    "estimate_per_root_seconds",
     "resilient_distributed_bc",
 ]
 
@@ -218,27 +215,6 @@ class ResilientRun:
         return "\n".join(lines)
 
 
-def estimate_per_root_seconds(
-    g: CSRGraph,
-    cluster: ClusterSpec,
-    sample_roots: int = 8,
-    seed: int = 0,
-) -> float:
-    """Per-root wall seconds on one of ``cluster``'s GPUs.
-
-    Measures a work-efficient root sample on the simulated device
-    (:func:`repro.cluster.distributed.sample_root_cycles`, the sampler
-    Figure 6 uses) and divides the mean per-root cycles by the SM
-    concurrency — the charge rate the resilient driver uses to cost
-    recovery work.
-    """
-    cycles = sample_root_cycles(g, Device(cluster.gpu), "work-efficient",
-                                sample_roots, np.random.default_rng(seed))
-    if cycles.size == 0:
-        return 0.0
-    return cluster.gpu.seconds(float(cycles.mean()) / cluster.gpu.num_sms)
-
-
 def _redistribute(orphans: np.ndarray, survivors: list) -> dict:
     """Re-partition orphaned roots across the surviving ranks."""
     parts = partition_roots(orphans.size, len(survivors))
@@ -276,14 +252,15 @@ def resilient_distributed_bc(
     max_retries:
         Recovery rounds after the first attempt.  Each round reassigns
         the orphaned roots across survivors after an exponential
-        backoff (``backoff_base * 2**(round-1)`` simulated seconds).
+        backoff of :func:`~repro._util.backoff_delay` simulated seconds
+        (base ``backoff_base``, capped at its 2 s default, jitter drawn
+        from ``seed``).
     wall_clock_budget:
         Cap, in seconds, on real elapsed time plus charged simulated
         time (compute + backoff); when exceeded, remaining roots are
         degraded immediately.
     per_root_seconds:
-        Charge rate for simulated compute time (see
-        :func:`estimate_per_root_seconds`); ``0.0`` charges only
+        Charge rate for simulated compute time; ``0.0`` charges only
         backoff and communication.
     degrade_samples:
         Roots sampled for the degraded estimate of unfinished work.
@@ -291,7 +268,7 @@ def resilient_distributed_bc(
         When ``False``, raise :class:`~repro.errors.RetryExhaustedError`
         instead of degrading (strict mode).
     seed:
-        Seed for the degradation sampler.
+        Seed for the degradation sampler and the backoff jitter.
     metrics:
         Optional :class:`~repro.observability.MetricsRegistry`; records
         ``resilience.*`` counters (incidents by kind/where, retries,
@@ -533,7 +510,7 @@ def resilient_distributed_bc(
             break
         attempt += 1
         metrics.inc("resilience.retries")
-        pause = backoff_base * (2 ** (attempt - 1))
+        pause = backoff_delay(attempt, base=backoff_base, seed=seed)
         recovery_s += pause
         clock.advance(pause, "backoff")
         pending = _redistribute(orphans, survivors)

@@ -21,8 +21,13 @@ duplicating work.  Layers, bottom up:
   into the ``repro service`` CLI verbs;
 * :mod:`~repro.service.loadgen` — deterministic Poisson load scenarios
   whose latency/shed-rate rows ride the bench grid's perf gate.
+
+:func:`backoff_delay` (from :mod:`repro._util`, shared with the client
+SDK and the resilient driver) is re-exported here as the service's
+retry policy.
 """
 
+from .._util import backoff_delay
 from .admission import AdmissionController, AdmissionPolicy
 from .cache import RESULT_SCHEMA, ResultCache, result_key
 from .daemon import BCService
@@ -65,7 +70,6 @@ from .scheduler import (
     JobOutcome,
     Scheduler,
     SimDevice,
-    backoff_delay,
     sample_roots,
 )
 

@@ -33,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import backoff_delay
 from ..errors import ServiceOverloadError
 from ..graph.generators import make_dataset
 from ..gpusim import GTX_TITAN, Device
 from ..observability.registry import NULL_REGISTRY
 from .admission import AdmissionController, AdmissionPolicy
 from .jobs import JobSpec
-from .scheduler import backoff_delay
 
 __all__ = ["LoadScenario", "RETRY_STORM", "SCENARIOS",
            "run_load_scenario", "service_bench_rows"]

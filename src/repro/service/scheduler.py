@@ -11,9 +11,10 @@
   concern).
 * **Bounded retries with exponential backoff + jitter** — transient
   faults (fail-stop, simulated OOM, detected silent corruption) retry
-  up to ``max_retries`` times; delays are ``base * 2**(attempt-1)``
-  with deterministic jitter drawn from ``(seed, job_id, attempt)`` via
-  :func:`backoff_delay`, so the same seed and the same
+  up to ``max_retries`` times; each delay is
+  :func:`~repro._util.backoff_delay` of the attempt, doubling from
+  ``base`` with deterministic jitter drawn from
+  ``(seed, job_id, attempt)``, so the same seed and the same
   :class:`~repro.resilience.FaultPlan` replay byte-identically — the
   property the determinism suite locks down.
 * **Per-job deadlines** — a run needing more simulated compute than
@@ -37,11 +38,11 @@ JSON.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import DEFAULT_BACKOFF_BASE, DEFAULT_BACKOFF_CAP, backoff_delay
 from ..errors import (
     DeviceOutOfMemoryError,
     RankFailure,
@@ -54,9 +55,6 @@ from ..resilience import FaultPlan, FaultyDevice
 from .jobs import JobSpec
 
 __all__ = [
-    "DEFAULT_BACKOFF_BASE",
-    "DEFAULT_BACKOFF_CAP",
-    "backoff_delay",
     "CircuitBreaker",
     "SimDevice",
     "JobOutcome",
@@ -64,31 +62,8 @@ __all__ = [
     "sample_roots",
 ]
 
-DEFAULT_BACKOFF_BASE = 0.05
-DEFAULT_BACKOFF_CAP = 2.0
-
 #: Exceptions the scheduler treats as retryable attempt failures.
 _RETRYABLE = (RankFailure, DeviceOutOfMemoryError, SilentCorruptionError)
-
-
-def backoff_delay(attempt: int, *, base: float = DEFAULT_BACKOFF_BASE,
-                  cap: float = DEFAULT_BACKOFF_CAP, seed: int = 0,
-                  token: str = "") -> float:
-    """Deterministic exponential backoff with jitter for retry ``attempt``.
-
-    ``attempt`` counts from 1 (the delay before the first retry).  The
-    raw delay ``base * 2**(attempt-1)`` is capped at ``cap`` and
-    jittered into ``[raw/2, raw)`` — decorrelating retries across jobs —
-    with the jitter drawn from ``(seed, crc32(token), attempt)``, so the
-    full delay sequence is a pure function of the seed and the job id.
-    """
-    if attempt < 1:
-        raise ValueError("attempt must be >= 1")
-    raw = min(float(cap), float(base) * 2.0 ** (attempt - 1))
-    rng = np.random.default_rng(
-        [int(seed), zlib.crc32(str(token).encode("utf-8")), int(attempt)]
-    )
-    return raw * (0.5 + 0.5 * float(rng.random()))
 
 
 def sample_roots(g, spec: JobSpec) -> np.ndarray:

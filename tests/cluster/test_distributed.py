@@ -1,5 +1,7 @@
 """Unit tests for distributed BC (values and performance model)."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.cluster.distributed import (
 )
 from repro.cluster.topology import ClusterSpec, kids
 from repro.errors import ClusterConfigurationError
+from repro.graph.generators import watts_strogatz
+from repro.gpusim.device import Device
 from repro.gpusim.spec import TESLA_M2090
 from repro.resilience import FaultyComm, resilient_distributed_bc
 
@@ -146,16 +150,29 @@ class TestPerformanceModel:
         b = simulate_distributed_run(small_sw, kids(2), sample_roots=8, seed=3)
         assert a.seconds == b.seconds
 
-    def test_measured_cycles_shortcut(self, small_sw):
-        cycles = np.full(10, 1e6)
-        run = simulate_distributed_run(small_sw, kids(2),
-                                       measured_cycles=cycles, seed=0)
-        # All roots bootstrap to the same cost: compute is exact.
-        n = small_sw.num_vertices
-        per_gpu = np.ceil(n / 6) * 1e6 / TESLA_M2090.num_sms
+    @pytest.mark.parametrize("nodes, rounds", [(1, 3), (2, 2), (8, 1)])
+    def test_equal_roots_list_schedule(self, nodes, rounds):
+        # Every root of a ring lattice costs the same c cycles, so each
+        # GPU's k roots take ceil(k/S) rounds of c on its S SMs (one
+        # block per SM, each pulling the next root), not k*c/S.
+        ring = watts_strogatz(100, k=4, p=0.0, seed=0)
+        c = Device(TESLA_M2090).run_bc(ring, roots=[0]).trace.roots[0].cycles
+        cluster = kids(nodes)
+        k = -(-ring.num_vertices // cluster.num_gpus)
+        assert -(-k // TESLA_M2090.num_sms) == rounds
+        run = simulate_distributed_run(ring, cluster, sample_roots=8, seed=0)
         assert run.compute_seconds == pytest.approx(
-            TESLA_M2090.seconds(per_gpu), rel=0.01
-        )
+            TESLA_M2090.seconds(rounds * c))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep_points_are_standalone_runs(self, small_sw, seed):
+        nodes = (1, 4, 16, 64)
+        sweep = scaling_sweep(small_sw, kids(1), nodes, sample_roots=8,
+                              seed=seed)
+        for count, point in zip(nodes, sweep):
+            alone = simulate_distributed_run(small_sw, kids(count),
+                                             sample_roots=8, seed=seed)
+            assert asdict(point) == asdict(alone)
 
     def test_gteps(self, small_sw):
         run = simulate_distributed_run(small_sw, kids(2), sample_roots=8, seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bc.brandes import brandes_reference
-from repro.errors import DeviceOutOfMemoryError, GraphFormatError, StrategyError
+from repro.errors import DeviceOutOfMemoryError, StrategyError
 from repro.graph.generators import kronecker_graph, road_network, watts_strogatz
 from repro.gpusim.device import STRATEGIES, Device, _list_schedule
 from repro.gpusim.spec import GTX_TITAN, GPUSpec
@@ -75,25 +75,6 @@ class TestRunBC:
         run = dev.run_bc(fig1, strategy="work-efficient", roots=[0],
                          check_memory=False)
         assert run.memory_report == {}
-
-
-class TestStrictReader:
-    def test_rejects_isolated_vertices(self, dev, small_kron):
-        assert small_kron.isolated_vertices().size > 0
-        with pytest.raises(GraphFormatError):
-            dev.run_bc(small_kron, strategy="edge-parallel", roots=[0],
-                       strict_reader=True)
-
-    def test_only_applies_to_jia_baselines(self, dev, small_kron):
-        run = dev.run_bc(small_kron, strategy="sampling",
-                         roots=[int(np.flatnonzero(small_kron.degrees > 0)[0])],
-                         strict_reader=True)
-        assert run.cycles > 0
-
-    def test_clean_graph_passes(self, dev, fig1):
-        run = dev.run_bc(fig1, strategy="edge-parallel", roots=[0],
-                         strict_reader=True)
-        assert run.cycles > 0
 
 
 class TestGPUFanOnDevice:

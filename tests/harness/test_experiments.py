@@ -6,9 +6,12 @@ live in benchmarks/ and EXPERIMENTS.md; here we assert the qualitative
 structure on small instances so the suite stays fast.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.bc import accumulation
 from repro.harness.experiments import (
     EXPERIMENTS,
     figure1,
@@ -21,7 +24,8 @@ from repro.harness.experiments import (
     table3,
     table4,
 )
-from repro.harness.runner import ExperimentConfig
+from repro.gpusim.device import Device
+from repro.harness.runner import ExperimentConfig, pick_roots
 
 CFG = ExperimentConfig(scale_factor=128, root_sample=6, seed=0)
 
@@ -171,10 +175,48 @@ class TestFigure4:
 
 
 class TestFigure5:
+    CFG = ExperimentConfig(scale_factor=1, root_sample=4)
+
     @pytest.fixture(scope="class")
-    def result(self):
-        return figure5.run(ExperimentConfig(scale_factor=1, root_sample=4),
-                           scales=range(8, 11))
+    def swept(self):
+        """The Figure 5 run, with the roots each graph's sweeps ran."""
+        swept = Counter()
+        real = accumulation.sweep_group
+
+        def spy(g, sources, metrics=None):
+            swept[g.name] += len(sources)
+            return real(g, sources, metrics=metrics)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(accumulation, "sweep_group", spy)
+            result = figure5.run(self.CFG, scales=range(8, 11))
+        return result, swept
+
+    @pytest.fixture(scope="class")
+    def result(self, swept):
+        return swept[0]
+
+    def test_each_root_swept_once_per_graph(self, swept):
+        result, roots = swept
+        assert len(roots) == len(result.points)
+        assert set(roots.values()) == {self.CFG.root_sample}
+
+    def test_reader_rejects_exactly_graphs_with_isolated_vertices(
+            self, result):
+        seen = set()
+        for p in result.points:
+            g = figure5.FAMILIES[p.family](p.scale, self.CFG.seed)
+            reads = g.isolated_vertices().size == 0
+            seen.add(reads)
+            if not reads:
+                assert p.edge_parallel_seconds == figure5.READER_REJECTS
+                continue
+            # Timed as a run of its own would time it.
+            alone = Device(self.CFG.gpu).run_bc(
+                g, strategy="edge-parallel", fold=False,
+                roots=pick_roots(g, self.CFG.root_sample, self.CFG.seed))
+            assert p.edge_parallel_seconds == alone.extrapolated_seconds()
+        assert seen == {True, False}
 
     def test_sampling_beats_gpu_fan(self, result):
         for p in result.points:

@@ -1,5 +1,7 @@
 """Property-based tests across the simulator, cluster and metrics."""
 
+import heapq
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +71,24 @@ def test_list_schedule_bounds(costs, workers):
     assert np.isclose(per.sum(), total)
     if costs:
         assert makespan >= max(costs) - 1e-9
+
+
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 1e6]) | st.floats(0.0, 1e6),
+                max_size=100),
+       st.integers(1, 16))
+@settings(max_examples=60, deadline=None)
+def test_list_schedule_matches_pop_push_loop(costs, workers):
+    # The schedule as a heappop/heappush loop: each root to the
+    # least-loaded worker, the lowest index on a tie.
+    loads = [0.0] * workers
+    heap = [(0.0, i) for i in range(workers)]
+    for c in costs:
+        load, i = heapq.heappop(heap)
+        loads[i] = load + c
+        heapq.heappush(heap, (loads[i], i))
+    makespan, per = _list_schedule(costs, workers)
+    assert makespan == max(loads)
+    assert per.tolist() == loads
 
 
 # ----------------------------------------------------------------------

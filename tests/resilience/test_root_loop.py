@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro._util import backoff_delay
 from repro.bc import accumulation
 from repro.bc.accumulation import dependency_accumulation
 from repro.bc.frontier import forward_sweep, group_width
@@ -241,7 +242,7 @@ def _per_root_driver(g, num_ranks, *, fault_plan=None, max_retries=3,
             break
         attempt += 1
         metrics.inc("resilience.retries")
-        pause = backoff_base * (2 ** (attempt - 1))
+        pause = backoff_delay(attempt, base=backoff_base, seed=seed)
         recovery_s += pause
         clock.advance(pause, "backoff")
         pending = _redistribute(orphans, survivors)
