@@ -20,8 +20,6 @@ strategy label.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..graph.csr import CSRGraph
 
 __all__ = ["predecessor_matrix_bytes", "supports_graph"]

@@ -8,7 +8,7 @@ paper's largest runs use 64 nodes = 192 GPUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ClusterConfigurationError
 from ..gpusim.spec import TESLA_M2090, GPUSpec

@@ -9,8 +9,6 @@ social networks, small diameter, average degree ~6.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..csr import CSRGraph
 from .scalefree import barabasi_albert
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..build import dedupe_edges, from_edges, symmetrize_edges
+from ..build import from_edges
 from ..csr import CSRGraph
 
 __all__ = ["watts_strogatz", "smallworld"]

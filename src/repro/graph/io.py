@@ -23,9 +23,7 @@ inside a traversal kernel.
 
 from __future__ import annotations
 
-import io as _io
 import os
-from typing import TextIO
 
 import numpy as np
 

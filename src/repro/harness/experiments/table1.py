@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...gpusim.device import Device
-from ...metrics.correlation import FrontierCorrelation, frontier_time_correlations
+from ...metrics.correlation import frontier_time_correlations
 from ..runner import ExperimentConfig, load_suite_graph, pick_roots
 from ..tables import format_table
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..bc.policies import ALPHA, BETA, MIN_FRONTIER
 from ..graph.csr import CSRGraph
-from ..graph.generators.suite import DATASETS, make_dataset
+from ..graph.generators.suite import make_dataset
 from ..gpusim.spec import GTX_TITAN, GPUSpec
 
 __all__ = ["ExperimentConfig", "pick_roots", "load_suite_graph"]

@@ -66,8 +66,13 @@ DEFAULT_BUCKETS = tuple(float(4**k) for k in range(-4, 16))
 
 
 def _label_key(labels: dict) -> tuple:
-    if not labels:  # most one-shot calls: nothing to sort
+    """The series key of ``labels``: its ``(str(k), str(v))`` pairs,
+    sorted.  No label and one label, the common calls, skip the sort."""
+    if not labels:
         return ()
+    if len(labels) == 1:
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

@@ -50,7 +50,7 @@ every durable service write through :meth:`ActiveFaults.storage_fire`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

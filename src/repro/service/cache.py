@@ -306,14 +306,27 @@ class ResultCache:
         is not UTF-8 JSON, value bytes that are not whole float64s) or
         ``"checksum"`` (wrong schema or key, a ``count`` the value bytes
         disagree with, a head not in the layout :meth:`put` writes, or
-        bytes that do not hash to the stored checksum)."""
+        bytes that do not hash to the stored checksum).
+
+        The read is one raw descriptor: ``os.open``, then ``os.read``
+        sized by ``os.fstat`` one byte past the end, looping to EOF (an
+        entry that grew since the fstat is read whole), closed in a
+        ``finally``.  No buffered file object is built."""
         try:
-            with open(self.path(key), "rb") as fh:
-                data = fh.read()
+            fd = os.open(self.path(key), os.O_RDONLY)
         except FileNotFoundError:
             return None, "missing"
         except OSError:
             return None, "unreadable"
+        try:
+            want = os.fstat(fd).st_size + 1
+            data = os.read(fd, want)
+            while more := os.read(fd, want):
+                data += more
+        except OSError:
+            return None, "unreadable"
+        finally:
+            os.close(fd)
         end = data.find(b"\n")
         size = len(data) - end - 1
         if end < 0 or size % _VALUE.itemsize:

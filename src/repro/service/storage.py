@@ -48,6 +48,14 @@ cannot lose them) and become durable at the file's next fsync, which
 covers every earlier byte — the next synced append or :meth:`sync`.
 An unsynced append is the same operation for the crash grid and the
 fault plan: it ticks once per attempt and takes the same faults.
+
+Each attempt at a durable operation is one raw descriptor: ``os.open``,
+an ``os.write`` loop that finishes short writes, the fsync, and
+``os.close`` in a ``finally``.  The length read-back is ``os.fstat`` on
+that descriptor, so no path is stat'ed and no buffered file object is
+built.  New files get ``0o666 & ~umask``, the mode ``open()`` gives.
+A crash, a fault or a reader sees the same ticks, fsync points and
+bytes as through a buffered file object.
 """
 
 from __future__ import annotations
@@ -59,6 +67,13 @@ from ..observability.registry import NULL_REGISTRY
 from ..resilience.faults import ENOSPC, FSYNC_LIE, ROT, STORAGE_TARGETS, TORN
 
 __all__ = ["ServiceStorage", "SimulatedCrash"]
+
+#: An append descriptor; a lied-to append opens without ``O_CREAT``, so
+#: it never creates the file the dropped write was for.
+_APPEND = os.O_WRONLY | os.O_APPEND
+_REPLACE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+#: The mode ``open()`` asks for; the umask clears bits from it.
+_MODE = 0o666
 
 
 class SimulatedCrash(BaseException):
@@ -122,12 +137,12 @@ class ServiceStorage:
                        path)
 
     @staticmethod
-    def _size(path: str) -> int:
-        """``path``'s length, 0 when it does not exist (one stat)."""
-        try:
-            return os.stat(path).st_size
-        except FileNotFoundError:
-            return 0
+    def _write_all(fd: int, data: bytes) -> None:
+        """``os.write`` all of ``data`` to ``fd``, finishing short
+        writes."""
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
 
     @staticmethod
     def _rot_file(path: str, offset: int, length: int, bit: int) -> None:
@@ -137,15 +152,14 @@ class ServiceStorage:
         if length <= 0:
             return
         pos = offset + length // 2
-        with open(path, "r+b") as fh:
-            fh.seek(pos)
-            victim = fh.read(1)
-            if not victim:
-                return
-            fh.seek(pos)
-            fh.write(bytes([victim[0] ^ (1 << (bit % 8))]))
-            fh.flush()
-            os.fsync(fh.fileno())
+        fd = os.open(path, os.O_RDWR)
+        try:
+            victim = os.pread(fd, 1, pos)
+            if victim:
+                os.pwrite(fd, bytes([victim[0] ^ (1 << (bit % 8))]), pos)
+                os.fsync(fd)
+        finally:
+            os.close(fd)
 
     # -- durable operations --------------------------------------------
     def append_line(self, path: str, text: str, target: str = "any",
@@ -161,7 +175,6 @@ class ServiceStorage:
         faults and length read-back are those of a synced append."""
         path = str(path)
         data = text.encode("utf-8")
-        pre = self._size(path)
         attempts = 0
         while True:
             attempts += 1
@@ -170,31 +183,36 @@ class ServiceStorage:
             kind = ev.kind if ev is not None else None
             if kind == ENOSPC:
                 raise self._enospc(path)
-            if kind == TORN:
-                with open(path, "ab") as fh:
-                    fh.write(data[: len(data) // 2])
-                    fh.flush()
-                    if sync:
-                        os.fsync(fh.fileno())
-                # The writer was told (EIO): repair by truncating back.
-                # A crash landing on this tick leaves the torn tail on
-                # disk for recovery — the SIGKILL-mid-write(2) case.
-                self._tick("truncate", path)
-                with open(path, "r+b") as fh:
-                    fh.truncate(pre)
-                self.metrics.inc("service.storage.torn_repaired")
-                continue
-            if kind != FSYNC_LIE:
-                with open(path, "ab") as fh:
-                    fh.write(data)
-                    fh.flush()
-                    if sync:
-                        os.fsync(fh.fileno())
-            size = self._size(path)
+            try:
+                fd = os.open(path, _APPEND if kind == FSYNC_LIE
+                             else _APPEND | os.O_CREAT, _MODE)
+            except FileNotFoundError:   # a lie to a file not yet there
+                pre = size = 0
+            else:
+                try:
+                    pre = os.fstat(fd).st_size
+                    if kind == TORN:
+                        self._write_all(fd, data[: len(data) // 2])
+                        if sync:
+                            os.fsync(fd)
+                        # The writer was told (EIO): repair by truncating
+                        # back.  A crash landing on this tick leaves the
+                        # torn tail on disk for recovery — the
+                        # SIGKILL-mid-write(2) case.
+                        self._tick("truncate", path)
+                        os.ftruncate(fd, pre)
+                        self.metrics.inc("service.storage.torn_repaired")
+                        continue
+                    if kind != FSYNC_LIE:
+                        self._write_all(fd, data)
+                        if sync:
+                            os.fsync(fd)
+                    size = os.fstat(fd).st_size
+                finally:
+                    os.close(fd)
             if size != pre + len(data):
                 # The "successful" write never landed: the fsync lied.
                 self.metrics.inc("service.storage.lies_detected")
-                pre = size
                 continue
             if kind == ROT:
                 self._rot_file(path, pre, len(data), ev.bit)
@@ -206,8 +224,11 @@ class ServiceStorage:
         Not an operation: it writes no byte, so a process that dies
         just before or just after it leaves the same file, and neither
         a crash nor a fault strikes here."""
-        with open(str(path), "rb") as fh:
-            os.fsync(fh.fileno())
+        fd = os.open(str(path), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def replace_atomic(self, path: str, data: bytes,
                        target: str = "any") -> int:
@@ -231,24 +252,23 @@ class ServiceStorage:
                 except OSError:
                     pass
                 raise self._enospc(path)
+            fd = os.open(tmp, _REPLACE, _MODE)
+            try:
+                if kind == TORN:
+                    self._write_all(fd, data[: len(data) // 2])
+                    os.fsync(fd)
+                elif kind != FSYNC_LIE:
+                    self._write_all(fd, data)
+                    os.fsync(fd)
+                size = os.fstat(fd).st_size
+            finally:
+                os.close(fd)
             if kind == TORN:
-                with open(tmp, "wb") as fh:
-                    fh.write(data[: len(data) // 2])
-                    fh.flush()
-                    os.fsync(fh.fileno())
                 self._tick("remove", tmp)
                 os.remove(tmp)
                 self.metrics.inc("service.storage.torn_repaired")
                 continue
-            if kind == FSYNC_LIE:
-                with open(tmp, "wb"):
-                    pass
-            else:
-                with open(tmp, "wb") as fh:
-                    fh.write(data)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            if os.path.getsize(tmp) != len(data):
+            if size != len(data):
                 self.metrics.inc("service.storage.lies_detected")
                 continue
             # Crash landing here: tmp fully written, final path not yet

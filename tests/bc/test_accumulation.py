@@ -12,8 +12,6 @@ class TestDependencyAccumulation:
     def test_matches_brandes_dependencies(self, fig1):
         # delta_s(v) from Eq. 2, cross-checked against a hand-rolled
         # predecessor-based Brandes accumulation.
-        from collections import deque
-
         for s in range(9):
             fwd = forward_sweep(fig1, s)
             got = dependency_accumulation(fig1, fwd)

@@ -1,7 +1,5 @@
 """Unit tests for the GPU-FAN scalability model."""
 
-import pytest
-
 from repro.bc.gpu_fan import predecessor_matrix_bytes, supports_graph
 from repro.graph.generators import watts_strogatz
 from repro.gpusim.spec import GTX_TITAN

@@ -13,7 +13,6 @@ from repro.bc.brandes import brandes_reference
 from repro.bc.edge_parallel import bc_edge_parallel, edge_parallel_root
 from repro.bc.vertex_parallel import bc_vertex_parallel, vertex_parallel_root
 from repro.bc.work_efficient import bc_work_efficient, work_efficient_root
-from tests.conftest import random_graph
 
 ALL_BC = [bc_work_efficient, bc_edge_parallel, bc_vertex_parallel]
 

@@ -9,7 +9,6 @@ from repro.bc.accumulation import dependency_accumulation
 from repro.bc.brandes import brandes_reference
 from repro.bc.frontier import forward_sweep
 from repro.bc.preprocess import (
-    FoldResult,
     fold_degree_one,
     folded_betweenness_centrality,
     per_root_correction,

@@ -5,9 +5,9 @@ import pytest
 
 from repro.bc.brandes import brandes_reference
 from repro.errors import DeviceOutOfMemoryError, StrategyError
-from repro.graph.generators import kronecker_graph, road_network, watts_strogatz
+from repro.graph.generators import watts_strogatz
 from repro.gpusim.device import STRATEGIES, Device, _list_schedule
-from repro.gpusim.spec import GTX_TITAN, GPUSpec
+from repro.gpusim.spec import GTX_TITAN
 
 
 @pytest.fixture

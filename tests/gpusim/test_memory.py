@@ -1,6 +1,5 @@
 """Unit tests for the device memory ledger (the Figure 5 OOM story)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import DeviceOutOfMemoryError

@@ -1,6 +1,5 @@
 """Unit tests for trace containers."""
 
-import numpy as np
 import pytest
 
 from repro.bc.frontier import forward_sweep

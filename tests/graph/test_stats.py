@@ -1,8 +1,5 @@
 """Unit tests for graph statistics (Table II columns)."""
 
-import numpy as np
-import pytest
-
 from repro.graph.stats import (
     connected_component_sizes,
     degree_histogram,

@@ -8,7 +8,6 @@ structure on small instances so the suite stays fast.
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from repro.bc import accumulation

@@ -1,6 +1,5 @@
 """Unit tests for frontier-evolution metrics (Figure 3 helpers)."""
 
-import numpy as np
 import pytest
 
 from repro.metrics.frontier import classify_frontier_shape, frontier_evolution

@@ -19,6 +19,7 @@ from repro.observability import (
     write_csv,
     write_json,
 )
+from repro.observability.registry import _label_key
 
 
 class ManualWall:
@@ -85,6 +86,23 @@ class TestCounters:
         with reg.span("s", name="x"):
             pass
         assert reg.root_spans[0].labels == {"name": "x"}
+
+    @pytest.mark.parametrize("labels", [
+        {},
+        {"op": "append"},
+        {"attempt": 3},
+        {"kind": None},
+        {"target": "cache", "bit": 7, "rate": 0.5},
+        {"z": True, "a": 1, "m": "x"},
+    ])
+    def test_label_key_is_the_sorted_pairs(self, labels):
+        # A single label skips the sort; the key must not change.
+        want = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+        assert _label_key(labels) == want
+        reg = MetricsRegistry()
+        reg.inc("c", **labels)
+        assert reg.counter("c", **{k: str(v) for k, v in labels.items()}
+                           ).value == 1
 
     def test_monotonic(self):
         reg = MetricsRegistry()

@@ -93,8 +93,6 @@ def test_leaf_vertices_score_zero(g):
 def test_sigma_counts_are_path_counts(g):
     """Cross-check sigma against brute-force shortest-path enumeration
     via powers of the adjacency relation (BFS layering)."""
-    import itertools
-
     n = g.num_vertices
     s = 0
     fwd = forward_sweep(g, s)

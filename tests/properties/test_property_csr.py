@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro._util import sorted_unique
 from repro.graph.build import from_edges, relabel, symmetrize_edges
-from repro.graph.csr import CSRGraph
 
 
 @st.composite

@@ -29,7 +29,6 @@ from repro.service import (
     AdmissionPolicy,
     BCService,
     JobSpec,
-    ResultCache,
     Scheduler,
     read_journal,
 )

@@ -83,19 +83,22 @@ def test_folded_job_kill_and_recover_verifies_against_unfolded(tmp_path):
         job = svc.submit(spec(1, fold=True))
         svc.run_pending()
         key = svc.jobs[job.job_id].result_key
-        blob = open(svc.cache.path(key), "rb").read()
-        submits = [body for ln in open(ref_root / "journal.jsonl",
-                                       encoding="utf-8")
-                   if (body := json.loads(ln.split(" ", 1)[1]))["kind"]
-                   == "submit"]
+        with open(svc.cache.path(key), "rb") as fh:
+            blob = fh.read()
+        with open(ref_root / "journal.jsonl", encoding="utf-8") as fh:
+            submits = [body for ln in fh
+                       if (body := json.loads(ln.split(" ", 1)[1]))["kind"]
+                       == "submit"]
         assert submits and submits[0]["job"]["fold"] is True
 
     crash_root = tmp_path / "crash"
     os.makedirs(crash_root)
-    lines = open(ref_root / "journal.jsonl", encoding="utf-8").readlines()
+    with open(ref_root / "journal.jsonl", encoding="utf-8") as fh:
+        lines = fh.readlines()
     kept = [ln for ln in lines
             if json.loads(ln.split(" ", 1)[1])["kind"] != "done"]
-    open(crash_root / "journal.jsonl", "w", encoding="utf-8").writelines(kept)
+    with open(crash_root / "journal.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
     shutil.copytree(ref_root / "results", crash_root / "results")
 
     metrics = MetricsRegistry()
@@ -104,7 +107,8 @@ def test_folded_job_kill_and_recover_verifies_against_unfolded(tmp_path):
         svc.run_pending()
         rec = svc.jobs["j000001"]
         assert rec.state == DONE and rec.result_key == key
-        assert open(svc.cache.path(key), "rb").read() == blob
+        with open(svc.cache.path(key), "rb") as fh:
+            assert fh.read() == blob
         values, meta = svc.result("j000001")
         assert meta["exact"]
 

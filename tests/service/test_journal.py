@@ -89,9 +89,11 @@ def test_interior_corruption_raises(tmp_path):
     with JobJournal(path) as j:
         j.append("submit", job=spec().to_dict())
         j.append("start", job_id="j000001", attempt=1, device="dev0")
-    lines = open(path, encoding="utf-8").readlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
     lines[1] = "00000000 " + lines[1][9:]  # corrupt a non-tail record
-    open(path, "w", encoding="utf-8").writelines(lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
     with pytest.raises(JournalCorruptionError) as exc:
         read_journal(path)
     assert exc.value.line_no == 2
@@ -185,7 +187,8 @@ def test_torn_tail_after_every_record_boundary(tmp_path):
         j.append("start", job_id=s.job_id, attempt=1, device="dev0")
         j.append("done", job_id=s.job_id, result_key="k", exact=True,
                  sim_seconds=0.1, device="dev0")
-    whole = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        whole = fh.read()
     lines = whole.decode("utf-8").splitlines(keepends=True)
     for n in range(1, len(lines) + 1):
         prefix = "".join(lines[:n])
@@ -290,11 +293,13 @@ def _hole_then(path, last_kind, fill):
             j.append("dedupe", job_id="j000001", by="job-id", state=PENDING)
         if last_kind == "cancel":
             j.append("cancel", job_id="j000001", reason="client cancel")
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     lines = data.splitlines(keepends=True)
     start = len(lines[0]) + len(lines[1])
     end = start + len(lines[2]) + len(lines[3]) // 2
-    open(path, "wb").write(data[:start] + fill * (end - start) + data[end:])
+    with open(path, "wb") as fh:
+        fh.write(data[:start] + fill * (end - start) + data[end:])
 
 
 @pytest.mark.parametrize("fill", [b"\0", b"\xff"], ids=["zeros", "stale"])

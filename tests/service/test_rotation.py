@@ -3,8 +3,6 @@ and the `journal verify` scan."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.errors import JournalCorruptionError, StorageFullError

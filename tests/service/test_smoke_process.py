@@ -9,7 +9,6 @@ select exactly this with ``-m service``.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess

@@ -9,8 +9,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
