@@ -36,6 +36,7 @@ from .regress import (
     Comparison,
     diff_bench,
     load_bench,
+    load_diff,
 )
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "default_n_samps",
     "run_bench_grid",
     "load_bench",
+    "load_diff",
     "diff_bench",
     "BenchDiff",
     "Comparison",

@@ -39,6 +39,7 @@ __all__ = [
     "Comparison",
     "BenchDiff",
     "load_bench",
+    "load_diff",
     "diff_bench",
 ]
 
@@ -60,12 +61,16 @@ DEFAULT_MIN_EFFECT = {
 _HIGHER_IS_BETTER = {"mteps", "extrapolated_mteps"}
 
 
-def load_bench(path) -> dict:
-    """Load and validate a ``repro.bench/v1`` document."""
+def _read(path) -> dict:
     try:
-        doc = load_json(path)
+        return load_json(path)
     except ValueError as exc:
         raise BenchFormatError(str(exc)) from exc
+
+
+def load_bench(path) -> dict:
+    """Load and validate a ``repro.bench/v1`` document."""
+    doc = _read(path)
     if not isinstance(doc, dict) or doc.get("schema") != BENCH_SCHEMA:
         raise BenchFormatError(
             f"{path}: expected schema {BENCH_SCHEMA!r}, got "
@@ -163,6 +168,25 @@ class BenchDiff:
             "verdict": "regressed" if self.has_regressions else "ok",
         }
 
+    @classmethod
+    def from_dict(cls, doc) -> "BenchDiff":
+        """The verdict :meth:`to_dict` wrote; any other document raises
+        :class:`~repro.errors.BenchFormatError`."""
+        if not isinstance(doc, dict) or doc.get("schema") != DIFF_SCHEMA:
+            got = (doc.get("schema") if isinstance(doc, dict)
+                   else type(doc).__name__)
+            raise BenchFormatError(
+                f"expected schema {DIFF_SCHEMA!r}, got {got!r}")
+        try:
+            return cls(metric=doc["metric"], rel_tol=doc["rel_tol"],
+                       min_effect=doc["min_effect"],
+                       higher_is_better=doc["higher_is_better"],
+                       rows=[Comparison(**row) for row in doc["rows"]],
+                       config_warnings=list(doc.get("config_warnings", [])))
+        except (KeyError, TypeError) as exc:
+            raise BenchFormatError(
+                f"malformed {DIFF_SCHEMA} verdict: {exc!r}") from exc
+
     def render_table(self) -> str:
         """Terminal table, worst news first."""
         order = {"regressed": 0, "missing": 1, "improved": 2, "new": 3,
@@ -233,6 +257,15 @@ def _classify(baseline: float, current: float, rel_tol: float,
     if abs(delta) / scale <= rel_tol:
         return "unchanged"
     return "regressed" if worse > 0 else "improved"
+
+
+def load_diff(path) -> BenchDiff:
+    """Load a saved ``repro.bench.diff/v1`` verdict."""
+    doc = _read(path)
+    try:
+        return BenchDiff.from_dict(doc)
+    except BenchFormatError as exc:
+        raise BenchFormatError(f"{path}: {exc}") from exc
 
 
 def diff_bench(

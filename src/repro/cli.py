@@ -75,6 +75,7 @@ a one-line error instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness.experiments import EXPERIMENTS
@@ -352,26 +353,55 @@ def build_service_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _NoAnswer(Exception):
+    """The command ran and the answer is no: an unknown id, or a job
+    without a result."""
+
+
 class _OutputError(Exception):
-    """A report/metrics file could not be written; main() turns this
-    into a one-line stderr message and a nonzero exit."""
+    """A report file could not be written."""
 
 
 class _InputError(Exception):
-    """A required input file is missing/unreadable; rendered as a
-    one-line actionable error with its own exit code (3), distinct from
-    format errors (2)."""
+    """A required input file is missing or unreadable."""
 
 
-def _write_report(path, payload_or_registry) -> None:
+def _write_report(path, payload, write=None) -> None:
+    """Write a JSON report with ``write`` (default
+    :func:`~repro.observability.write_json`); an unwritable path is an
+    :class:`_OutputError`."""
     from .observability import write_json
 
     try:
-        write_json(path, payload_or_registry)
+        (write or write_json)(path, payload)
     except OSError as exc:
         raise _OutputError(
-            f"error: cannot write {path}: {exc.strerror or exc}"
-        ) from exc
+            f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _read_input(load, path, what: str, hint: str):
+    """``load(path)``; a missing or unreadable file is an
+    :class:`_InputError` that says how to make it."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _InputError(f"cannot read {what} {path!r}: "
+                          f"{exc.strerror or exc}. {hint}") from exc
+
+
+def _journal(path: str) -> str:
+    """``path`` if a file of its journal chain is on disk (the active
+    file may be gone after a rotation); otherwise an
+    :class:`_InputError`."""
+    from .service import journal_inventory
+
+    inv = journal_inventory(path)
+    if not (os.path.exists(path) or inv["segments"] or inv["compacts"]):
+        root = os.path.dirname(path) or "."
+        raise _InputError(
+            f"no journal at {path!r}. The service daemon writes it; start "
+            f"one with 'repro service serve --root {root}'.")
+    return path
 
 
 def _render_profile(args, metrics) -> str:
@@ -418,133 +448,62 @@ def _render_profile(args, metrics) -> str:
     return "\n".join(lines)
 
 
-def _load_bench_input(path, role: str):
-    """Load a bench document, turning a missing/unreadable file into an
-    actionable one-liner (exit 3) instead of a bare errno message."""
-    from .bench import load_bench
-
-    try:
-        return load_bench(path)
-    except OSError as exc:
-        raise _InputError(
-            f"error: cannot read {role} bench file {path!r}: "
-            f"{exc.strerror or exc}. Generate it with "
-            f"'repro bench run --out {path}' (the committed baseline "
-            f"lives at BENCH_baseline.json)."
-        ) from exc
-
-
 def _bench_main(argv) -> int:
-    from .bench import diff_bench, load_bench, run_bench_grid
-    from .errors import BenchFormatError
+    from .bench import diff_bench, load_bench, load_diff, run_bench_grid
 
     args = build_bench_parser().parse_args(argv)
-    try:
-        if args.bench_command == "run":
-            doc, wall_per_run = run_bench_grid(
-                scale_factor=args.scale_factor, roots=args.roots,
-                seed=args.seed, n_samps=args.n_samps,
-                include_service=not args.no_service,
-                fold=not args.no_fold)
-            doc["timing"] = {"per_run": wall_per_run,
-                             "wall_seconds": sum(wall_per_run.values())}
-            _write_report(args.out, doc)
-            for row in doc["results"]:
-                if "mteps" in row:
-                    tail = f"{row['mteps']:>8.1f} MTEPS"
-                else:  # service-load rows report latency, not traversal
-                    tail = (f"p99 {row['p99_latency']:.2e}s "
-                            f"shed {row['shed_rate']:.0%}")
-                print(f"{row['dataset']:>20s} {row['strategy']:>15s} "
-                      f"{row['makespan_cycles']:>14.0f} cycles {tail}")
-            print(f"wrote {args.out}")
-            return 0
-        if args.bench_command == "diff":
-            baseline = _load_bench_input(args.against, "baseline")
-            current = _load_bench_input(args.current, "current")
-            kwargs = {}
-            if args.metric is not None:
-                kwargs["metric"] = args.metric
-            if args.rel_tol is not None:
-                kwargs["rel_tol"] = args.rel_tol
-            if args.min_effect is not None:
-                kwargs["min_effect"] = args.min_effect
-            diff = diff_bench(baseline, current, **kwargs)
-            if args.report:
-                _write_report(args.report, diff.to_dict())
-            print(diff.render_table())
-            if args.report:
-                print(f"\nreport: {args.report}")
-            return diff.exit_code if args.fail_on_regression else 0
-        # bench report: re-render a saved verdict
-        from .bench.regress import DIFF_SCHEMA, BenchDiff, Comparison
-        from .observability import load_json
-
-        try:
-            saved = load_json(args.report)
-        except OSError as exc:
-            raise _InputError(
-                f"error: cannot read diff report {args.report!r}: "
-                f"{exc.strerror or exc}. Produce one with "
-                f"'repro bench diff <current> --against "
-                f"BENCH_baseline.json --report {args.report}'."
-            ) from exc
-        except ValueError as exc:
-            raise BenchFormatError(str(exc)) from exc
-        if not isinstance(saved, dict) or saved.get("schema") != DIFF_SCHEMA:
-            raise BenchFormatError(
-                f"{args.report}: expected schema {DIFF_SCHEMA!r}")
-        diff = BenchDiff(
-            metric=saved["metric"], rel_tol=saved["rel_tol"],
-            min_effect=saved["min_effect"],
-            higher_is_better=saved["higher_is_better"],
-            rows=[Comparison(**row) for row in saved["rows"]],
-            config_warnings=list(saved.get("config_warnings", [])),
-        )
+    if args.bench_command == "run":
+        doc, wall_per_run = run_bench_grid(
+            scale_factor=args.scale_factor, roots=args.roots,
+            seed=args.seed, n_samps=args.n_samps,
+            include_service=not args.no_service,
+            fold=not args.no_fold)
+        doc["timing"] = {"per_run": wall_per_run,
+                         "wall_seconds": sum(wall_per_run.values())}
+        _write_report(args.out, doc)
+        for row in doc["results"]:
+            if "mteps" in row:
+                tail = f"{row['mteps']:>8.1f} MTEPS"
+            else:  # service-load rows report latency, not traversal
+                tail = (f"p99 {row['p99_latency']:.2e}s "
+                        f"shed {row['shed_rate']:.0%}")
+            print(f"{row['dataset']:>20s} {row['strategy']:>15s} "
+                  f"{row['makespan_cycles']:>14.0f} cycles {tail}")
+        print(f"wrote {args.out}")
+        return 0
+    if args.bench_command == "report":
+        diff = _read_input(
+            load_diff, args.report, "diff report",
+            f"Produce one with 'repro bench diff <current> --against "
+            f"BENCH_baseline.json --report {args.report}'.")
         print(diff.render_table())
         return 0
-    except _InputError as exc:
-        print(exc, file=sys.stderr)
-        return 3
-    except (BenchFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _OutputError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-
-def _spool_ticket(root: str, ticket: dict) -> str:
-    """Atomically drop one ticket into the service spool; returns its
-    path.  Atomic rename means the daemon never reads a half-written
-    ticket.  The daemon takes tickets in name order, so the name leads
-    with the write time: a cancel sorts after the submit it follows."""
-    import json
-    import os
-    import time
-    import uuid
-
-    spool = os.path.join(root, "spool")
-    os.makedirs(spool, exist_ok=True)
-    name = f"{time.time_ns():020d}-{uuid.uuid4().hex}.json"
-    tmp = os.path.join(spool, f".{name}.tmp")
-    path = os.path.join(spool, name)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(ticket, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    hint = ("Generate it with 'repro bench run --out {}' (the committed "
+            "baseline lives at BENCH_baseline.json).")
+    baseline = _read_input(load_bench, args.against, "baseline bench file",
+                           hint.format(args.against))
+    current = _read_input(load_bench, args.current, "current bench file",
+                          hint.format(args.current))
+    kwargs = {}
+    if args.metric is not None:
+        kwargs["metric"] = args.metric
+    if args.rel_tol is not None:
+        kwargs["rel_tol"] = args.rel_tol
+    if args.min_effect is not None:
+        kwargs["min_effect"] = args.min_effect
+    diff = diff_bench(baseline, current, **kwargs)
+    if args.report:
+        _write_report(args.report, diff.to_dict())
+    print(diff.render_table())
+    if args.report:
+        print(f"\nreport: {args.report}")
+    return diff.exit_code if args.fail_on_regression else 0
 
 
 def _service_main(argv) -> int:
     import json
-    import os
 
-    from .errors import (
-        JobSpecError,
-        JournalCorruptionError,
-    )
+    from .client import BCClient, SpoolTransport
     from .service import (
         DONE,
         AdmissionPolicy,
@@ -553,277 +512,213 @@ def _service_main(argv) -> int:
         ResultCache,
         Scheduler,
         SimDevice,
-        read_journal_chain,
-        replay_state,
+        replay_journal,
     )
 
     args = build_service_parser().parse_args(argv)
     root = args.root
     journal_path = os.path.join(root, "journal.jsonl")
-    try:
-        if args.service_command == "serve":
-            from .observability import MetricsRegistry
+    if args.service_command == "serve":
+        from .observability import MetricsRegistry
 
-            metrics = MetricsRegistry()
-            policy = AdmissionPolicy(
-                max_queue=args.max_queue,
-                degrade_threshold=args.degrade_threshold,
-                tenant_quota=args.tenant_quota)
-            sched = Scheduler(
-                [SimDevice(f"dev{i}") for i in range(max(1, args.devices))],
-                max_retries=args.max_retries, seed=args.seed,
-                metrics=metrics)
-            svc = BCService(root, policy=policy, scheduler=sched,
-                            metrics=metrics)
-            if svc.recovered_ids:
-                print(f"recovered {len(svc.recovered_ids)} interrupted "
-                      f"job(s): {', '.join(svc.recovered_ids)}")
-            print(f"serving from {root} "
-                  f"(journal {journal_path}, pid {os.getpid()})")
-            try:
-                svc.serve_forever(poll_interval=args.poll_interval,
-                                  throttle=args.throttle,
-                                  idle_exit=args.idle_exit)
-            finally:
-                if args.metrics_out:
-                    _write_report(args.metrics_out, metrics)
-            print("drained; journal closed")
-            return 0
-
-        if args.service_command == "submit":
-            spec = JobSpec(
-                job_id=args.job_id or "", graph=args.graph,
-                scale_factor=args.scale_factor, graph_seed=args.graph_seed,
-                strategy=args.strategy, roots=args.roots, seed=args.seed,
-                tenant=args.tenant, deadline_seconds=args.deadline,
-                allow_degrade=not args.no_degrade,
-                fold=not args.no_fold, faults=args.faults)
-            if not spec.job_id:
-                # Content-derived id: resubmitting the identical query
-                # (lost ack, impatient retry) folds into the same job
-                # instead of enqueuing it twice.
-                from .client import derive_job_id
-
-                spec = spec.with_id(derive_job_id(spec))
-            _spool_ticket(root, {"op": "submit", "job": spec.to_dict()})
-            print(spec.job_id)
-            return 0
-
-        if args.service_command == "cancel":
-            _spool_ticket(root, {"op": "cancel", "job_id": args.job_id})
-            print(f"cancel requested for {args.job_id}")
-            return 0
-
-        if args.service_command == "journal":
-            from .service import verify_journal
-
-            target = args.path or journal_path
-            if os.path.isdir(target):
-                target = os.path.join(target, "journal.jsonl")
-            report = verify_journal(target)
-            if (not report["files"]
-                    or all(row["status"] == "missing"
-                           for row in report["files"])):
-                raise _InputError(
-                    f"error: no journal at {target!r}. Start the daemon "
-                    f"with 'repro service serve --root {root}'.")
-            for row in report["files"]:
-                extra = f" [{row['error']}]" if row.get("error") else ""
-                seqs = ("-" if row["first_seq"] is None else
-                        f"{row['first_seq']}..{row['last_seq']}")
-                print(f"{row['role']:>8s} {os.path.basename(row['path']):>28s} "
-                      f"{row['records']:>5d} rec  seq {seqs:>13s}  "
-                      f"{row['bytes']:>7d} B  {row['status']}{extra}")
-            for note in report["notes"]:
-                print(f"note: {note}")
-            print(f"{report['total_records']} record(s) across "
-                  f"{len(report['files'])} file(s)")
-            if report["problems"]:
-                for problem in report["problems"]:
-                    print(f"error: {problem}", file=sys.stderr)
-                return 2
-            print("journal chain verifies clean")
-            return 0
-
-        if args.service_command == "soak":
-            from .observability import MetricsRegistry
-            from .service import SoakConfig, run_soak
-
-            cfg = SoakConfig(rounds=args.rounds,
-                             jobs_per_round=args.jobs,
-                             clients=args.clients,
-                             kill_every_round=args.kill_every_round)
-            report = run_soak(root, seed=args.seed, config=cfg,
-                              metrics=MetricsRegistry(), log=print)
-            print(f"soak seed={report['seed']}: "
-                  f"{len(report['rounds'])} round(s), "
-                  f"{report['kills']} kill(s), "
-                  f"{report['faults_injected']} storage fault(s), "
-                  f"{report['client_retries']} client retrie(s), "
-                  f"{report['deduped']} deduped submit(s)")
-            if args.report_out:
-                _write_report(args.report_out, report)
-            if report["violations"]:
-                for v in report["violations"]:
-                    print(f"VIOLATION (round {v['round']}): "
-                          f"{v['invariant']}", file=sys.stderr)
-                return 1
-            print("all invariants held")
-            return 0
-
-        if args.service_command == "top":
-            from .telemetry import (
-                aggregate_slo,
-                chrome_trace,
-                read_events,
-                render_top,
-                write_chrome_trace,
-            )
-
-            if not os.path.exists(journal_path):
-                raise _InputError(
-                    f"error: no journal at {journal_path!r}. The "
-                    f"daemon writes it; run some jobs first.")
-            events, torn = read_events(journal_path)
-            report = aggregate_slo(events)
-            print("\n".join(render_top(report)))
-            if torn:
-                print("note: torn journal tail dropped (crash "
-                      "mid-append; the next daemon open truncates it)")
-            if args.out:
-                _write_report(args.out, report)
-            if args.chrome_trace:
-                try:
-                    write_chrome_trace(args.chrome_trace,
-                                       chrome_trace(events))
-                except OSError as exc:
-                    raise _OutputError(
-                        f"error: cannot write {args.chrome_trace}: "
-                        f"{exc.strerror or exc}") from exc
-                print(f"chrome trace: {args.chrome_trace}")
-            return 0
-
-        # status/results: read-only over the journal + cache — valid at
-        # every instant, daemon or no daemon.
-        if not os.path.exists(journal_path):
-            raise _InputError(
-                f"error: no journal at {journal_path!r}. Start the "
-                f"daemon with 'repro service serve --root {root}'.")
-        records, _torn = read_journal_chain(journal_path)
-        state = replay_state(records, journal_path)
-
-        if args.service_command == "status":
-            if args.job_id is not None:
-                job = state.jobs.get(args.job_id)
-                if job is None:
-                    print(f"error: no job {args.job_id!r} in the journal",
-                          file=sys.stderr)
-                    return 1
-                print(json.dumps(job.status_dict(), indent=2,
-                                 sort_keys=True))
-                # Per-attempt timing (queued/backoff/compute per
-                # attempt) from the event stream derived from the same
-                # records.
-                from .telemetry import attempt_rows, derive_events
-
-                rows = attempt_rows(derive_events(records), args.job_id)
-                if rows:
-                    print("attempts (from event stream):")
-                for r in rows:
-                    tail = (f", backoff {r['backoff_after']:.6f}s"
-                            if r["backoff_after"] is not None else "")
-                    tail += (f", compute {r['compute']:.6f}s"
-                             if r["compute"] is not None else "")
-                    print(f"  a{r['attempt']} on {r['device']}: "
-                          f"queued {r['queue_wait']:.6f}s -> "
-                          f"{r['outcome']}{tail}")
-                return 0
-            ordered = sorted(state.jobs.values(),
-                             key=lambda j: j.submit_seq)
-            for job in ordered:
-                flag = ("exact" if job.exact
-                        else (job.degraded_reason or "-")
-                        if job.exact is not None else "-")
-                print(f"{job.job_id:>14s} {job.state:>9s} "
-                      f"{job.spec.tenant:>10s} {job.spec.graph:>18s} "
-                      f"{job.spec.strategy:>15s} a{job.attempt} {flag}")
-            print(f"{len(ordered)} job(s), "
-                  f"{sum(1 for j in ordered if not j.terminal)} live")
-            return 0
-
-        # results
-        job = state.jobs.get(args.job_id)
-        if job is None:
-            print(f"error: no job {args.job_id!r} in the journal",
-                  file=sys.stderr)
-            return 1
-        if job.state != DONE or job.result_key is None:
-            print(f"error: job {args.job_id!r} has no result "
-                  f"(state={job.state}"
-                  + (f", error={job.error}" if job.error else "") + ")",
-                  file=sys.stderr)
-            return 1
-        cache = ResultCache(os.path.join(root, "results"))
-        hit = cache.get(job.result_key)
-        if hit is None:
-            print(f"error: result {job.result_key[:12]}… missing or "
-                  f"corrupt (evicted); a serving daemon re-materialises "
-                  f"it on demand", file=sys.stderr)
-            return 1
-        values, meta = hit
-        if args.out:
-            # A JSON export for readers of the values, not the binary
-            # cache entry (repro.result/v2).
-            _write_report(args.out, {
-                "schema": "repro.result/v1", "key": job.result_key,
-                "meta": meta, "values": [float(v) for v in values]})
-        print(f"job       : {job.job_id}")
-        print(f"exact     : {meta.get('exact')}"
-              + (f" (degraded: {meta.get('degraded_reason')})"
-                 if meta.get("degraded_reason") else ""))
-        print(f"device    : {meta.get('device')} "
-              f"(attempts {meta.get('attempts')}, "
-              f"{float(meta.get('sim_seconds', 0.0)):.6f} sim s)")
-        print(f"values    : n={values.size}, sum={float(values.sum()):.6f}, "
-              f"max={float(values.max()):.6f}")
-        if args.out:
-            print(f"written   : {args.out}")
+        metrics = MetricsRegistry()
+        policy = AdmissionPolicy(
+            max_queue=args.max_queue,
+            degrade_threshold=args.degrade_threshold,
+            tenant_quota=args.tenant_quota)
+        sched = Scheduler(
+            [SimDevice(f"dev{i}") for i in range(max(1, args.devices))],
+            max_retries=args.max_retries, seed=args.seed,
+            metrics=metrics)
+        svc = BCService(root, policy=policy, scheduler=sched,
+                        metrics=metrics)
+        if svc.recovered_ids:
+            print(f"recovered {len(svc.recovered_ids)} interrupted "
+                  f"job(s): {', '.join(svc.recovered_ids)}")
+        print(f"serving from {root} "
+              f"(journal {journal_path}, pid {os.getpid()})")
+        try:
+            svc.serve_forever(poll_interval=args.poll_interval,
+                              throttle=args.throttle,
+                              idle_exit=args.idle_exit)
+        finally:
+            if args.metrics_out:
+                _write_report(args.metrics_out, metrics)
+        print("drained; journal closed")
         return 0
-    except _InputError as exc:
-        print(exc, file=sys.stderr)
-        return 3
-    except JournalCorruptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except JobSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _OutputError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+
+    if args.service_command == "submit":
+        # Without --job-id the client derives the id from the spec's
+        # content: resubmitting the identical query (lost ack, impatient
+        # retry) folds into the same job instead of enqueuing it twice.
+        print(BCClient(SpoolTransport(root)).submit(JobSpec(
+            job_id=args.job_id or "", graph=args.graph,
+            scale_factor=args.scale_factor, graph_seed=args.graph_seed,
+            strategy=args.strategy, roots=args.roots, seed=args.seed,
+            tenant=args.tenant, deadline_seconds=args.deadline,
+            allow_degrade=not args.no_degrade,
+            fold=not args.no_fold, faults=args.faults)))
+        return 0
+
+    if args.service_command == "cancel":
+        SpoolTransport(root).cancel(args.job_id)
+        print(f"cancel requested for {args.job_id}")
+        return 0
+
+    if args.service_command == "journal":
+        from .service import verify_journal
+
+        target = args.path or journal_path
+        if os.path.isdir(target):
+            target = os.path.join(target, "journal.jsonl")
+        report = verify_journal(_journal(target))
+        for row in report["files"]:
+            extra = f" [{row['error']}]" if row.get("error") else ""
+            seqs = ("-" if row["first_seq"] is None else
+                    f"{row['first_seq']}..{row['last_seq']}")
+            print(f"{row['role']:>8s} {os.path.basename(row['path']):>28s} "
+                  f"{row['records']:>5d} rec  seq {seqs:>13s}  "
+                  f"{row['bytes']:>7d} B  {row['status']}{extra}")
+        for note in report["notes"]:
+            print(f"note: {note}")
+        print(f"{report['total_records']} record(s) across "
+              f"{len(report['files'])} file(s)")
+        if report["problems"]:
+            for problem in report["problems"]:
+                print(f"error: {problem}", file=sys.stderr)
+            return 2
+        print("journal chain verifies clean")
+        return 0
+
+    if args.service_command == "soak":
+        from .observability import MetricsRegistry
+        from .service import SoakConfig, run_soak
+
+        cfg = SoakConfig(rounds=args.rounds,
+                         jobs_per_round=args.jobs,
+                         clients=args.clients,
+                         kill_every_round=args.kill_every_round)
+        report = run_soak(root, seed=args.seed, config=cfg,
+                          metrics=MetricsRegistry(), log=print)
+        print(f"soak seed={report['seed']}: "
+              f"{len(report['rounds'])} round(s), "
+              f"{report['kills']} kill(s), "
+              f"{report['faults_injected']} storage fault(s), "
+              f"{report['client_retries']} client retrie(s), "
+              f"{report['deduped']} deduped submit(s)")
+        if args.report_out:
+            _write_report(args.report_out, report)
+        if report["violations"]:
+            for v in report["violations"]:
+                print(f"VIOLATION (round {v['round']}): "
+                      f"{v['invariant']}", file=sys.stderr)
+            return 1
+        print("all invariants held")
+        return 0
+
+    if args.service_command == "top":
+        from .telemetry import (
+            aggregate_slo,
+            chrome_trace,
+            read_events,
+            render_top,
+            write_chrome_trace,
+        )
+
+        events, torn = read_events(_journal(journal_path))
+        report = aggregate_slo(events)
+        print("\n".join(render_top(report)))
+        if torn:
+            print("note: torn journal tail dropped (crash "
+                  "mid-append; the next daemon open truncates it)")
+        if args.out:
+            _write_report(args.out, report)
+        if args.chrome_trace:
+            _write_report(args.chrome_trace, chrome_trace(events),
+                          write_chrome_trace)
+            print(f"chrome trace: {args.chrome_trace}")
+        return 0
+
+    # status/results: read-only over the journal + cache — valid at
+    # every instant, daemon or no daemon.
+    records, state = replay_journal(_journal(journal_path))
+    if args.service_command == "status" and args.job_id is None:
+        ordered = sorted(state.jobs.values(), key=lambda j: j.submit_seq)
+        for job in ordered:
+            flag = ("exact" if job.exact
+                    else (job.degraded_reason or "-")
+                    if job.exact is not None else "-")
+            print(f"{job.job_id:>14s} {job.state:>9s} "
+                  f"{job.spec.tenant:>10s} {job.spec.graph:>18s} "
+                  f"{job.spec.strategy:>15s} a{job.attempt} {flag}")
+        print(f"{len(ordered)} job(s), "
+              f"{sum(1 for j in ordered if not j.terminal)} live")
+        return 0
+    job = state.job(args.job_id)
+    if args.service_command == "status":
+        print(json.dumps(job.status_dict(), indent=2, sort_keys=True))
+        # Per-attempt timing (queued/backoff/compute per attempt) from
+        # the event stream derived from the same records.
+        from .telemetry import attempt_rows, derive_events
+
+        rows = attempt_rows(derive_events(records), args.job_id)
+        if rows:
+            print("attempts (from event stream):")
+        for r in rows:
+            tail = (f", backoff {r['backoff_after']:.6f}s"
+                    if r["backoff_after"] is not None else "")
+            tail += (f", compute {r['compute']:.6f}s"
+                     if r["compute"] is not None else "")
+            print(f"  a{r['attempt']} on {r['device']}: "
+                  f"queued {r['queue_wait']:.6f}s -> "
+                  f"{r['outcome']}{tail}")
+        return 0
+
+    # results
+    if job.state != DONE or job.result_key is None:
+        raise _NoAnswer(f"job {args.job_id!r} has no result "
+                        f"(state={job.state}"
+                        + (f", error={job.error}" if job.error else "") + ")")
+    cache = ResultCache(os.path.join(root, "results"))
+    hit = cache.get(job.result_key)
+    if hit is None:
+        raise _NoAnswer(f"result {job.result_key[:12]}… missing or corrupt "
+                        f"(evicted); a serving daemon re-materialises it "
+                        f"on demand")
+    values, meta = hit
+    if args.out:
+        # A JSON export for readers of the values, not the binary
+        # cache entry (repro.result/v2).
+        _write_report(args.out, {
+            "schema": "repro.result/v1", "key": job.result_key,
+            "meta": meta, "values": [float(v) for v in values]})
+    print(f"job       : {job.job_id}")
+    print(f"exact     : {meta.get('exact')}"
+          + (f" (degraded: {meta.get('degraded_reason')})"
+             if meta.get("degraded_reason") else ""))
+    print(f"device    : {meta.get('device')} "
+          f"(attempts {meta.get('attempts')}, "
+          f"{float(meta.get('sim_seconds', 0.0)):.6f} sim s)")
+    print(f"values    : n={values.size}, sum={float(values.sum()):.6f}, "
+          f"max={float(values.max()):.6f}")
+    if args.out:
+        print(f"written   : {args.out}")
+    return 0
 
 
 def _trace_main(argv) -> int:
     args = build_trace_parser().parse_args(argv)
-    if args.trace_command == "timeline":
-        return _trace_timeline(args)
+    if args.trace_command == "explain":
+        from .errors import TraceFormatError
+        from .observability import explain_lines, load_trace
 
-    from .errors import TraceFormatError
-    from .observability import explain_lines, load_trace
-
-    try:
-        doc = load_trace(args.trace)
-        print("\n".join(explain_lines(doc, root=args.root)))
+        try:
+            print("\n".join(explain_lines(load_trace(args.trace),
+                                          root=args.root)))
+        except (OSError, ValueError) as exc:  # unreadable, or not text
+            raise TraceFormatError(str(exc)) from exc
         return 0
-    except (TraceFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
-
-def _trace_timeline(args) -> int:
-    import os
-
-    from .errors import JournalCorruptionError
     from .telemetry import (
         build_timeline,
         chrome_trace,
@@ -832,16 +727,8 @@ def _trace_timeline(args) -> int:
         write_chrome_trace,
     )
 
-    path = os.path.join(args.root, "journal.jsonl")
-    if not os.path.exists(path):
-        print(f"error: no journal at {path!r}. The service daemon "
-              f"writes journal.jsonl in its --root.", file=sys.stderr)
-        return 3
-    try:
-        events, _torn = read_events(path)
-    except JournalCorruptionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    events, _torn = read_events(
+        _journal(os.path.join(args.root, "journal.jsonl")))
     # Trace ids are 'tr' + 16 hex chars; everything else is a job id.
     selector = ({"trace_id": args.id}
                 if args.id.startswith("tr") and len(args.id) == 18
@@ -849,22 +736,15 @@ def _trace_timeline(args) -> int:
     try:
         doc = build_timeline(events, **selector)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _NoAnswer(str(exc)) from exc
     print("\n".join(render_timeline(doc)))
-    try:
-        if args.out:
-            _write_report(args.out, doc)
-        if args.chrome_trace:
-            if doc["trace_id"]:
-                export = chrome_trace(events, trace_id=doc["trace_id"])
-            else:
-                export = chrome_trace(events, **selector)
-            write_chrome_trace(args.chrome_trace, export)
-            print(f"chrome trace: {args.chrome_trace}")
-    except (_OutputError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    if args.out:
+        _write_report(args.out, doc)
+    if args.chrome_trace:
+        # chrome_trace resolves a job id to its trace as build_timeline did.
+        _write_report(args.chrome_trace, chrome_trace(events, **selector),
+                      write_chrome_trace)
+        print(f"chrome trace: {args.chrome_trace}")
     return 0
 
 
@@ -946,49 +826,73 @@ def _render(name: str, cfg: ExperimentConfig, scales) -> str:
     return module.render(None, cfg, **kwargs) if kwargs else module.render(None, cfg)
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # "bench" and "trace" are command groups with their own subparsers;
-    # everything else flows through the legacy single-level parser.
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "service":
-        return _service_main(argv[1:])
+def _experiments_main(argv) -> int:
     args = build_parser().parse_args(argv)
     from .observability import MetricsRegistry
 
     metrics = MetricsRegistry()
     try:
-        try:
-            if args.experiment == "profile":
-                print(_render_profile(args, metrics))
+        if args.experiment == "profile":
+            print(_render_profile(args, metrics))
+            print()
+        elif args.experiment in ("resilience", "verify"):
+            print(_render_resilience(
+                args, metrics=metrics,
+                verify=args.experiment == "verify"))
+            print()
+        else:
+            cfg = ExperimentConfig(scale_factor=args.scale_factor,
+                                   root_sample=args.roots, seed=args.seed)
+            names = (sorted(EXPERIMENTS) if args.experiment == "all"
+                     else [args.experiment])
+            for name in names:
+                with metrics.span("experiment", name=name):
+                    out = _render(name, cfg, args.scales)
+                metrics.inc("cli.experiments_rendered", name=name)
+                print(out)
                 print()
-            elif args.experiment in ("resilience", "verify"):
-                print(_render_resilience(
-                    args, metrics=metrics,
-                    verify=args.experiment == "verify"))
-                print()
-            else:
-                cfg = ExperimentConfig(scale_factor=args.scale_factor,
-                                       root_sample=args.roots, seed=args.seed)
-                names = (sorted(EXPERIMENTS) if args.experiment == "all"
-                         else [args.experiment])
-                for name in names:
-                    with metrics.span("experiment", name=name):
-                        out = _render(name, cfg, args.scales)
-                    metrics.inc("cli.experiments_rendered", name=name)
-                    print(out)
-                    print()
-        finally:
-            if args.metrics_out:
-                _write_report(args.metrics_out, metrics)
-    except _OutputError as exc:
-        print(exc, file=sys.stderr)
-        return 1
+    finally:
+        if args.metrics_out:
+            _write_report(args.metrics_out, metrics)
     return 0
+
+
+#: "bench", "trace" and "service" are command groups with their own
+#: subparsers; everything else is a paper experiment.
+_GROUPS = {"bench": _bench_main, "trace": _trace_main,
+           "service": _service_main}
+
+
+def main(argv=None) -> int:
+    from .errors import (
+        BenchFormatError,
+        JobNotFoundError,
+        JobSpecError,
+        JournalCorruptionError,
+        TraceFormatError,
+    )
+
+    if argv is None:
+        argv = sys.argv[1:]
+    group = _GROUPS.get(argv[0]) if argv else None
+    # The one exception -> exit-code table, for every command (README
+    # states it): 1 the command ran and the answer is no, 2 a bad
+    # input or an unwritable output, 3 a required input is missing.
+    # The paper experiments read no input and exit 1 on an unwritable
+    # output.
+    exit_codes = {
+        _NoAnswer: 1, JobNotFoundError: 1,
+        BenchFormatError: 2, TraceFormatError: 2,
+        JournalCorruptionError: 2, JobSpecError: 2,
+        _OutputError: 2 if group else 1,
+        _InputError: 3,
+    }
+    try:
+        return group(argv[1:]) if group else _experiments_main(argv)
+    except tuple(exit_codes) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in exit_codes.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
 
 from .._util import backoff_delay
@@ -48,7 +49,7 @@ from ..errors import (
 from ..observability.registry import NULL_REGISTRY
 from ..telemetry import trace_id_for
 from ..service.jobs import JobSpec, TERMINAL_STATES
-from ..service.journal import read_journal_chain, replay_state
+from ..service.journal import replay_journal
 from ..service.storage import ServiceStorage
 
 __all__ = [
@@ -118,8 +119,9 @@ class InProcessTransport:
 
 
 class SpoolTransport:
-    """Cross-process transport: submits are spool tickets, status is an
-    offline journal read — exactly what the CLI does, minus a process.
+    """Cross-process transport: submits and cancels are spool tickets,
+    status is an offline journal read — what ``repro service submit``,
+    ``cancel`` and ``status`` use.
 
     ``storage`` routes the ticket write, so spool-targeted storage
     faults strike it.
@@ -130,32 +132,42 @@ class SpoolTransport:
         self.storage = storage if storage is not None else ServiceStorage()
         self.spool_dir = os.path.join(self.root, "spool")
         self._journal = os.path.join(self.root, "journal.jsonl")
-        self._ticket_n = 0
 
     @property
     def journal_path(self) -> str:
         return self._journal
 
-    def submit(self, spec: JobSpec) -> str:
+    def _drop(self, ticket: dict) -> None:
+        """Write one ticket into the spool.  The daemon takes tickets in
+        name order and the name leads with the write time, so tickets
+        sort in write order across writers and processes: a cancel is
+        taken after the submit it follows."""
+        import uuid  # here, not at module top: importing the SDK stays lean
+
         os.makedirs(self.spool_dir, exist_ok=True)
-        self._ticket_n += 1
-        name = f"t{self._ticket_n:06d}-{spec.job_id}.json"
-        body = (json.dumps({"op": "submit", "job": spec.to_dict()},
-                           sort_keys=True) + "\n").encode("utf-8")
+        name = f"{time.time_ns():020d}-{uuid.uuid4().hex}.json"
+        body = (json.dumps(ticket, sort_keys=True) + "\n").encode("utf-8")
         self.storage.replace_atomic(os.path.join(self.spool_dir, name),
                                     body, "spool")
+
+    def submit(self, spec: JobSpec) -> str:
+        self._drop({"op": "submit", "job": spec.to_dict()})
         return spec.job_id
 
+    def cancel(self, job_id: str) -> None:
+        """Ask the daemon to cancel a pending job."""
+        self._drop({"op": "cancel", "job_id": str(job_id)})
+
     def status(self, job_id: str) -> dict:
-        records, _ = read_journal_chain(self._journal)
-        state = replay_state(records, self._journal)
-        job = state.jobs.get(job_id)
-        if job is None:
-            raise JobNotFoundError(job_id)
-        return job.status_dict()
+        return _offline_status(self._journal, job_id)
 
     def result(self, job_id: str):
         raise JobNotFoundError(job_id)  # results need a live service
+
+
+def _offline_status(journal_path, job_id: str) -> dict:
+    """A job's status from the journal alone (no daemon needed)."""
+    return replay_journal(journal_path)[1].job(job_id).status_dict()
 
 
 class BCClient:
@@ -256,12 +268,7 @@ class BCClient:
         except Exception:
             self.report["hedged_polls"] += 1
             self.metrics.inc("client.hedged_polls")
-            records, _ = read_journal_chain(self.transport.journal_path)
-            state = replay_state(records, self.transport.journal_path)
-            job = state.jobs.get(job_id)
-            if job is None:
-                raise JobNotFoundError(job_id)
-            return job.status_dict()
+            return _offline_status(self.transport.journal_path, job_id)
 
     def result(self, job_id: str):
         """A DONE job's ``(values, meta)``, with overload retries."""

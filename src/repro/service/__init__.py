@@ -54,6 +54,7 @@ from .journal import (
     journal_inventory,
     read_journal,
     read_journal_chain,
+    replay_journal,
     replay_state,
     verify_journal,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "JobSpec", "JobRecord", "legal_transition",
     "JOURNAL_SCHEMA", "RECORD_KINDS", "JobJournal", "ReplayedState",
     "encode_record", "decode_line", "read_journal", "replay_state",
+    "replay_journal",
     "journal_inventory", "read_journal_chain", "verify_journal",
     "ServiceStorage", "SimulatedCrash",
     "SoakConfig", "run_soak",

@@ -89,7 +89,7 @@ import os
 import re
 import zlib
 
-from ..errors import JournalCorruptionError, StorageFullError
+from ..errors import JobNotFoundError, JournalCorruptionError, StorageFullError
 from ..observability.clock import SpanClock
 from ..observability.registry import NULL_REGISTRY
 from .jobs import (
@@ -120,6 +120,7 @@ __all__ = [
     "read_journal_chain",
     "verify_journal",
     "replay_state",
+    "replay_journal",
 ]
 
 JOURNAL_SCHEMA = "repro.job/v1"
@@ -454,7 +455,11 @@ class JobJournal:
                 if recs:
                     self._active_first_seq = recs[0]["seq"]
                 if torn:
-                    self._truncate_torn(fpath, recs)
+                    # Drop the unacknowledged torn record so the next
+                    # append starts on a clean line boundary; the good
+                    # lines stay byte for byte.
+                    self.storage.truncate(fpath, sum(
+                        len(encode_record(r).encode("utf-8")) for r in recs))
                     self.torn_tail_truncated = True
                     self.metrics.inc("service.journal.torn_tail_truncated")
         self._seq = max([inv["through"]]
@@ -466,19 +471,6 @@ class JobJournal:
         owner to replay; the journal keeps none of them afterwards."""
         history, self._history = self._history, []
         return history
-
-    @staticmethod
-    def _truncate_torn(path: str, good_records: list) -> None:
-        """Drop the unacknowledged torn record so the next append
-        starts on a clean line boundary.  The good lines are kept
-        byte-for-byte (a truncate, not a rewrite — this must succeed
-        even on a full disk)."""
-        good_bytes = sum(
-            len(encode_record(r).encode("utf-8")) for r in good_records)
-        with open(path, "r+b") as fh:
-            fh.truncate(good_bytes)
-            fh.flush()
-            os.fsync(fh.fileno())
 
     def append(self, kind: str, **fields) -> dict:
         """Append one record; returns it (with its ``seq``).
@@ -730,6 +722,24 @@ class ReplayedState:
         """PENDING job ids in submit order (the recovered queue)."""
         pend = [j for j in self.jobs.values() if j.state == PENDING]
         return [j.job_id for j in sorted(pend, key=lambda j: j.submit_seq)]
+
+    def job(self, job_id: str):
+        """The record of ``job_id``; raises
+        :class:`~repro.errors.JobNotFoundError` for an unknown id."""
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise JobNotFoundError(job_id)
+        return job
+
+
+def replay_journal(path):
+    """The offline read of the journal chain at ``path``: ``(records,
+    state)``, the chain's records and the state they fold into.
+
+    Valid at every instant, daemon live, dead or mid-crash; a missing
+    journal reads as no records."""
+    records, _torn = read_journal_chain(path)
+    return records, replay_state(records, path)
 
 
 def replay_state(records, path: str = "<journal>") -> ReplayedState:

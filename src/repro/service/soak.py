@@ -50,7 +50,7 @@ from ..resilience.faults import ActiveFaults, FaultPlan
 from .admission import AdmissionPolicy
 from .daemon import BCService
 from .jobs import DONE, TERMINAL_STATES, JobSpec
-from .journal import read_journal_chain, replay_state, verify_journal
+from .journal import replay_journal, verify_journal
 from .storage import ServiceStorage, SimulatedCrash
 
 __all__ = ["SoakConfig", "run_soak"]
@@ -392,8 +392,7 @@ def _check_round(svc: BCService, cli: BCClient, round_ids, cfg: SoakConfig,
     verify = verify_journal(svc.journal.path)
     if not verify["ok"]:
         violate(round_no, f"journal verify: {verify['problems']}")
-    records, _ = read_journal_chain(svc.journal.path)
-    state = replay_state(records, svc.journal.path)
+    _, state = replay_journal(svc.journal.path)
     if state.illegal_transitions:
         violate(round_no,
                 f"illegal transitions: {state.illegal_transitions}")

@@ -230,6 +230,19 @@ class ServiceStorage:
         finally:
             os.close(fd)
 
+    def truncate(self, path: str, size: int) -> None:
+        """Cut ``path`` back to ``size`` bytes and fsync it.
+
+        Not an operation, like :meth:`sync`: the journal drops a torn
+        tail with it when it opens, which must succeed even on a full
+        disk, so neither a crash nor a fault strikes here."""
+        fd = os.open(str(path), os.O_WRONLY)
+        try:
+            os.ftruncate(fd, int(size))
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
     def replace_atomic(self, path: str, data: bytes,
                        target: str = "any") -> int:
         """Durably write ``data`` to ``path`` via tmp + ``os.replace``;

@@ -23,8 +23,8 @@ and the CI telemetry job run over the export.
 from __future__ import annotations
 
 import json
-import os
 
+from ..observability.export import write_json
 from .slo import aggregate_slo
 
 __all__ = ["chrome_trace", "validate_chrome_trace", "write_chrome_trace"]
@@ -189,13 +189,9 @@ def validate_chrome_trace(doc) -> list:
 
 
 def write_chrome_trace(path, doc: dict) -> None:
-    """Write a trace document (parent dirs created; canonical dumps)."""
+    """Validate a trace document, then write it as canonical JSON with
+    :func:`~repro.observability.export.write_json`."""
     problems = validate_chrome_trace(doc)
     if problems:
         raise ValueError(f"invalid chrome trace: {problems[:3]}")
-    parent = os.path.dirname(str(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2,
-                            separators=(",", ": ")) + "\n")
+    write_json(path, doc)

@@ -7,7 +7,9 @@ import pytest
 from repro.bench import (
     BENCH_SCHEMA,
     DATASET_NAMES,
+    DIFF_SCHEMA,
     STRATEGY_NAMES,
+    BenchDiff,
     default_n_samps,
     diff_bench,
     load_bench,
@@ -258,3 +260,28 @@ class TestBenchCLI:
         b = json.loads(cli_out.read_text())
         a.pop("timing"), b.pop("timing")
         assert dumps(a) == dumps(b)
+
+
+class TestSavedVerdict:
+    def test_from_dict_round_trips(self):
+        base = _doc([("a", "hybrid", 1e6), ("b", "sampling", 2e6),
+                     ("c", "batched", 3e6)], scale_factor=1024)
+        curr = _doc([("a", "hybrid", 2e6), ("b", "sampling", 1e6),
+                     ("d", "hybrid", 1e6)], scale_factor=512)
+        diff = diff_bench(base, curr)
+        assert diff.config_warnings and diff.has_regressions
+        again = BenchDiff.from_dict(json.loads(json.dumps(diff.to_dict())))
+        assert again.render_table() == diff.render_table()
+        assert again.to_dict() == diff.to_dict()
+
+    @pytest.mark.parametrize("doc", [
+        {}, [1], {"schema": BENCH_SCHEMA},
+        {"schema": DIFF_SCHEMA, "metric": "makespan_cycles"},
+    ], ids=["empty", "list", "bench-schema", "missing-keys"])
+    def test_other_documents_are_format_errors(self, doc, tmp_path, capsys):
+        with pytest.raises(BenchFormatError):
+            BenchDiff.from_dict(doc)
+        path = tmp_path / "verdict.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bench", "report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")

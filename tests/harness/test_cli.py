@@ -1,5 +1,7 @@
 """Unit tests for the CLI entry point."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -106,3 +108,191 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: cannot write /proc/nope/metrics.json")
+
+
+# -- the exit-code table ------------------------------------------------
+# One row per (command, cause) of README's exit-code table: 1 = the
+# command ran and the answer is "no", 2 = a bad input or an unwritable
+# output, 3 = a required input is missing.
+
+def _service_roots(base):
+    """A live service root (one DONE job, one pending), the same root
+    with its cache emptied, one with interior journal rot, and an empty
+    one."""
+    import shutil
+
+    from repro.service import BCService, JobSpec
+
+    live = base / "live"
+    with BCService(live) as svc:
+        for job_id in ("done1", "pend1"):
+            svc.submit(JobSpec(job_id=job_id, graph="smallworld",
+                               scale_factor=512, strategy="sampling",
+                               roots=2))
+        svc.run_pending(max_jobs=1)
+    shutil.copytree(live, base / "evicted")
+    shutil.rmtree(base / "evicted" / "results")
+    shutil.copytree(live, base / "corrupt")
+    journal = base / "corrupt" / "journal.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(b"not a record\n" + b"".join(lines[1:]))
+    (base / "empty").mkdir()
+    return {name: str(base / name)
+            for name in ("live", "evicted", "corrupt", "empty")}
+
+
+def _bench_files(base):
+    from repro.bench import BENCH_SCHEMA
+
+    def doc(cycles):
+        return {"schema": BENCH_SCHEMA, "config": {}, "results": [
+            {"dataset": "smallworld", "strategy": "sampling",
+             "makespan_cycles": cycles}]}
+
+    files = {"base": doc(1e6), "slow": doc(2e6), "schemaless": {}}
+    for name, body in files.items():
+        (base / f"{name}.json").write_text(json.dumps(body))
+    (base / "garbled.json").write_text("{not json")
+    return {name: str(base / f"{name}.json")
+            for name in list(files) + ["garbled"]}
+
+
+def _clean_soak(root, **kw):
+    return {"seed": 0, "rounds": [], "kills": 0, "faults_injected": 0,
+            "client_retries": 0, "deduped": 0, "violations": []}
+
+
+def _violated_soak(root, **kw):
+    report = _clean_soak(root)
+    report["violations"] = [{"round": 1, "invariant": "job lost"}]
+    return report
+
+
+EXIT_TABLE = [
+    # experiments
+    ("experiment-unwritable-output", 1,
+     lambda d: ["figure1", "--metrics-out", d["unwritable"]]),
+    # bench
+    ("bench-regression", 1,
+     lambda d: ["bench", "diff", d["slow"], "--against", d["base"],
+                "--fail-on-regression"]),
+    ("bench-diff-bad-format", 2,
+     lambda d: ["bench", "diff", d["schemaless"], "--against", d["base"]]),
+    ("bench-report-bad-schema", 2,
+     lambda d: ["bench", "report", d["base"]]),
+    ("bench-report-bad-json", 2,
+     lambda d: ["bench", "report", d["garbled"]]),
+    ("bench-diff-unwritable-report", 2,
+     lambda d: ["bench", "diff", d["base"], "--against", d["base"],
+                "--report", d["unwritable"]]),
+    ("bench-diff-missing-input", 3,
+     lambda d: ["bench", "diff", d["missing"], "--against", d["base"]]),
+    ("bench-report-missing-input", 3,
+     lambda d: ["bench", "report", d["missing"]]),
+    # service
+    ("service-status-unknown-job", 1,
+     lambda d: ["service", "status", "nosuch", "--root", d["live"]]),
+    ("service-results-unknown-job", 1,
+     lambda d: ["service", "results", "nosuch", "--root", d["live"]]),
+    ("service-results-not-done", 1,
+     lambda d: ["service", "results", "pend1", "--root", d["live"]]),
+    ("service-results-evicted", 1,
+     lambda d: ["service", "results", "done1", "--root", d["evicted"]]),
+    ("service-soak-violation", 1,
+     lambda d: ["service", "soak", "--root", d["soak"]]),
+    ("service-status-corrupt-journal", 2,
+     lambda d: ["service", "status", "--root", d["corrupt"]]),
+    ("service-results-corrupt-journal", 2,
+     lambda d: ["service", "results", "done1", "--root", d["corrupt"]]),
+    ("service-top-corrupt-journal", 2,
+     lambda d: ["service", "top", "--root", d["corrupt"]]),
+    ("service-submit-bad-spec", 2,
+     lambda d: ["service", "submit", "--root", d["live"], "--roots", "0"]),
+    ("service-results-unwritable-output", 2,
+     lambda d: ["service", "results", "done1", "--root", d["live"],
+                "--out", d["unwritable"]]),
+    ("service-top-unwritable-output", 2,
+     lambda d: ["service", "top", "--root", d["live"],
+                "--out", d["unwritable"]]),
+    ("service-top-unwritable-chrome-trace", 2,
+     lambda d: ["service", "top", "--root", d["live"],
+                "--chrome-trace", d["unwritable"]]),
+    ("service-soak-unwritable-report", 2,
+     lambda d: ["service", "soak", "--root", d["soak"],
+                "--report-out", d["unwritable"]]),
+    ("service-journal-verify-problems", 2,
+     lambda d: ["service", "journal", "verify", d["corrupt"]]),
+    ("service-status-missing-journal", 3,
+     lambda d: ["service", "status", "--root", d["empty"]]),
+    ("service-results-missing-journal", 3,
+     lambda d: ["service", "results", "done1", "--root", d["empty"]]),
+    ("service-top-missing-journal", 3,
+     lambda d: ["service", "top", "--root", d["empty"]]),
+    ("service-journal-verify-missing", 3,
+     lambda d: ["service", "journal", "verify", d["empty"]]),
+    # trace explain
+    ("trace-explain-missing-file", 2,
+     lambda d: ["trace", "explain", d["missing"]]),
+    ("trace-explain-bad-json", 2,
+     lambda d: ["trace", "explain", d["garbled"]]),
+    ("trace-explain-bad-schema", 2,
+     lambda d: ["trace", "explain", d["base"]]),
+    # trace timeline
+    ("timeline-unknown-id", 1,
+     lambda d: ["trace", "timeline", "nosuch", "--root", d["live"]]),
+    ("timeline-corrupt-journal", 2,
+     lambda d: ["trace", "timeline", "done1", "--root", d["corrupt"]]),
+    ("timeline-unwritable-output", 2,
+     lambda d: ["trace", "timeline", "done1", "--root", d["live"],
+                "--out", d["unwritable"]]),
+    ("timeline-unwritable-chrome-trace", 2,
+     lambda d: ["trace", "timeline", "done1", "--root", d["live"],
+                "--chrome-trace", d["unwritable"]]),
+    ("timeline-missing-journal", 3,
+     lambda d: ["trace", "timeline", "done1", "--root", d["empty"]]),
+]
+
+
+@pytest.fixture(scope="module")
+def exit_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("exit-codes")
+    (base / "a-file").write_text("")
+    return {**_service_roots(base), **_bench_files(base),
+            "unwritable": str(base / "a-file" / "out.json"),
+            "missing": str(base / "missing.json"),
+            "soak": str(base / "soak")}
+
+
+@pytest.mark.parametrize("case,code,argv", EXIT_TABLE,
+                         ids=[row[0] for row in EXIT_TABLE])
+def test_exit_code_table(case, code, argv, exit_inputs, monkeypatch,
+                         capsys):
+    import repro.service
+
+    monkeypatch.setattr(repro.service, "run_soak",
+                        _violated_soak if case == "service-soak-violation"
+                        else _clean_soak)
+    assert main(argv(exit_inputs)) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,shown", [
+    (["service", "status"], "j3"), (["service", "top"], "TOTAL"),
+    (["trace", "timeline", "j3"], "j3")], ids=["status", "top", "timeline"])
+def test_a_chain_without_its_active_segment_is_a_journal(argv, shown,
+                                                         tmp_path, capsys):
+    # Right after a rotation the chain is sealed segments and a compact
+    # file, with no active journal.jsonl until the next append.
+    from repro.service import BCService, JobSpec
+
+    root = tmp_path / "svc"
+    with BCService(root, journal_max_segment_bytes=1500,
+                   journal_keep_terminal=2) as svc:
+        for i in range(4):
+            svc.submit(JobSpec(job_id=f"j{i}", graph="smallworld",
+                               scale_factor=512, strategy="sampling",
+                               roots=2, seed=i))
+            svc.run_pending()
+    (root / "journal.jsonl").unlink()
+    assert main(argv + ["--root", str(root)]) == 0
+    assert shown in capsys.readouterr().out

@@ -321,6 +321,42 @@ def test_cli_cancel_after_submit_is_taken_after_it(tmp_path, monkeypatch,
         assert svc.jobs["j1"].state == CANCELLED
 
 
+def test_cli_cancel_after_sdk_submit_is_taken_after_it(tmp_path, capsys):
+    # The SDK and the CLI write one ticket format, so a CLI cancel sorts
+    # after an SDK submit written before it.
+    from repro.cli import main
+    from repro.client import BCClient, SpoolTransport
+
+    root = tmp_path / "svc"
+    assert BCClient(SpoolTransport(root)).submit(spec(job_id="j1")) == "j1"
+    assert main(["service", "cancel", "j1", "--root", str(root)]) == 0
+    capsys.readouterr()
+    with BCService(root) as svc:
+        assert svc.poll_spool() == 2
+        assert svc.jobs["j1"].state == CANCELLED
+
+
+def test_cli_tickets_go_through_service_storage(tmp_path, monkeypatch,
+                                                capsys):
+    from repro.cli import main
+    from repro.service import ServiceStorage
+
+    writes = []
+    replace_atomic = ServiceStorage.replace_atomic
+
+    def spy(self, path, data, target="any"):
+        writes.append((os.path.dirname(path), target))
+        return replace_atomic(self, path, data, target)
+
+    monkeypatch.setattr(ServiceStorage, "replace_atomic", spy)
+    root = str(tmp_path / "svc")
+    assert main(["service", "submit", "--root", root, "--job-id", "j1",
+                 "--scale-factor", "256", "--roots", "4"]) == 0
+    assert main(["service", "cancel", "j1", "--root", root]) == 0
+    capsys.readouterr()
+    assert writes == [(os.path.join(root, "spool"), "spool")] * 2
+
+
 def test_spool_crash_debris_is_cleaned(tmp_path):
     root = tmp_path / "svc"
     BCService(root).close()

@@ -210,3 +210,16 @@ def test_sync_is_not_an_operation(tmp_path, fsyncs):
     assert st.ops == 0 and len(fsyncs) == 1
     with pytest.raises(SimulatedCrash):      # the crash is still pending
         st.append_line(str(p), "b\n", "journal", sync=False)
+
+
+def test_truncate_is_not_an_operation(tmp_path, fsyncs):
+    p = tmp_path / "j.jsonl"
+    p.write_bytes(b"good\ntorn-rec")
+    st = ServiceStorage(crash_after=0,
+                        faults=ActiveFaults(FaultPlan.parse(
+                            "enospc:0@journal"), seed=0))
+    st.truncate(str(p), len(b"good\n"))      # no tick, no fault, no crash
+    assert _read(p) == b"good\n"
+    assert st.ops == 0 and len(fsyncs) == 1
+    with pytest.raises(SimulatedCrash):      # the crash is still pending
+        st.append_line(str(p), "b\n", "journal")

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.observability import dumps
 from repro.service import BCService, JobSpec
 from repro.telemetry import (
     chrome_trace,
@@ -104,3 +105,10 @@ def test_write_chrome_trace_roundtrip(tmp_path):
     assert loaded["displayTimeUnit"] == "ms"
     with pytest.raises(ValueError):
         write_chrome_trace(str(out), {"traceEvents": "nope"})
+
+
+def test_write_chrome_trace_writes_canonical_json(tmp_path):
+    doc = chrome_trace(run_events(tmp_path))
+    out = tmp_path / "trace.json"
+    write_chrome_trace(str(out), doc)
+    assert out.read_text(encoding="utf-8") == dumps(doc) + "\n"
